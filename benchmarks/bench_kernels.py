@@ -1,9 +1,9 @@
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Benchmark the numba Hamiltonian matvec against its pure-numpy fallback.
 
-Usage: python benchmarks/bench_kernels.py [--sites N] [--steps S] [--reps R]
+Usage: python benchmarks/bench_kernels.py [--sites N] [--reps R]
 
-Times the Hamiltonian matvec and the dephasing-trajectory inner loop on
-identical inputs through both code paths and prints the speedup.  The
+Times the Hamiltonian matvec on identical inputs through both code paths
+and prints the speedup.  The
 active path for normal runs is chosen by the MACROSTAB_NUMBA environment
 variable; this script calls both implementations directly.
 """
@@ -65,48 +65,19 @@ def bench_matvec(n_sites, reps):
     return t_numpy, t_numba
 
 
-def bench_trajectory(n_sites, n_steps, reps):
-    rng = np.random.Generator(np.random.Philox(key=np.array([3, 4], dtype=np.uint64)))
-    dim = 2**n_sites
-    psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi0 /= np.linalg.norm(psi0)
-    lam = np.tile(np.array([1.0, -1.0]), (n_sites, 1))
-    q = np.tile(np.eye(2, dtype=np.complex128), (n_sites, 1, 1))
-    w = 0.02 * rng.standard_normal((n_steps, n_sites))
-    f_out = np.empty(n_steps // 10)
-
-    def run_numpy():
-        _kernels.dephase_trajectory_numpy(psi0, q, lam, w, 10, f_out)
-
-    t_numpy = _time(run_numpy, reps)
-    t_numba = None
-    if _kernels.HAVE_NUMBA:
-
-        def run_numba():
-            psi = psi0.copy()
-            _kernels._dephase_trajectory_numba(psi, psi0.conj(), q, lam, w, 10, f_out)
-
-        t_numba = _time(run_numba, reps)
-    return t_numpy, t_numba
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sites", type=int, default=12)
-    parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--reps", type=int, default=10)
     args = parser.parse_args()
 
     print(f"numba available: {_kernels.HAVE_NUMBA} (active path: {_kernels.kernel_path()})")
     print(f"{'kernel':<28}{'numpy':>12}{'numba':>12}{'speedup':>10}")
-    for name, (t_np, t_nb) in (
-        (f"ham matvec (N={args.sites})", bench_matvec(args.sites, args.reps)),
-        (f"trajectory (N={args.sites - 2}, {args.steps} steps)",
-         bench_trajectory(args.sites - 2, args.steps, args.reps)),
-    ):
-        nb = f"{t_nb * 1e3:9.3f} ms" if t_nb is not None else "       n/a"
-        speedup = f"{t_np / t_nb:9.1f}x" if t_nb else "       n/a"
-        print(f"{name:<28}{t_np * 1e3:9.3f} ms{nb}{speedup}")
+    name = f"ham matvec (N={args.sites})"
+    t_np, t_nb = bench_matvec(args.sites, args.reps)
+    nb = f"{t_nb * 1e3:9.3f} ms" if t_nb is not None else "       n/a"
+    speedup = f"{t_np / t_nb:9.1f}x" if t_nb else "       n/a"
+    print(f"{name:<28}{t_np * 1e3:9.3f} ms{nb}{speedup}")
 
 
 if __name__ == "__main__":

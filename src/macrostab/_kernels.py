@@ -1,4 +1,4 @@
-"""Hot numeric kernels: numba-jitted versions with pure-numpy fallbacks.
+"""Hamiltonian matvec kernel: a numba-jitted version with a pure-numpy fallback.
 
 Selection: the numba path is used when numba imports cleanly and the
 environment variable ``MACROSTAB_NUMBA`` is not set to 0/false/off.
@@ -133,89 +133,3 @@ def build_matvec_tables(n_sites, diag, h, swap_coef, bonds):
             tables["swap_indices"] = np.stack(swaps)
             tables["swap_mult"] = np.stack(mults)
     return tables
-
-
-# ---------------------------------------------------------------------------
-# Dephasing trajectory: per step apply exp(-i w[s,x] a(x)) site by site,
-# with a(x) = Q diag(lam) Q^dagger, recording |<psi0|psi>|^2 every
-# record_stride steps.  Site-local operators at distinct sites commute, so
-# the product of single-site rotations is the exact noise step.
-# ---------------------------------------------------------------------------
-
-
-def dephase_trajectory_numpy(psi0, q, lam, w, record_stride, f_out):
-    psi = psi0.copy()
-    psi0c = psi0.conj()
-    dim = psi.shape[0]
-    n_steps, n = w.shape
-    r = 0
-    for s in range(n_steps):
-        for x in range(n):
-            phase = np.exp(-1j * w[s, x] * lam[x])
-            u = (q[x] * phase[np.newaxis, :]) @ q[x].conj().T
-            block = psi.reshape(-1, 2, 1 << x)
-            psi = np.einsum("ab,hbl->hal", u, block).reshape(dim)
-        if (s + 1) % record_stride == 0:
-            ov = np.sum(psi0c * psi)
-            f_out[r] = ov.real * ov.real + ov.imag * ov.imag
-            r += 1
-    return np.ascontiguousarray(psi)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _dephase_trajectory_numba(psi, psi0c, q, lam, w, record_stride, f_out):
-        dim = psi.shape[0]
-        n_steps = w.shape[0]
-        n = w.shape[1]
-        r = 0
-        for s in range(n_steps):
-            for x in range(n):
-                t0 = w[s, x] * lam[x, 0]
-                t1 = w[s, x] * lam[x, 1]
-                e0 = complex(np.cos(t0), -np.sin(t0))
-                e1 = complex(np.cos(t1), -np.sin(t1))
-                u00 = q[x, 0, 0] * e0 * np.conj(q[x, 0, 0]) + q[x, 0, 1] * e1 * np.conj(q[x, 0, 1])
-                u01 = q[x, 0, 0] * e0 * np.conj(q[x, 1, 0]) + q[x, 0, 1] * e1 * np.conj(q[x, 1, 1])
-                u10 = q[x, 1, 0] * e0 * np.conj(q[x, 0, 0]) + q[x, 1, 1] * e1 * np.conj(q[x, 0, 1])
-                u11 = q[x, 1, 0] * e0 * np.conj(q[x, 1, 0]) + q[x, 1, 1] * e1 * np.conj(q[x, 1, 1])
-                stride = 1 << x
-                base = 0
-                while base < dim:
-                    for off in range(stride):
-                        i0 = base + off
-                        i1 = i0 + stride
-                        a0 = psi[i0]
-                        a1 = psi[i1]
-                        psi[i0] = u00 * a0 + u01 * a1
-                        psi[i1] = u10 * a0 + u11 * a1
-                    base += 2 * stride
-            if (s + 1) % record_stride == 0:
-                ov = complex(0.0, 0.0)
-                for i in range(dim):
-                    ov += psi0c[i] * psi[i]
-                f_out[r] = ov.real * ov.real + ov.imag * ov.imag
-                r += 1
-        return psi
-
-
-def dephase_trajectory(psi0, q, lam, w, record_stride, f_out):
-    """Run one noise-only trajectory; returns the final state."""
-    if USE_NUMBA:
-        psi = psi0.copy()
-        _dephase_trajectory_numba(psi, psi0.conj(), q, lam, w, record_stride, f_out)
-        return psi
-    return dephase_trajectory_numpy(psi0, q, lam, w, record_stride, f_out)
-
-
-def noise_step_numpy(psi, q, lam, w_row):
-    """Apply one noise step exp(-i sum_x w[x] a(x)) outside the jitted path."""
-    dim = psi.shape[0]
-    n = w_row.shape[0]
-    for x in range(n):
-        phase = np.exp(-1j * w_row[x] * lam[x])
-        u = (q[x] * phase[np.newaxis, :]) @ q[x].conj().T
-        block = psi.reshape(-1, 2, 1 << x)
-        psi = np.einsum("ab,hbl->hal", u, block).reshape(dim)
-    return np.ascontiguousarray(psi)

@@ -1,45 +1,35 @@
 """Stochastic trajectory ensembles under correlated dephasing noise.
 
 Each trajectory applies, per time step, the exact unitary
-exp(-i sum_x W_x a(x)) with Gaussian increments W ~ N(0, kappa g dt);
-site-local couplings always commute across sites, so no splitting error
-enters while the system Hamiltonian is off.  With a Hamiltonian on, a
-second-order symmetric (Strang) split surrounds the noise step with two
+exp(-i sum_x W_x a(x)) with Gaussian increments W ~ N(0, kappa g dt).
+While the system Hamiltonian is off, every coupling commutes with every
+other at all times, so a trajectory is a closed form in the product
+eigenbasis of the site couplings: the state at step k carries the phase
+sum_x Wcum_x(k) lambda_x(i_x) on basis state i, with Wcum the running
+sum of the increments.  One cumsum and one real matrix product per
+trajectory give its whole fidelity series.  With a Hamiltonian on, a
+second-order symmetric (Strang) split surrounds each noise step with two
 exact half-step propagators exp(-i H dt / 2).
 
 Noise increments come from a counter-based Philox stream keyed by
-(master seed, trajectory index), so any execution order or thread count
-reproduces identical trajectories; the cross-trajectory mean runs over
-an index-ordered array, making reports bit-stable.
+(master seed, trajectory index), so a trajectory's result depends only on
+that pair; the cross-trajectory mean runs over an index-ordered array,
+making reports bit-stable.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ArgumentError, CapabilityError
 
 DENSITY_CAP_SITES = 8
 MIN_TRAJECTORIES = 100
 _STABILITY_FACTOR = 0.1
 _MAX_RECORD_POINTS = 400
-
-
-def default_threads():
-    raw = os.environ.get("MACROSTAB_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ArgumentError(f"MACROSTAB_THREADS is not an integer: {raw!r}")
-        if n < 1:
-            raise ArgumentError("MACROSTAB_THREADS must be >= 1")
-        return n
-    return 1
+# phase-matrix elements (record rows x support states) evaluated at once
+_PHASE_BLOCK_ELEMENTS = 1 << 14
 
 
 def stability_dt_bound(noise, lattice):
@@ -99,7 +89,6 @@ class EvolveResult:
     n_traj: int
     dt: float
     seed: int
-    kernel_path: str
     density_matrix: np.ndarray = None
 
 
@@ -119,7 +108,77 @@ def _traj_rng(seed, traj):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def evolve_noisy(psi0, noise, ensemble, hamiltonian=None, threads=None):
+def _rotate_sites(psi, mats):
+    """Apply the product of single-site 2x2 matrices; site x acts on bit x."""
+    dim = psi.shape[0]
+    for x, u in enumerate(mats):
+        psi = np.einsum("ab,hbl->hal", u, psi.reshape(-1, 2, 1 << x)).reshape(dim)
+    return psi
+
+
+def _noise_step(psi, q, lam, w_row):
+    """One noise step exp(-i sum_x w_row[x] a(x)) with a(x) = q diag(lam) q^dagger."""
+    return _rotate_sites(
+        psi,
+        [(q[x] * np.exp(-1j * w_row[x] * lam[x])[np.newaxis, :]) @ q[x].conj().T
+         for x in range(w_row.shape[0])],
+    )
+
+
+def _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals):
+    """Noise-only trajectories from phases in the coupling eigenbasis.
+
+    With c = (prod_x q_x)^dagger psi0 and p = |c|^2, the fidelity at record
+    row k is |sum_i p_i exp(-i phi_i(k))|^2, phi_i(k) = sum_x Wcum_x(k)
+    lam_x(i_x).  Basis states outside the support of p never contribute.
+    """
+    n_sites = lam.shape[0]
+    c = _rotate_sites(amps0, q.conj().transpose(0, 2, 1))
+    p = c.real**2 + c.imag**2
+    support = np.flatnonzero(p)
+    bits = (support[:, None] >> np.arange(n_sites)) & 1
+    lam_s = lam[np.arange(n_sites), bits]
+    lam_t = np.ascontiguousarray(lam_s.T)
+    p_s = p[support]
+    n_rec = f_rows.shape[1]
+    block = max(1, _PHASE_BLOCK_ELEMENTS // support.size)
+    for traj in range(f_rows.shape[0]):
+        w_cum = np.cumsum(draw_w(traj), axis=0)
+        w_rec = w_cum[stride - 1::stride]
+        for lo in range(0, n_rec, block):
+            phi = w_rec[lo:lo + block] @ lam_t
+            re = np.cos(phi) @ p_s
+            im = np.sin(phi) @ p_s
+            f_rows[traj, lo:lo + block] = re * re + im * im
+        if finals is not None:
+            c_t = np.zeros_like(c)
+            c_t[support] = c[support] * np.exp(-1j * (lam_s @ w_cum[-1]))
+            finals[traj] = _rotate_sites(c_t, q)
+
+
+def _strang_ensemble(amps0, q, lam, draw_w, stride, hamiltonian, dt, f_rows, finals):
+    """Trajectories under H and noise, one Strang step at a time."""
+    from scipy.sparse.linalg import expm_multiply
+
+    h_csr = hamiltonian.to_csr().astype(np.complex128) * (-0.5j * dt)
+    amps0c = amps0.conj()
+    for traj in range(f_rows.shape[0]):
+        w = draw_w(traj)
+        psi = amps0.copy()
+        r = 0
+        for s in range(w.shape[0]):
+            psi = expm_multiply(h_csr, psi)
+            psi = _noise_step(psi, q, lam, w[s])
+            psi = expm_multiply(h_csr, psi)
+            if (s + 1) % stride == 0:
+                ov = np.sum(amps0c * psi)
+                f_rows[traj, r] = ov.real**2 + ov.imag**2
+                r += 1
+        if finals is not None:
+            finals[traj] = psi
+
+
+def evolve_noisy(psi0, noise, ensemble, hamiltonian=None):
     """Average fidelity F(t) = <psi0| rho(t) |psi0> over noise trajectories.
 
     Parameters
@@ -128,8 +187,6 @@ def evolve_noisy(psi0, noise, ensemble, hamiltonian=None, threads=None):
     noise : NoiseModel
     ensemble : TrajectoryEnsemble
     hamiltonian : optional Hamiltonian handle; None freezes system evolution.
-    threads : worker threads (default: MACROSTAB_THREADS or 1).  Results are
-        independent of the thread count.
     """
     psi0.require_normalized()
     lattice = psi0.lattice
@@ -154,6 +211,10 @@ def evolve_noisy(psi0, noise, ensemble, hamiltonian=None, threads=None):
     n_rec = n_steps // stride
     b_scaled = noise.kernel_sqrt(lattice) * math.sqrt(noise.kappa * ensemble.dt)
 
+    def draw_w(traj):
+        rng = _traj_rng(ensemble.seed, traj)
+        return rng.standard_normal((n_steps, lattice.n_sites)) @ b_scaled.T
+
     amps0 = psi0.amplitudes.astype(np.complex128)
     f_rows = np.empty((ensemble.n_traj, n_rec), dtype=np.float64)
     finals = (
@@ -161,43 +222,10 @@ def evolve_noisy(psi0, noise, ensemble, hamiltonian=None, threads=None):
         if ensemble.collect_density
         else None
     )
-
-    half_u = None
-    if hamiltonian is not None:
-        from scipy.sparse.linalg import expm_multiply
-
-        h_csr = hamiltonian.to_csr().astype(np.complex128) * (-0.5j * ensemble.dt)
-
-        def half_u(vec):
-            return expm_multiply(h_csr, vec)
-
-    def run_one(traj):
-        rng = _traj_rng(ensemble.seed, traj)
-        w = rng.standard_normal((n_steps, lattice.n_sites)) @ b_scaled.T
-        if hamiltonian is None:
-            psi = _kernels.dephase_trajectory(amps0, q, lam, w, stride, f_rows[traj])
-        else:
-            psi = amps0.copy()
-            r = 0
-            for s in range(n_steps):
-                psi = half_u(psi)
-                psi = _kernels.noise_step_numpy(psi, q, lam, w[s])
-                psi = half_u(psi)
-                if (s + 1) % stride == 0:
-                    ov = np.sum(amps0.conj() * psi)
-                    f_rows[traj, r] = ov.real**2 + ov.imag**2
-                    r += 1
-        if finals is not None:
-            finals[traj] = psi
-        return traj
-
-    n_workers = default_threads() if threads is None else int(threads)
-    if n_workers <= 1:
-        for traj in range(ensemble.n_traj):
-            run_one(traj)
+    if hamiltonian is None:
+        _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_one, range(ensemble.n_traj)))
+        _strang_ensemble(amps0, q, lam, draw_w, stride, hamiltonian, ensemble.dt, f_rows, finals)
 
     times = np.concatenate(([0.0], ensemble.dt * stride * np.arange(1, n_rec + 1)))
     f_mean = np.concatenate(([1.0], f_rows.mean(axis=0)))
@@ -219,7 +247,6 @@ def evolve_noisy(psi0, noise, ensemble, hamiltonian=None, threads=None):
         n_traj=ensemble.n_traj,
         dt=ensemble.dt,
         seed=ensemble.seed,
-        kernel_path=_kernels.kernel_path(),
         density_matrix=density,
     )
 

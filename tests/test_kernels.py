@@ -58,32 +58,6 @@ def test_matvec_paths_agree(model, J, h, delta, B, rng):
         assert np.allclose(out, via_numpy, atol=1e-13)
 
 
-@needs_numba
-def test_trajectory_paths_agree(rng):
-    n = 4
-    dim = 2**n
-    psi0 = random_state_amps(n, rng)
-    # mixed-axis site couplings exercise the full 2x2 rotation algebra
-    lam = np.empty((n, 2))
-    q = np.empty((n, 2, 2), dtype=np.complex128)
-    for x in range(n):
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = m + m.conj().T
-        evals, evecs = np.linalg.eigh(m)
-        lam[x] = evals
-        q[x] = evecs
-    w = 0.1 * rng.standard_normal((30, n))
-    f_a = np.empty(10)
-    f_b = np.empty(10)
-    psi_numpy = _kernels.dephase_trajectory_numpy(psi0, q, lam, w, 3, f_a)
-    psi_numba = psi0.copy()
-    _kernels._dephase_trajectory_numba(psi_numba, psi0.conj(), q, lam, w, 3, f_b)
-    assert np.allclose(f_a, f_b, atol=1e-12)
-    assert np.allclose(psi_numpy, psi_numba, atol=1e-12)
-    # unitarity of the numba result
-    assert np.linalg.norm(psi_numba) == pytest.approx(1.0, abs=1e-10)
-
-
 def test_env_flag_selects_numpy_path():
     out = subprocess.run(
         [sys.executable, "-c", "from macrostab import _kernels; print(_kernels.kernel_path())"],

@@ -8,7 +8,9 @@ from macrostab import (
     CapabilityError,
     HamiltonianSpec,
     LatticeSpec,
+    LocalOperator,
     NoiseModel,
+    StateVector,
     TrajectoryEnsemble,
     analytic_dephasing_rate,
     basis_state,
@@ -21,7 +23,9 @@ from macrostab import (
     make_uniform_product,
     stability_dt_bound,
 )
+from macrostab import evolve
 from macrostab.rates import fit_initial_rate, trajectory_rate
+from conftest import dense_site_op, random_state_amps
 
 
 def trace_distance(a, b):
@@ -129,12 +133,60 @@ class TestEvolve:
         psi = make_ghz(lat)
         noise = NoiseModel(0.01, "collective", axis="z")
         ens = TrajectoryEnsemble(120, 0.02, 2.0, seed=42)
-        a = evolve_noisy(psi, noise, ens, threads=1)
-        b = evolve_noisy(psi, noise, ens, threads=3)
+        a = evolve_noisy(psi, noise, ens)
+        b = evolve_noisy(psi, noise, ens)
         assert np.array_equal(a.f_mean, b.f_mean)
         assert np.array_equal(a.f_rows, b.f_rows)
         c = evolve_noisy(psi, noise, TrajectoryEnsemble(120, 0.02, 2.0, seed=43))
         assert not np.array_equal(a.f_mean, c.f_mean)
+
+    def test_trajectory_depends_only_on_seed_and_index(self):
+        # 600 record rows x 128 support states span more than one phase block
+        lat = LatticeSpec(8)
+        psi = make_dicke(lat, 4)
+        noise = NoiseModel(0.01, "exponential", axis="x", xi=2.0)
+        many = evolve_noisy(psi, noise, TrajectoryEnsemble(120, 0.01, 6.0, 42, record_stride=1))
+        few = evolve_noisy(psi, noise, TrajectoryEnsemble(100, 0.01, 6.0, 42, record_stride=1))
+        assert np.array_equal(many.f_rows[:100], few.f_rows)
+
+    def test_noise_only_matches_dense_expm_oracle(self, rng, monkeypatch):
+        # random non-diagonal couplings: the closed form must equal the
+        # step-by-step product of dense exp(-i sum_x w[s,x] A_x)
+        from scipy.linalg import expm
+
+        # 2-row phase blocks, so the 3 record rows end in a partial block
+        monkeypatch.setattr(evolve, "_PHASE_BLOCK_ELEMENTS", 16)
+
+        n = 3
+        lat = LatticeSpec(n)
+        mats = []
+        for _ in range(n):
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            mats.append(m + m.conj().T)
+        ops = [LocalOperator(x, m) for x, m in enumerate(mats)]
+        noise = NoiseModel(0.2, "exponential", site_operators=ops, xi=1.5)
+        psi = StateVector(lat, random_state_amps(n, rng))
+        ens = TrajectoryEnsemble(100, 0.05, 0.5, seed=31, record_stride=3, collect_density=True)
+        res = evolve_noisy(psi, noise, ens)
+
+        dense_ops = [dense_site_op(n, x, m) for x, m in enumerate(mats)]
+        b_scaled = noise.kernel_sqrt(lat) * math.sqrt(noise.kappa * ens.dt)
+        amps0 = psi.amplitudes
+        f_rows = np.empty_like(res.f_rows)
+        rho = np.zeros((lat.dim, lat.dim), dtype=complex)
+        for traj in range(ens.n_traj):
+            w = evolve._traj_rng(ens.seed, traj).standard_normal((ens.n_steps, n)) @ b_scaled.T
+            state = amps0.copy()
+            for s in range(ens.n_steps):
+                gen = sum(w[s, x] * dense_ops[x] for x in range(n))
+                state = expm(-1j * gen) @ state
+                if (s + 1) % 3 == 0:
+                    f_rows[traj, (s + 1) // 3 - 1] = abs(np.vdot(amps0, state)) ** 2
+            rho += np.outer(state, state.conj())
+        rho /= ens.n_traj
+        assert ens.n_steps % 3 != 0  # the final state lies past the last record row
+        assert np.max(np.abs(res.f_rows - f_rows)) <= 1e-12
+        assert np.max(np.abs(res.density_matrix - rho)) <= 1e-12
 
     def test_norm_preserved_per_trajectory(self):
         lat = LatticeSpec(4)
