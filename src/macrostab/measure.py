@@ -3,11 +3,20 @@
 The stability test compares, for well-separated site pairs (x, y), the
 conditional outcome distribution P(b; a) of measuring b right after an
 ideal local measurement at x returned a, against the undisturbed P(b).
-Only conditioning outcomes with P(a) above a floor count.  The deviation
-is maximized over observable directions with a fixed 26-point direction
-grid (the nonzero points of {-1,0,1}^3, normalized; grid version v1)
-refined by a deterministic Nelder-Mead local search, so the reported
-maximum is a reproducible lower bound on the true supremum.
+Only conditioning outcomes with P(a) above a floor count.
+
+Both follow from the two-point Pauli table of the cluster diagnostic, the
+Bloch vectors r_x and connected blocks C_xy = <sigma(x) sigma(y)^T> - r_x r_y^T:
+for outcome s of n_a.sigma(x) and outcome t of n_b.sigma(y),
+
+    P(t; s) - P(t) = s t n_a^T C_xy n_b / (2 (1 + s r_x.n_a)).
+
+The supremum over n_b is |C_xy^T n_a| / (2 (1 + s r_x.n_a)), reached at n_b
+along s C_xy^T n_a, and flipping n_a absorbs s.  Only n_a is searched, under
+the floor (1 + r_x.n_a)/2 >= varepsilon: a fixed (theta, phi) grid refined
+by a shrinking patch, and the same search along the floor circle, where the
+optimum often sits (grid version v2).  The reported maximum is a
+reproducible lower bound on the true supremum.
 
 Mixed states enter as explicit convex mixtures of pure states; their
 outcome distributions are probability-weighted averages per the
@@ -18,54 +27,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .analyzer import max_additive_fluctuation
+from .analyzer import covariance_matrix, max_additive_fluctuation
 from .errors import ArgumentError, NumericalError
 from .operators import LocalOperator, PAULI_MATRICES, apply_local
 from .states import StateVector
 
 OUTCOME_FLOOR = 1e-12
 DEFAULT_CONDITIONING_FLOOR = 0.05
-GRID_VERSION = "v1"
-_REFINE_TOL = 1e-6
-
-_I2 = np.eye(2, dtype=np.complex128)
-
-
-def direction_grid():
-    """26 unit vectors: nonzero points of {-1,0,1}^3 in lexicographic order."""
-    dirs = []
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            for k in (-1, 0, 1):
-                if (i, j, k) == (0, 0, 0):
-                    continue
-                v = np.array([i, j, k], dtype=np.float64)
-                dirs.append(v / np.linalg.norm(v))
-    return np.array(dirs)
-
-
-_GRID = direction_grid()
-
-
-def _direction_matrix(n_vec):
-    return (
-        n_vec[0] * PAULI_MATRICES["x"]
-        + n_vec[1] * PAULI_MATRICES["y"]
-        + n_vec[2] * PAULI_MATRICES["z"]
-    )
-
-
-def _angles_to_direction(theta, phi):
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def _direction_to_angles(n_vec):
-    theta = math.acos(min(1.0, max(-1.0, n_vec[2])))
-    phi = math.atan2(n_vec[1], n_vec[0])
-    return theta, phi
+GRID_VERSION = "v2"
+GRID_THETA = 48           # polar rows of the n_a grid; GRID_PHI = 2 GRID_THETA columns
+CIRCLE_POINTS = 256       # samples of the floor circle
+REFINE_LEVELS = 24        # halvings of the refinement patch
+_PATCH = (0, -2, -1, 1, 2)  # patch offsets in steps, centre first so ties keep it
+_FLOOR_MARGIN = 1e-14     # searched P(a) clear varepsilon by this much, beyond rounding
+_BLOCK_ELEMENTS = 1 << 17  # cap on orderings x grid points x 3 in one array
 
 
 @dataclass(frozen=True)
@@ -211,71 +187,119 @@ def conditional_distribution(state, a_obs, b_obs):
 
 
 # ---------------------------------------------------------------------------
-# Reduced density matrices (fast path for the direction sweep)
+# Measurement-stability sweep from the two-point Pauli table
 # ---------------------------------------------------------------------------
 
 
-def single_site_rdm(state, x):
-    """2x2 reduced density matrix of site x."""
-    components = _as_components(state)
-    lattice = components[0][1].lattice
-    lattice.validate_site(x)
-    rdm = np.zeros((2, 2), dtype=np.complex128)
-    for w, psi in components:
-        block = psi.amplitudes.reshape(-1, 2, 1 << x)
-        rdm += w * np.einsum("aic,akc->ik", block, block.conj())
-    return rdm
+def _two_point_table(state):
+    """Bloch vectors (N, 3) and connected Pauli table (3N, 3N) of a state.
 
-
-def two_site_rdm(state, x, y):
-    """4x4 reduced density matrix of sites x < y, row index = 2*bit_y + bit_x."""
-    if x == y:
-        raise ArgumentError("two-site density matrix needs distinct sites")
-    if x > y:
-        raise ArgumentError("two_site_rdm expects x < y")
-    components = _as_components(state)
-    lattice = components[0][1].lattice
-    lattice.validate_site(x)
-    lattice.validate_site(y)
-    n = lattice.n_sites
-    hi = 1 << (n - 1 - y)
-    mid = 1 << (y - x - 1)
-    lo = 1 << x
-    rdm = np.zeros((4, 4), dtype=np.complex128)
-    for w, psi in components:
-        block = psi.amplitudes.reshape(hi, 2, mid, 2, lo)
-        rdm += w * np.einsum("ajbic,albkc->jilk", block, block.conj()).reshape(4, 4)
-    return rdm
-
-
-def _pair_deviation(rdm4, rho_first, rho_second, first_holds_a, n_a, n_b, floor):
-    """Max |P(b;a) - P(b)| over outcome pairs with P(a) >= floor.
-
-    ``rdm4`` is ordered with the lower site on the low bit; ``first_holds_a``
-    says whether the a-observable sits on that lower site.
+    Off the diagonal site blocks, entry (3x+a, 3y+b) is
+    <sigma_a(x) sigma_b(y)> - r_xa r_yb.  A mixture averages the second
+    moments C_k + r_k r_k^T of its components before centering.
     """
-    proj_a = (_I2 + _direction_matrix(n_a)) / 2.0
-    proj_b = (_I2 + _direction_matrix(n_b)) / 2.0
-    best = (0.0, 1.0, 1.0, 0.0, 0.0)  # deviation, a, b, p_b_given_a, p_b
-    for a_sign in (1.0, -1.0):
-        pa_mat = proj_a if a_sign > 0 else _I2 - proj_a
-        rho_a = rho_first if first_holds_a else rho_second
-        p_a = float(np.trace(rho_a @ pa_mat).real)
-        if p_a < floor:
-            continue
-        for b_sign in (1.0, -1.0):
-            pb_mat = proj_b if b_sign > 0 else _I2 - proj_b
-            rho_b = rho_second if first_holds_a else rho_first
-            p_b = float(np.trace(rho_b @ pb_mat).real)
-            if first_holds_a:
-                pair_op = np.kron(pb_mat, pa_mat)
-            else:
-                pair_op = np.kron(pa_mat, pb_mat)
-            p_ab = float(np.trace(rdm4 @ pair_op).real)
-            dev = abs(p_ab / p_a - p_b)
-            if dev > best[0]:
-                best = (dev, a_sign, b_sign, p_ab / p_a, p_b)
-    return best
+    second = 0.0
+    means = 0.0
+    for weight, psi in _as_components(state):
+        cov = covariance_matrix(psi)
+        second = second + weight * (cov.entries + np.outer(cov.means, cov.means))
+        means = means + weight * cov.means
+    return means.reshape(-1, 3), second - np.outer(means, means)
+
+
+def _sphere(angles):
+    theta, phi = angles[..., 0], angles[..., 1]
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], -1)
+
+
+def _circle(angles):
+    t = angles[..., 0]
+    return np.stack([np.ones_like(t), np.cos(t), np.sin(t)], -1)
+
+
+def _ratio(u, maps, lin, p_min):
+    """|u^T T| / (1 + l.u) per ordering; -inf where (1 + l.u)/2 < p_min.
+
+    ``u`` is (K, 3), shared by all orderings, or (P, K, 3); ``maps`` T is
+    (P, 3, 3) and ``lin`` l is (P, 3).
+    """
+    num = np.linalg.norm(u @ maps, axis=-1)
+    den = 1.0 + (u @ lin[:, :, None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den >= 2.0 * p_min, num / den, -np.inf)
+
+
+def _search(grid, step, to_u, maps, lin, p_min):
+    """Best point of a parameter grid per ordering, then a shrinking patch.
+
+    The patch spans two steps either way along each parameter and the step
+    halves REFINE_LEVELS times.  Returns the final u (P, 3) and its ratio.
+    """
+    u = to_u(grid)
+    block = max(1, _BLOCK_ELEMENTS // (3 * len(grid)))
+    best = np.concatenate([
+        np.argmax(_ratio(u, maps[i : i + block], lin[i : i + block], p_min), axis=1)
+        for i in range(0, len(maps), block)
+    ])
+    centre = grid[best]
+    offsets = np.stack(np.meshgrid(*[_PATCH] * grid.shape[1], indexing="ij"), -1)
+    offsets = offsets.reshape(-1, grid.shape[1])
+    rows = np.arange(len(maps))
+    for _ in range(REFINE_LEVELS):
+        trial = centre[:, None] + step * offsets
+        vals = _ratio(to_u(trial), maps, lin, p_min)
+        k = np.argmax(vals, axis=1)
+        centre = trial[rows, k]
+        step /= 2.0
+    return to_u(centre), vals[rows, k]
+
+
+def _best_conditioning(tables, bloch, p_min):
+    """Maximize |C^T n| / (1 + r.n) over unit n with (1 + r.n)/2 >= p_min.
+
+    Per ordering, the better of the interior search and the search along
+    the circle (1 + r.n)/2 = p_min + margin.  Returns n (P, 3) and whether
+    any direction clears the floor.
+    """
+    step = math.pi / GRID_THETA
+    grid = np.stack(np.meshgrid(
+        (np.arange(GRID_THETA) + 0.5) * step, np.arange(2 * GRID_THETA) * step, indexing="ij"
+    ), -1).reshape(-1, 2)
+    n_in, v_in = _search(grid, step, _sphere, tables, bloch, p_min)
+
+    # the circle r.n = level is n = B (1, cos t, sin t), B = [cos_a r_hat, sin_a e1, sin_a e2]
+    level = 2.0 * (p_min + _FLOOR_MARGIN) - 1.0
+    radius = np.linalg.norm(bloch, axis=1)
+    exists = radius > abs(level)
+    axis = np.where(exists[:, None], bloch, (0.0, 0.0, 1.0))
+    axis = axis / np.linalg.norm(axis, axis=1)[:, None]
+    e1 = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    cos_a = np.where(exists, level / np.where(exists, radius, 1.0), 1.0)[:, None]
+    sin_a = np.sqrt(1.0 - cos_a**2)
+    basis = np.stack([cos_a * axis, sin_a * e1, sin_a * np.cross(axis, e1)], 2)
+    basis_t = basis.transpose(0, 2, 1)
+    step = 2.0 * math.pi / CIRCLE_POINTS
+    u, v_c = _search((np.arange(CIRCLE_POINTS) * step)[:, None], step, _circle,
+                     basis_t @ tables, (basis_t @ bloch[:, :, None])[..., 0], p_min)
+    v_c = np.where(exists, v_c, -np.inf)
+    n_c = (basis @ u[:, :, None])[..., 0]
+    return np.where((v_c > v_in)[:, None], n_c, n_in), np.maximum(v_in, v_c) > -np.inf
+
+
+def _conditional_closed_form(tables, r_a, r_b, n_a):
+    """Outcome +1 of n_a.sigma(a) and the worst probe n_b at the other site.
+
+    ``tables`` (P, 3, 3) holds C_ab, ``r_a``, ``r_b`` and ``n_a`` are (P, 3).
+    Returns n_b along C_ab^T n_a (n_a where that vanishes), P(b) for
+    outcome +1 of n_b.sigma(b), and P(b; a) - P(b), the supremum over n_b.
+    """
+    shift = (n_a[:, None] @ tables)[:, 0]
+    num = np.linalg.norm(shift, axis=1)
+    n_b = np.where(num[:, None] > 0, shift / np.where(num > 0, num, 1.0)[:, None], n_a)
+    gap = num / (2.0 * (1.0 + np.sum(n_a * r_a, axis=1)))
+    p_b = 0.5 * (1.0 + np.sum(n_b * r_b, axis=1))
+    return n_b, p_b, gap
 
 
 @dataclass(frozen=True)
@@ -284,7 +308,8 @@ class PairStabilityRecord:
 
     ``x`` is where the conditioning observable acts and ``y`` where the
     probed one does; both orderings of each site pair are searched because
-    the deviation divides by P(a).
+    the deviation divides by P(a).  Both outcomes are +1: the directions
+    carry the signs.
     """
 
     x: int
@@ -316,7 +341,8 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
 
     Verdict: stable iff the worst deviation at the largest admissible
     separation stays within ``epsilon``.  ``varepsilon`` is the floor on
-    the conditioning probability P(a).
+    the conditioning probability P(a); a pair where no outcome reaches it
+    reports zero deviation.
     """
     if not 0.0 < epsilon < 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -330,18 +356,27 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
         raise ArgumentError(
             f"min_distance must lie in [1, {n - 1}], got {min_distance}"
         )
-    site_rdms = {x: single_site_rdm(state, x) for x in range(n)}
+    # never empty: the end sites are n - 1 >= min_distance apart
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if y - x >= min_distance]
+    bloch, table = _two_point_table(state)
+    blocks = table.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
+    # orderings: the conditioning observable at the lower site, then at the upper
+    a_sites = np.array([x for x, _ in pairs] + [y for _, y in pairs])
+    b_sites = np.array([y for _, y in pairs] + [x for x, _ in pairs])
+    tables = blocks[a_sites, b_sites]
+    r_a = bloch[a_sites]
+    n_a, admissible = _best_conditioning(tables, r_a, varepsilon + _FLOOR_MARGIN)
+    n_b, p_b, deviation = _conditional_closed_form(tables, r_a, bloch[b_sites], n_a)
+    deviation = np.where(admissible, deviation, 0.0)
     records = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            if y - x < min_distance:
-                continue
-            rdm4 = two_site_rdm(state, x, y)
-            records.append(
-                _best_pair_record(state, rdm4, site_rdms[x], site_rdms[y], x, y, varepsilon)
-            )
-    if not records:
-        raise ArgumentError("no site pair satisfies the distance cut")
+    m = len(pairs)
+    for i in range(m):
+        k = i if deviation[i] >= deviation[i + m] else i + m
+        records.append(PairStabilityRecord(
+            int(a_sites[k]), int(b_sites[k]), abs(int(b_sites[k]) - int(a_sites[k])),
+            tuple(float(v) for v in n_a[k]), tuple(float(v) for v in n_b[k]),
+            1.0, 1.0, float(p_b[k] + deviation[k]), float(p_b[k]), float(deviation[k]),
+        ))
     by_distance = {}
     for rec in records:
         by_distance[rec.distance] = max(by_distance.get(rec.distance, 0.0), rec.deviation)
@@ -356,47 +391,6 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
         by_distance,
         max_dev,
         stable,
-    )
-
-
-def _best_pair_record(state, rdm4, rho_x, rho_y, x, y, floor):
-    def evaluate(n_a, n_b, a_at_low):
-        return _pair_deviation(rdm4, rho_x, rho_y, a_at_low, n_a, n_b, floor)
-
-    best_val = -1.0
-    best = None
-    for a_at_low in (True, False):
-        for n_a in _GRID:
-            for n_b in _GRID:
-                dev, a, b, pba, pb = evaluate(n_a, n_b, a_at_low)
-                if dev > best_val:
-                    best_val = dev
-                    best = (a_at_low, n_a, n_b, a, b, pba, pb)
-    a_at_low, n_a, n_b, a, b, pba, pb = best
-
-    def objective(angles):
-        da = _angles_to_direction(angles[0], angles[1])
-        db = _angles_to_direction(angles[2], angles[3])
-        return -evaluate(da, db, a_at_low)[0]
-
-    start = np.array([*_direction_to_angles(n_a), *_direction_to_angles(n_b)])
-    res = minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": _REFINE_TOL, "fatol": _REFINE_TOL**2, "maxiter": 400},
-    )
-    if -res.fun > best_val:
-        n_a = _angles_to_direction(res.x[0], res.x[1])
-        n_b = _angles_to_direction(res.x[2], res.x[3])
-        dev, a, b, pba, pb = evaluate(n_a, n_b, a_at_low)
-    else:
-        dev = best_val
-    a_site, b_site = (x, y) if a_at_low else (y, x)
-    return PairStabilityRecord(
-        a_site, b_site, abs(y - x),
-        tuple(float(v) for v in n_a), tuple(float(v) for v in n_b),
-        float(a), float(b), float(pba), float(pb), float(dev),
     )
 
 

@@ -290,7 +290,7 @@ def test_criterion_9_reproducibility(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "macrostab", "run", "scen.json"],
             capture_output=True, text=True,
-            env=subprocess_env({"MACROSTAB_THREADS": threads}), cwd=cwd,
+            env=subprocess_env({"OPENBLAS_NUM_THREADS": threads}), cwd=cwd,
         )
         _check(failures, proc.returncode == 0, f"run {label} failed: {proc.stderr}")
         if proc.returncode == 0:

@@ -22,7 +22,8 @@ from macrostab import (
     stability_test,
     HamiltonianSpec,
 )
-from macrostab.measure import direction_grid, single_site_rdm, two_site_rdm
+from macrostab.operators import PAULI_MATRICES
+from macrostab.measure import _two_point_table
 
 
 def tfim_ground(n, h):
@@ -104,36 +105,6 @@ class TestConditionalDistribution:
             conditional_distribution(make_ghz(lat), pauli(lat, 1, "z"), pauli(lat, 1, "x"))
 
 
-class TestRdmConsistency:
-    def test_joint_probabilities_match_conditional_route(self):
-        lat = LatticeSpec(5)
-        psi = make_dicke(lat, 2)
-        x, y = 1, 4
-        a_obs, b_obs = pauli(lat, x, "z"), pauli(lat, y, "x")
-        table = conditional_distribution(psi, a_obs, b_obs)
-        rdm = two_site_rdm(psi, x, y)
-        proj_az = np.diag([1.0, 0.0])  # sigma_z outcome +1
-        proj_bx = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-        joint = np.trace(rdm @ np.kron(proj_bx, proj_az)).real  # y-major ordering
-        ia = table.a_values.index(1.0)
-        jb = table.b_values.index(1.0)
-        assert joint == pytest.approx(table.joint[ia, jb], abs=1e-12)
-
-    def test_single_site_rdm_trace(self):
-        psi = make_dicke(LatticeSpec(4), 1)
-        for x in range(4):
-            rdm = single_site_rdm(psi, x)
-            assert np.trace(rdm).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_mixture_rdm_is_convex_combination(self):
-        lat = LatticeSpec(3)
-        up = basis_state(lat, 0)
-        down = basis_state(lat, 7)
-        mix = StateMixture(((0.5, up), (0.5, down)))
-        rdm = single_site_rdm(mix, 1)
-        assert np.allclose(rdm, np.diag([0.5, 0.5]), atol=1e-12)
-
-
 class TestStability:
     def test_ghz_unstable_at_half(self):
         rep = stability_test(make_ghz(LatticeSpec(6)), epsilon=0.1, varepsilon=0.1, min_distance=3)
@@ -169,11 +140,32 @@ class TestStability:
         with pytest.raises(ArgumentError):
             stability_test(psi, epsilon=0.1, min_distance=4)
 
-    def test_grid_has_26_unit_directions(self):
-        grid = direction_grid()
-        assert grid.shape == (26, 3)
-        assert np.allclose(np.linalg.norm(grid, axis=1), 1.0)
-        assert len({tuple(np.round(v, 12)) for v in grid}) == 26
+    def test_optimum_on_the_floor_circle(self):
+        # paramagnetic N = 3: the worst conditioning outcome of the (0, 1) pair
+        # has P(a) exactly at the floor, so only the floor-circle search finds it
+        psi = tfim_ground(3, 2.0)
+        rep = stability_test(psi, epsilon=0.1, varepsilon=0.05, min_distance=1)
+        (rec,) = [r for r in rep.pairs if {r.x, r.y} == {0, 1}]
+        assert rec.deviation >= 0.5335392129
+        bloch, _ = _two_point_table(psi)
+        p_a = (1.0 + float(np.dot(bloch[rec.x], rec.direction_a))) / 2.0
+        assert p_a >= 0.05
+        assert p_a == pytest.approx(0.05, abs=1e-12)
+        table = conditional_distribution(
+            psi,
+            LocalOperator(rec.x, sum(c * PAULI_MATRICES[a] for c, a in zip(rec.direction_a, "xyz"))),
+            LocalOperator(rec.y, sum(c * PAULI_MATRICES[a] for c, a in zip(rec.direction_b, "xyz"))),
+        )
+        assert table.p_a[0] >= 0.05
+        assert table.p_b_given_a[0, 0] == pytest.approx(rec.p_b_given_a, abs=1e-9)
+        assert table.p_b[0] == pytest.approx(rec.p_b, abs=1e-9)
+
+    def test_no_admissible_outcome_reports_zero(self):
+        # a maximally mixed site: no outcome reaches P(a) >= 0.6
+        lat = LatticeSpec(2)
+        rep = stability_test(make_ghz(lat), epsilon=0.1, varepsilon=0.6, min_distance=1)
+        assert rep.max_deviation == 0.0
+        assert rep.stable
 
 
 class TestMixtureValidation:

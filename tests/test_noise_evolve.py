@@ -128,7 +128,7 @@ class TestEvolve:
         with pytest.raises(CapabilityError):
             evolve_noisy(make_ghz(lat), noise, ens)
 
-    def test_seed_determinism_and_thread_independence(self):
+    def test_seed_determinism(self):
         lat = LatticeSpec(4)
         psi = make_ghz(lat)
         noise = NoiseModel(0.01, "collective", axis="z")

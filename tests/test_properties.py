@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from macrostab import (
     AdditiveOperator,
     LatticeSpec,
+    LocalOperator,
+    StateMixture,
     StateVector,
     additive_variance,
     expectation,
@@ -16,7 +18,8 @@ from macrostab import (
     normalized_correlation,
     pauli,
 )
-from macrostab.measure import conditional_distribution
+from macrostab.measure import _conditional_closed_form, _two_point_table, conditional_distribution
+from macrostab.operators import PAULI_MATRICES
 
 
 angle_pairs = st.tuples(
@@ -34,7 +37,11 @@ def product_states(draw, min_sites=2, max_sites=5):
 
 @st.composite
 def random_states(draw, min_sites=2, max_sites=4):
-    n = draw(st.integers(min_sites, max_sites))
+    return draw(states_on(draw(st.integers(min_sites, max_sites))))
+
+
+@st.composite
+def states_on(draw, n):
     dim = 2**n
     res = draw(
         st.lists(st.floats(-1, 1, allow_nan=False), min_size=2 * dim, max_size=2 * dim)
@@ -101,3 +108,63 @@ def test_total_probability_identity(psi):
             if table.p_a[ia] > 1e-12
         )
         assert abs(recombined - table.p_b[jb]) <= 1e-10
+
+
+@st.composite
+def pure_or_mixed(draw):
+    n = draw(st.integers(2, 4))
+    psi = draw(states_on(n))
+    if not draw(st.booleans()):
+        return psi
+    w = draw(st.floats(0.1, 0.9))
+    return StateMixture(((w, psi), (1.0 - w, draw(states_on(n)))))
+
+
+def _unit(angles):
+    theta, phi = angles
+    return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+
+
+def _spin(site, n_vec):
+    return LocalOperator(site, sum(c * PAULI_MATRICES[a] for c, a in zip(n_vec, "xyz")))
+
+
+def _closed_form(state, x, y, n_a):
+    """Worst n_b, P(b; a), P(b) and their gap for outcome +1 of n_a at x."""
+    bloch, table = _two_point_table(state)
+    block = table[3 * x : 3 * x + 3, 3 * y : 3 * y + 3]
+    n_b, p_b, gap = _conditional_closed_form(block[None], bloch[x][None], bloch[y][None], n_a[None])
+    return n_b[0], p_b[0] + gap[0], p_b[0], gap[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_or_mixed(), angle_pairs, st.sampled_from((1, -1)), st.data())
+def test_closed_form_matches_projection_postulate(state, angles, s, data):
+    n = state.lattice.n_sites
+    x, y = data.draw(st.permutations(range(n)))[:2]
+    n_a = _unit(angles)
+    # outcome s of n_a.sigma is outcome +1 of (s n_a).sigma
+    n_b, p_cond, p_b, _ = _closed_form(state, x, y, s * n_a)
+    table = conditional_distribution(state, _spin(x, n_a), _spin(y, n_b))
+    ia = 0 if s > 0 else 1
+    if table.p_a[ia] < 1e-6:  # keeps the rounding of joint / P(a) below 1e-9
+        return
+    assert abs(table.p_b_given_a[ia, 0] - p_cond) <= 1e-9
+    assert abs(table.p_b[0] - p_b) <= 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(pure_or_mixed(), angle_pairs, st.sampled_from((1, -1)), st.data())
+def test_no_probe_direction_beats_the_closed_form_supremum(state, angles, s, data):
+    n = state.lattice.n_sites
+    x, y = data.draw(st.permutations(range(n)))[:2]
+    n_a = _unit(angles)
+    _, _, _, sup = _closed_form(state, x, y, s * n_a)
+    ia = 0 if s > 0 else 1
+    for theta in np.linspace(0.0, math.pi, 9):
+        for phi in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
+            table = conditional_distribution(state, _spin(x, n_a), _spin(y, _unit((theta, phi))))
+            if table.p_a[ia] < 1e-2:  # keeps the rounding of joint / P(a) below 1e-12
+                return
+            dev = np.max(np.abs(table.p_b_given_a[ia] - table.p_b))
+            assert dev <= sup + 1e-12

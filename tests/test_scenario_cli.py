@@ -188,29 +188,39 @@ def _strip_wall_time(text):
 
 class TestReproducibility:
     def test_same_seed_same_bytes_across_threads(self, tmp_path):
-        scen = {
+        # the BLAS thread count is the only one the computation can see
+        decohere = {
             "name": "repro",
             "state": {"family": "ghz"},
             "sizes": [4, 5, 6],
             "experiments": ["decohere"],
             "params": {"kappa": 0.01, "kernel": "collective", "n_traj": 120, "seed": 99},
-            "output": {"path": None, "format": "both"},
+            "output": {"path": "rep", "format": "both"},
         }
-        scen["output"] = {"path": "rep", "format": "both"}
+        measure = {
+            "name": "repro-measure",
+            "state": {"family": "catalog"},
+            "sizes": [4, 5, 6],
+            "experiments": ["cluster", "measure"],
+            "params": {"epsilon": 0.1, "varepsilon": 0.05, "min_distance": 1},
+            "output": {"path": "rep", "format": "both"},
+        }
         reports = {}
         for label, threads, outdir in (("t1", "1", "a"), ("t2", "2", "b"), ("t1b", "1", "c")):
-            cwd = tmp_path / outdir
-            cwd.mkdir()
-            path = cwd / "scen.json"
-            path.write_text(json.dumps(scen))
-            res = run_cli(["run", "scen.json"], env_extra={"MACROSTAB_THREADS": threads}, cwd=cwd)
-            assert res.returncode == 0, res.stderr
-            reports[label] = {
-                "json": _strip_wall_time((cwd / "rep.json").read_text()),
-                "csv": (cwd / "rep_decohere.csv").read_bytes(),
-                "fid": (cwd / "rep_fidelity_N4.csv").read_bytes(),
-            }
-        assert reports["t1"]["json"] == reports["t2"]["json"]
-        assert reports["t1"]["json"] == reports["t1b"]["json"]
-        assert reports["t1"]["csv"] == reports["t2"]["csv"]
-        assert reports["t1"]["fid"] == reports["t2"]["fid"]
+            for name, scen in (("decohere", decohere), ("measure", measure)):
+                cwd = tmp_path / outdir / name
+                cwd.mkdir(parents=True)
+                path = cwd / "scen.json"
+                path.write_text(json.dumps(scen))
+                res = run_cli(["run", "scen.json"], env_extra={"OPENBLAS_NUM_THREADS": threads}, cwd=cwd)
+                assert res.returncode == 0, res.stderr
+                reports[label, name] = {
+                    "json": _strip_wall_time((cwd / "rep.json").read_text()),
+                    "csv": (cwd / f"rep_{name}.csv").read_bytes(),
+                }
+            reports[label, "decohere"]["fid"] = (tmp_path / outdir / "decohere" / "rep_fidelity_N4.csv").read_bytes()
+        for name in ("decohere", "measure"):
+            assert reports["t1", name]["json"] == reports["t2", name]["json"]
+            assert reports["t1", name]["json"] == reports["t1b", name]["json"]
+            assert reports["t1", name]["csv"] == reports["t2", name]["csv"]
+        assert reports["t1", "decohere"]["fid"] == reports["t2", "decohere"]["fid"]
