@@ -71,11 +71,14 @@ def covariance_matrix(psi):
 
     Built as the real part of the Gram matrix of centered applied vectors,
     which makes it symmetric and positive semidefinite by construction.
+    With the rows read as real vectors of (re, im) pairs, Re <phi_a|phi_b>
+    is one real product V V^T, which BLAS evaluates as an exactly
+    symmetric rank-k update without complex or transposed copies.
     """
     lattice = psi.lattice
     phi, means = centered_applied_vectors(psi, _pauli_operator_list(lattice))
-    gram = np.einsum("ad,bd->ab", phi.conj(), phi)
-    entries = np.ascontiguousarray(gram.real)
+    v = phi.view(np.float64)
+    entries = v @ v.T
     entries.flags.writeable = False
     means.flags.writeable = False
     return CovarianceMatrix(lattice, entries, means)

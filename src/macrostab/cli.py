@@ -3,7 +3,6 @@
 Subcommands: classify, cluster, decohere, measure, ground,
 symmetry-breaking, and run <scenario-file>.  Exit codes: 0 success,
 2 validation error, 3 numerical error, 4 capability (size cap) error.
-``MACROSTAB_NUMBA=0`` selects the pure-numpy Hamiltonian matvec.
 """
 
 import argparse

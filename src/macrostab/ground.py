@@ -11,7 +11,7 @@ solve, which the residual contract covers either way.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
@@ -86,7 +86,7 @@ def ground_state(ham, which=WHICH_LOWEST):
     else:
         try:
             evals, evecs = eigsh(
-                ham.to_linear_operator(),
+                ham.to_csr(),
                 k=k,
                 which="SA",
                 v0=_start_vector(dim),
@@ -135,23 +135,28 @@ class PurePhaseVacuum:
     paramagnetic_warning: bool
 
 
-def pure_phase_vacuum(spec, method=METHOD_DOUBLET):
+def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
     """Build a maximally polarized low-energy state for a ferromagnetic spec.
 
     doublet-superposition: (|E0> + |E1>)/sqrt(2) with the sign that
     maximizes the order parameter.  sb-field-limit: ground state after
     adding a longitudinal field B = 0.05 J; its energy is still reported
-    under the unbiased Hamiltonian.
+    under the unbiased Hamiltonian.  ``pair`` is the lowest-two
+    ``GroundStateResult`` of ``spec`` when the caller has already solved
+    it; the doublet superposition is built from it instead of a second
+    identical solve.  The sb-field limit does not use it.
     """
     if method not in (METHOD_DOUBLET, METHOD_SB_FIELD):
         raise ArgumentError(f"unknown pure-phase method {method!r}")
+    if pair is not None and (len(pair.states) != 2 or pair.states[0].lattice != spec.lattice):
+        raise ArgumentError("pair must be the lowest-two ground-state result of spec")
     warning = not (abs(spec.h) < abs(spec.J))
     m_op = AdditiveOperator.from_axis(spec.lattice, "z")
-    ham = build_hamiltonian(spec)
     if method == METHOD_DOUBLET:
-        res = ground_state(ham, WHICH_LOWEST_TWO)
-        v0 = res.states[0].amplitudes
-        v1 = res.states[1].amplitudes
+        if pair is None:
+            pair = ground_state(build_hamiltonian(spec), WHICH_LOWEST_TWO)
+        v0 = pair.states[0].amplitudes
+        v1 = pair.states[1].amplitudes
         r = 1.0 / math.sqrt(2.0)
         best_state = None
         best_m = -np.inf
@@ -161,10 +166,9 @@ def pure_phase_vacuum(spec, method=METHOD_DOUBLET):
             if m_val > best_m:
                 best_m = m_val
                 best_state = cand
-        energy = 0.5 * (res.energies[0] + res.energies[1])
+        energy = 0.5 * (pair.energies[0] + pair.energies[1])
         return PurePhaseVacuum(best_state, energy, best_m, method, warning)
-    from dataclasses import replace
-
+    ham = build_hamiltonian(spec)
     biased = build_hamiltonian(replace(spec, B=0.05 * spec.J))
     res = ground_state(biased, WHICH_LOWEST)
     state = res.states[0]

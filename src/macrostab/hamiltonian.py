@@ -1,4 +1,4 @@
-"""Spin-chain Hamiltonians with matrix-free matvec kernels.
+"""Spin-chain Hamiltonians as sparse (CSR) matrices.
 
 Models
 ------
@@ -8,16 +8,16 @@ xxz (antiferromagnetic sign convention, singlet ground state for J > 0):
     H = J sum_bonds [sx sx + sy sy + delta * sz sz] - h sum_x sx - B sum_x sz
 
 Both commute with the global spin flip P = prod_x sx when B = 0, which the
-ground-state solver exploits to resolve near-degenerate doublets.
+ground-state solver exploits to resolve near-degenerate doublets.  One CSR
+matrix per Hamiltonian serves every matvec, the Lanczos solve and the
+exponential propagator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
-from . import _kernels
 from .errors import ArgumentError, NumericalError
 from .lattice import LatticeSpec
 
@@ -63,17 +63,33 @@ def _diagonal(spec):
 
 
 class Hamiltonian:
-    """Matrix-free Hermitian operator handle for one HamiltonianSpec."""
+    """Hermitian operator handle for one HamiltonianSpec."""
 
     def __init__(self, spec):
         self.spec = spec
         self.lattice = spec.lattice
-        self.dim = spec.lattice.dim
-        swap_coef = 2.0 * spec.J if spec.model == XXZ else 0.0
-        self._tables = _kernels.build_matvec_tables(
-            spec.lattice.n_sites, _diagonal(spec), spec.h, swap_coef, spec.lattice.bonds()
+        self.dim = dim = spec.lattice.dim
+        idx = np.arange(dim, dtype=np.int64)
+        rows = [idx]
+        cols = [idx]
+        vals = [_diagonal(spec)]
+        if spec.h != 0.0:
+            for x in range(spec.lattice.n_sites):
+                rows.append(idx)
+                cols.append(idx ^ (1 << x))
+                vals.append(np.full(dim, -spec.h))
+        if spec.model == XXZ and spec.J != 0.0:
+            for x, y in spec.lattice.bonds():
+                mx, my = 1 << x, 1 << y
+                differ = ((idx & mx) == 0) != ((idx & my) == 0)
+                sub = idx[differ]
+                rows.append(sub)
+                cols.append(sub ^ (mx | my))
+                vals.append(np.full(sub.size, 2.0 * spec.J))
+        self._csr = sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim),
         )
-        self._csr = None
 
     @property
     def parity_symmetric(self):
@@ -84,37 +100,10 @@ class Hamiltonian:
         v = np.asarray(v)
         if v.shape != (self.dim,):
             raise ArgumentError(f"vector of shape {v.shape} does not match dim {self.dim}")
-        return _kernels.ham_matvec(v, self._tables)
-
-    def to_linear_operator(self, dtype=np.float64):
-        return LinearOperator((self.dim, self.dim), matvec=self.matvec, dtype=dtype)
+        return self._csr @ v
 
     def to_csr(self):
-        """Sparse matrix form (cached); used by the exponential propagator."""
-        if self._csr is None:
-            spec = self.spec
-            dim = self.dim
-            idx = np.arange(dim, dtype=np.int64)
-            rows = [idx]
-            cols = [idx]
-            vals = [self._tables["diag"]]
-            if spec.h != 0.0:
-                for x in range(spec.lattice.n_sites):
-                    rows.append(idx)
-                    cols.append(idx ^ (1 << x))
-                    vals.append(np.full(dim, -spec.h))
-            if spec.model == XXZ and spec.J != 0.0:
-                for x, y in spec.lattice.bonds():
-                    mx, my = 1 << x, 1 << y
-                    differ = ((idx & mx) == 0) != ((idx & my) == 0)
-                    sub = idx[differ]
-                    rows.append(sub)
-                    cols.append(sub ^ (mx | my))
-                    vals.append(np.full(sub.size, 2.0 * spec.J))
-            self._csr = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(dim, dim),
-            )
+        """Sparse matrix form, built once with the handle."""
         return self._csr
 
     def dense(self):

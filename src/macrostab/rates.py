@@ -17,21 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analyzer import covariance_matrix
 from .errors import ArgumentError
-from .operators import centered_applied_vectors
+from .operators import PAULI_AXES, PAULI_MATRICES
 
 FRAGILE_EXPONENT = 1.5
 RATE_WINDOW_FRACTION = 0.05
 
+_PAULI_STACK = np.stack([PAULI_MATRICES[a] for a in PAULI_AXES])
+
 
 def analytic_dephasing_rate(psi, noise):
-    """Initial fidelity-decay rate of ``psi`` under ``noise``."""
+    """Initial fidelity-decay rate of ``psi`` under ``noise``.
+
+    Each coupling decomposes as a(x) = c_x0 + sum_k c_xk sigma_k(x) with
+    c_xk = (1/2) Re tr(sigma_k a(x)).  The identity part c_x0 drops out of
+    the fluctuation, so Re<da(x) da(y)> = c_x^T C_xy c_y on the two-point
+    Pauli table C of ``covariance_matrix``.
+    """
     lattice = psi.lattice
+    n = lattice.n_sites
     ops = noise.coupling_operators(lattice)
     g = noise.kernel_matrix(lattice)
-    phi, _ = centered_applied_vectors(psi, ops)
-    gram = np.einsum("ad,bd->ab", phi.conj(), phi).real
-    rate = noise.kappa * float(np.sum(g * gram))
+    coeffs = 0.5 * np.einsum("kij,xji->xk", _PAULI_STACK, [op.matrix for op in ops]).real
+    table = covariance_matrix(psi).entries.reshape(n, 3, n, 3)
+    rate = noise.kappa * float(np.einsum("xy,xk,xkyl,yl->", g, coeffs, table, coeffs))
     return rate if rate > 0.0 else 0.0
 
 

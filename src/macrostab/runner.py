@@ -25,7 +25,6 @@ from .operators import AdditiveOperator, expectation
 from .rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
 from .stateio import export_state, import_state
-from . import _kernels
 
 
 def _noise_from_params(p):
@@ -276,7 +275,7 @@ def run_symmetry_breaking(scenario):
         res = ground_state(ham, WHICH_LOWEST_TWO)
         sym = res.states[0]
         m_op = AdditiveOperator.from_axis(lattice, "z")
-        pp = pure_phase_vacuum(spec, p.method)
+        pp = pure_phase_vacuum(spec, p.method, pair=res)
         cascade = measurement_cascade(sym, nfs_factor=p.nfs_factor)
         per_size.append(
             {
@@ -357,7 +356,6 @@ def run_ground_report(scenario, export_base=None):
     provenance = {
         "seed": scenario.params.seed,
         "version": __version__,
-        "kernel_path": _kernels.kernel_path(),
         "wall_time_s": time.monotonic() - start,
     }
     return build_report(scenario.echo(), results, verdicts, provenance)
@@ -409,7 +407,6 @@ def run_scenario(scenario, export_base=None):
     provenance = {
         "seed": scenario.params.seed,
         "version": __version__,
-        "kernel_path": _kernels.kernel_path(),
         "wall_time_s": time.monotonic() - start,
     }
     return build_report(scenario.echo(), results, verdicts, provenance)

@@ -1,5 +1,6 @@
 """Shared dense-matrix oracles, built by kron products independently of the
-package's bit-twiddling kernels, and the environment for CLI subprocesses."""
+package's bit-index Hamiltonian construction, and the environment for CLI
+subprocesses."""
 
 import os
 from functools import reduce

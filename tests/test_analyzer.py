@@ -50,7 +50,7 @@ class TestCovariance:
     def test_symmetric_and_psd(self, rng):
         psi = StateVector(LatticeSpec(4), random_state_amps(4, rng))
         cov = covariance_matrix(psi)
-        assert np.allclose(cov.entries, cov.entries.T, atol=1e-10)
+        assert np.array_equal(cov.entries, cov.entries.T)
         assert np.linalg.eigvalsh(cov.entries)[0] >= -1e-8
         assert np.all(cov.entries.diagonal() >= -1e-12)
         assert np.all(cov.entries.diagonal() <= 1 + 1e-12)

@@ -3,6 +3,7 @@ import pytest
 
 from macrostab import (
     AdditiveOperator,
+    ArgumentError,
     HamiltonianSpec,
     LatticeSpec,
     basis_state,
@@ -12,7 +13,9 @@ from macrostab import (
     max_additive_fluctuation,
     pure_phase_vacuum,
 )
+from macrostab import ground, runner
 from macrostab.ground import METHOD_DOUBLET, METHOD_SB_FIELD, WHICH_LOWEST_TWO
+from macrostab.scenario import Scenario
 from conftest import dense_tfim
 
 
@@ -92,3 +95,39 @@ class TestPurePhaseVacuum:
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(4), J=1.0, h=2.0)
         pp = pure_phase_vacuum(spec, METHOD_DOUBLET)
         assert pp.paramagnetic_warning
+
+    def test_symmetry_breaking_reuses_the_ground_pair(self, monkeypatch):
+        # one lowest-two solve per size serves both the symmetric state and
+        # the doublet superposition, with the same result as a standalone build
+        solved = []
+        made = []
+
+        def counted(ham, which="lowest"):
+            solved.append(ham.lattice.n_sites)
+            return ground_state(ham, which)
+
+        def recorded(*args, **kwargs):
+            made.append(pure_phase_vacuum(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(runner, "ground_state", counted)
+        monkeypatch.setattr(ground, "ground_state", counted)
+        monkeypatch.setattr(runner, "pure_phase_vacuum", recorded)
+        sizes = (4, 6, 8)
+        results, _ = runner.run_symmetry_breaking(Scenario("sb", sizes, ("symmetry-breaking",)))
+        assert solved == list(sizes)
+        rows = results["symmetry-breaking"]["per_size"]
+        for row, pp in zip(rows, made):
+            spec = HamiltonianSpec("transverse-ising", LatticeSpec(row["n"]), J=1.0, h=0.1)
+            alone = pure_phase_vacuum(spec)
+            assert row["e_pure_phase"] == alone.energy
+            assert row["m_pure_phase"] == alone.magnetization
+            assert np.array_equal(pp.state.amplitudes, alone.state.amplitudes)
+
+    def test_pair_must_belong_to_spec(self):
+        spec = HamiltonianSpec("transverse-ising", LatticeSpec(4), J=1.0, h=0.1)
+        other = ground_state(tfim(5, 0.1), WHICH_LOWEST_TWO)
+        with pytest.raises(ArgumentError):
+            pure_phase_vacuum(spec, pair=other)
+        with pytest.raises(ArgumentError):
+            pure_phase_vacuum(spec, pair=ground_state(tfim(4, 0.1)))

@@ -26,6 +26,7 @@ class TestTfimMatvec:
         (3, 1.0, 0.5, 0.2, False),
         (5, 0.7, 1.3, 0.0, False),
         (4, 1.0, 0.9, 0.1, True),
+        (1, 1.0, 0.7, 0.3, False),  # no bonds
     ])
     def test_matches_dense(self, n, J, h, B, periodic, rng):
         geometry = "periodic-chain" if periodic else "open-chain"
@@ -54,31 +55,28 @@ class TestTfimMatvec:
 
 
 class TestXxzMatvec:
-    @pytest.mark.parametrize("n,J,delta,h,B", [
-        (2, 1.0, 1.0, 0.0, 0.0),
-        (3, 1.0, 0.5, 0.3, 0.0),
-        (4, 0.8, 1.7, 0.0, 0.2),
+    # explicit ids keep the periodic flag out of the open-chain case names
+    @pytest.mark.parametrize("n,J,delta,h,B,periodic", [
+        pytest.param(2, 1.0, 1.0, 0.0, 0.0, False, id="2-1.0-1.0-0.0-0.0"),
+        pytest.param(3, 1.0, 0.5, 0.3, 0.0, False, id="3-1.0-0.5-0.3-0.0"),
+        pytest.param(4, 0.8, 1.7, 0.0, 0.2, False, id="4-0.8-1.7-0.0-0.2"),
+        pytest.param(4, 1.1, 0.6, 0.4, 0.05, True, id="4-1.1-0.6-0.4-0.05-periodic"),
     ])
-    def test_matches_dense(self, n, J, delta, h, B, rng):
-        spec = HamiltonianSpec("xxz", LatticeSpec(n), J=J, h=h, delta=delta, B=B)
+    def test_matches_dense(self, n, J, delta, h, B, periodic, rng):
+        geometry = "periodic-chain" if periodic else "open-chain"
+        spec = HamiltonianSpec("xxz", LatticeSpec(n, geometry), J=J, h=h, delta=delta, B=B)
         ham = build_hamiltonian(spec)
-        dense = dense_xxz(n, J, delta, h, B)
+        dense = dense_xxz(n, J, delta, h, B, periodic)
         for _ in range(3):
             v = random_state_amps(n, rng)
             assert np.allclose(ham.matvec(v), dense @ v, atol=1e-12)
+        assert np.allclose(ham.dense(), dense, atol=1e-12)
 
     def test_heisenberg_two_site_spectrum(self):
         spec = HamiltonianSpec("xxz", LatticeSpec(2), J=1.0, delta=1.0)
         ham = build_hamiltonian(spec)
         evals = np.sort(np.linalg.eigvalsh(ham.dense()))
         assert np.allclose(evals, [-3.0, 1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_csr_matches_matvec(rng):
-    spec = HamiltonianSpec("xxz", LatticeSpec(4), J=1.1, h=0.4, delta=0.6, B=0.05)
-    ham = build_hamiltonian(spec)
-    v = random_state_amps(4, rng)
-    assert np.allclose(ham.to_csr() @ v, ham.matvec(v), atol=1e-12)
 
 
 def test_parity_flag():

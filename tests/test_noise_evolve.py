@@ -93,6 +93,30 @@ class TestAnalyticRate:
         )
         assert analytic_dephasing_rate(psi, noise) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_general_couplings_match_dense_oracle(self, n, rng):
+        # random Hermitian couplings with an identity component, which drops
+        # out of the rate; the oracle centers each dense coupling directly
+        lat = LatticeSpec(n)
+        mats = []
+        for _ in range(n):
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            mats.append(m + m.conj().T + 3.0 * rng.standard_normal() * np.eye(2))
+        ops = [LocalOperator(x, m) for x, m in enumerate(mats)]
+        xi = 1.5
+        noise = NoiseModel(0.03, "exponential", site_operators=ops, xi=xi)
+        amps = random_state_amps(n, rng)
+        d = []
+        for x, m in enumerate(mats):
+            applied = dense_site_op(n, x, m) @ amps
+            d.append(applied - np.vdot(amps, applied).real * amps)
+        expected = 0.03 * sum(
+            math.exp(-abs(x - y) / xi) * np.vdot(d[x], d[y]).real
+            for x in range(n) for y in range(n)
+        )
+        rate = analytic_dephasing_rate(StateVector(lat, amps), noise)
+        assert rate == pytest.approx(expected, rel=1e-9)
+
     def test_product_all_kernels_linear(self):
         n = 5
         plus = make_uniform_product(LatticeSpec(n), math.pi / 2)
