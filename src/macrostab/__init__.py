@@ -18,9 +18,7 @@ from .cluster import (
     ClusterScalingVerdict,
     CorrelationField,
     cluster_verdict,
-    connected_correlator,
     correlation_field,
-    normalized_correlation,
     omega,
 )
 from .errors import (
@@ -86,7 +84,6 @@ from .rates import (
     RateFit,
     analytic_dephasing_rate,
     fit_gamma_scaling,
-    fit_initial_rate,
 )
 from .states import (
     StateVector,

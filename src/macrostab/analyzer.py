@@ -53,10 +53,6 @@ class CovarianceMatrix:
         b = PAULI_AXES.index(beta)
         return self.entries[a::3, b::3]
 
-    def save_text(self, path):
-        """Row-major plain-text dump for debugging."""
-        np.savetxt(path, self.entries, fmt="%.17e")
-
 
 def _pauli_operator_list(lattice):
     ops = []

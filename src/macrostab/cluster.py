@@ -13,7 +13,8 @@ of the whitened cross-covariance block
 where the inverse square roots are taken on the eigenspace with variance
 at least ``VARIANCE_FLOOR``; deterministic directions carry no
 fluctuation, so they are projected out (Cauchy-Schwarz forces their
-numerators to zero as well).
+numerators to zero as well).  All pairs are read from the one two-point
+table of ``covariance_matrix`` in a single batched pass.
 
 Omega(eps, x) counts the sites y != x whose rho(x, y) exceeds eps, and
 Omega(eps) is the worst case over x.  A size sequence "has the cluster
@@ -28,45 +29,20 @@ import numpy as np
 
 from .analyzer import covariance_matrix
 from .errors import ArgumentError
-from .operators import LocalOperator, apply_local, expectation
-from .states import _cdot
 
 VARIANCE_FLOOR = 1e-10
 
 
-def connected_correlator(psi, a, b):
-    """<a b> - <a><b> for local operators at distinct sites."""
-    if not isinstance(a, LocalOperator) or not isinstance(b, LocalOperator):
-        raise ArgumentError("connected_correlator expects two LocalOperators")
-    if a.site == b.site:
-        raise ArgumentError("connected correlations need two distinct sites")
-    psi.require_normalized()
-    phi_a = apply_local(a, psi)
-    phi_b = apply_local(b, psi)
-    mean_a = expectation(a, psi)
-    mean_b = expectation(b, psi)
-    return _cdot(phi_a.amplitudes, phi_b.amplitudes) - mean_a * mean_b
-
-
 def _inverse_sqrt_projected(block):
-    """(eigenspace-projected) inverse square root of a 3x3 PSD block."""
+    """(eigenspace-projected) inverse square root of a 3x3 PSD block.
+
+    With no eigenvalue at or above the floor the projection is empty and
+    the result is the zero matrix.
+    """
     evals, evecs = np.linalg.eigh(block)
     keep = evals >= VARIANCE_FLOOR
-    if not np.any(keep):
-        return None
     inv = evecs[:, keep] * (1.0 / np.sqrt(evals[keep]))
     return inv @ evecs[:, keep].T
-
-
-def _rho_from_blocks(c_xx, c_xy, c_yy):
-    if np.max(np.abs(c_xx)) < VARIANCE_FLOOR or np.max(np.abs(c_yy)) < VARIANCE_FLOOR:
-        return 0.0
-    wx = _inverse_sqrt_projected(c_xx)
-    wy = _inverse_sqrt_projected(c_yy)
-    if wx is None or wy is None:
-        return 0.0
-    sv = np.linalg.svd(wx @ c_xy @ wy, compute_uv=False)
-    return float(sv[0]) if sv.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -78,26 +54,27 @@ class CorrelationField:
 
 
 def correlation_field(psi):
-    """All-pairs normalized correlations from one covariance pass."""
+    """All-pairs normalized correlations from one covariance pass.
+
+    Each site block is whitened once; a site whose block lies below the
+    floor gets a zero whitener, so its pairs read rho = 0.  The whitened
+    cross blocks of all pairs x < y go through one stacked product and one
+    batched SVD, and the lower triangle mirrors the upper one.
+    """
     cov = covariance_matrix(psi)
     n = psi.n_sites
-    rho = np.eye(n)
+    whiten = np.zeros((n, 3, 3))
     for x in range(n):
-        for y in range(x + 1, n):
-            val = _rho_from_blocks(cov.site_block(x, x), cov.site_block(x, y), cov.site_block(y, y))
-            rho[x, y] = rho[y, x] = val
+        block = cov.site_block(x, x)
+        if np.max(np.abs(block)) >= VARIANCE_FLOOR:
+            whiten[x] = _inverse_sqrt_projected(block)
+    xs, ys = np.triu_indices(n, k=1)
+    cross = cov.entries.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)[xs, ys]
+    rho = np.eye(n)
+    rho[xs, ys] = np.linalg.svd(whiten[xs] @ cross @ whiten[ys], compute_uv=False)[:, 0]
+    rho[ys, xs] = rho[xs, ys]
     rho.flags.writeable = False
     return CorrelationField(psi.lattice, rho)
-
-
-def normalized_correlation(psi, x, y):
-    """rho(x, y) for one site pair."""
-    if x == y:
-        raise ArgumentError("normalized correlation needs two distinct sites")
-    psi.lattice.validate_site(x)
-    psi.lattice.validate_site(y)
-    cov = covariance_matrix(psi)
-    return _rho_from_blocks(cov.site_block(x, x), cov.site_block(x, y), cov.site_block(y, y))
 
 
 @dataclass(frozen=True)
@@ -115,7 +92,6 @@ def omega(psi, epsilon):
     if not 0.0 < epsilon < 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     field = correlation_field(psi)
-    n = psi.n_sites
     off_diag = field.rho > epsilon
     counts = off_diag.sum(axis=1) - 1  # rho(x,x) = 1 never counts
     counts.flags.writeable = False

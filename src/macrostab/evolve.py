@@ -2,14 +2,12 @@
 
 Each trajectory applies, per time step, the exact unitary
 exp(-i sum_x W_x a(x)) with Gaussian increments W ~ N(0, kappa g dt).
-While the system Hamiltonian is off, every coupling commutes with every
-other at all times, so a trajectory is a closed form in the product
+The system Hamiltonian is frozen, so every coupling commutes with every
+other at all times and a trajectory is a closed form in the product
 eigenbasis of the site couplings: the state at step k carries the phase
 sum_x Wcum_x(k) lambda_x(i_x) on basis state i, with Wcum the running
 sum of the increments.  One cumsum and one real matrix product per
-trajectory give its whole fidelity series.  With a Hamiltonian on, a
-second-order symmetric (Strang) split surrounds each noise step with two
-exact half-step propagators exp(-i H dt / 2).
+trajectory give its whole fidelity series.
 
 Noise increments come from a counter-based Philox stream keyed by
 (master seed, trajectory index), so a trajectory's result depends only on
@@ -116,15 +114,6 @@ def _rotate_sites(psi, mats):
     return psi
 
 
-def _noise_step(psi, q, lam, w_row):
-    """One noise step exp(-i sum_x w_row[x] a(x)) with a(x) = q diag(lam) q^dagger."""
-    return _rotate_sites(
-        psi,
-        [(q[x] * np.exp(-1j * w_row[x] * lam[x])[np.newaxis, :]) @ q[x].conj().T
-         for x in range(w_row.shape[0])],
-    )
-
-
 def _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals):
     """Noise-only trajectories from phases in the coupling eigenbasis.
 
@@ -156,29 +145,7 @@ def _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals):
             finals[traj] = _rotate_sites(c_t, q)
 
 
-def _strang_ensemble(amps0, q, lam, draw_w, stride, hamiltonian, dt, f_rows, finals):
-    """Trajectories under H and noise, one Strang step at a time."""
-    from scipy.sparse.linalg import expm_multiply
-
-    h_csr = hamiltonian.to_csr().astype(np.complex128) * (-0.5j * dt)
-    amps0c = amps0.conj()
-    for traj in range(f_rows.shape[0]):
-        w = draw_w(traj)
-        psi = amps0.copy()
-        r = 0
-        for s in range(w.shape[0]):
-            psi = expm_multiply(h_csr, psi)
-            psi = _noise_step(psi, q, lam, w[s])
-            psi = expm_multiply(h_csr, psi)
-            if (s + 1) % stride == 0:
-                ov = np.sum(amps0c * psi)
-                f_rows[traj, r] = ov.real**2 + ov.imag**2
-                r += 1
-        if finals is not None:
-            finals[traj] = psi
-
-
-def evolve_noisy(psi0, noise, ensemble, hamiltonian=None):
+def evolve_noisy(psi0, noise, ensemble):
     """Average fidelity F(t) = <psi0| rho(t) |psi0> over noise trajectories.
 
     Parameters
@@ -186,7 +153,6 @@ def evolve_noisy(psi0, noise, ensemble, hamiltonian=None):
     psi0 : StateVector
     noise : NoiseModel
     ensemble : TrajectoryEnsemble
-    hamiltonian : optional Hamiltonian handle; None freezes system evolution.
     """
     psi0.require_normalized()
     lattice = psi0.lattice
@@ -201,8 +167,6 @@ def evolve_noisy(psi0, noise, ensemble, hamiltonian=None):
             f"ensemble density matrix capped at {DENSITY_CAP_SITES} sites, "
             f"requested {lattice.n_sites}"
         )
-    if hamiltonian is not None and hamiltonian.lattice.n_sites != lattice.n_sites:
-        raise ArgumentError("Hamiltonian and state live on different lattices")
 
     ops = noise.coupling_operators(lattice)
     q, lam = _site_eigensystems(ops)
@@ -222,10 +186,7 @@ def evolve_noisy(psi0, noise, ensemble, hamiltonian=None):
         if ensemble.collect_density
         else None
     )
-    if hamiltonian is None:
-        _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals)
-    else:
-        _strang_ensemble(amps0, q, lam, draw_w, stride, hamiltonian, ensemble.dt, f_rows, finals)
+    _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals)
 
     times = np.concatenate(([0.0], ensemble.dt * stride * np.arange(1, n_rec + 1)))
     f_mean = np.concatenate(([1.0], f_rows.mean(axis=0)))

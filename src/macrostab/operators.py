@@ -162,24 +162,16 @@ def additive_variance(additive, psi):
     return var if var > 0.0 else 0.0
 
 
-def applied_vectors(psi, ops):
-    """Stack op|psi> rows for a sequence of local operators."""
-    psi.require_normalized()
-    amps = psi.amplitudes
-    out = np.empty((len(ops), psi.dim), dtype=np.complex128)
-    for k, op in enumerate(ops):
-        psi.lattice.validate_site(op.site)
-        out[k] = _apply_matrix_at_site(amps, op.site, op.matrix, psi.n_sites)
-    return out
-
-
 def centered_applied_vectors(psi, ops):
     """Rows (op - <op>)|psi> plus the means; Gram matrices of the rows give
     symmetrized fluctuation covariances."""
-    phi = applied_vectors(psi, ops)
+    psi.require_normalized()
     amps = psi.amplitudes
+    phi = np.empty((len(ops), psi.dim), dtype=np.complex128)
     means = np.empty(len(ops), dtype=np.float64)
-    for k in range(len(ops)):
+    for k, op in enumerate(ops):
+        psi.lattice.validate_site(op.site)
+        phi[k] = _apply_matrix_at_site(amps, op.site, op.matrix, psi.n_sites)
         means[k] = _real_expectation(_cdot(amps, phi[k]))
         phi[k] -= means[k] * amps
     return phi, means

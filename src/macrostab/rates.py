@@ -96,42 +96,14 @@ def _weighted_slope(t, y, w):
     return (sw * sty - st * sy) / denom, sw / denom
 
 
-def fit_initial_rate(times, f_mean, f_stderr, window_fraction=RATE_WINDOW_FRACTION):
-    """Estimate the decay rate from a fidelity series.
-
-    Fits a weighted line to -ln F over 0 < t <= window_fraction * t_max;
-    weights are the inverse variances propagated from the fidelity
-    standard errors (capped where the spread underflows).
-    """
-    times = np.asarray(times, dtype=np.float64)
-    f_mean = np.asarray(f_mean, dtype=np.float64)
-    f_stderr = np.asarray(f_stderr, dtype=np.float64)
-    if times.size != f_mean.size or times.size != f_stderr.size:
-        raise ArgumentError("times, f_mean and f_stderr must align")
-    window = window_fraction * float(times[-1])
-    sel = (times > 0) & (times <= window)
-    if int(sel.sum()) < 3:
-        raise ArgumentError(
-            f"rate window holds {int(sel.sum())} points; need >= 3 (reduce dt "
-            "or record more often)"
-        )
-    t = times[sel]
-    f = np.clip(f_mean[sel], 1e-300, None)
-    y = -np.log(f)
-    sigma = f_stderr[sel] / f
-    w = np.where(sigma > 1e-15, 1.0 / np.maximum(sigma, 1e-15) ** 2, 1e30)
-    slope, slope_var = _weighted_slope(t, y, w)
-    return RateFit(float(slope), float(np.sqrt(slope_var)), int(sel.sum()), window)
-
-
 def trajectory_rate(result, window_fraction=RATE_WINDOW_FRACTION, n_blocks=20):
     """Decay rate from an ensemble run with a jackknife standard error.
 
-    The per-point error propagation in ``fit_initial_rate`` understates the
-    slope uncertainty because fidelity errors are strongly correlated in
-    time along each trajectory.  This estimator refits the early-time
-    slope with one block of trajectories left out at a time and reports
-    the delete-block jackknife spread, which respects that correlation.
+    The slope is a weighted line through -ln F over the early-time window.
+    Per-point fidelity errors understate its uncertainty because they are
+    strongly correlated in time along each trajectory, so the standard
+    error is the delete-block jackknife spread of the slope refitted with
+    one block of trajectories left out at a time.
     """
     times = result.times
     f_rows = result.f_rows

@@ -1,9 +1,9 @@
 """Experiment pipelines behind the command-line front end.
 
-Every runner validates its inputs before any computation starts, returns
-plain-dict results whose verdicts are recomputable from the raw numbers
-included next to them, and leaves all randomness keyed by the scenario
-seed.
+Every input check that needs no state runs when the ``Scenario`` is
+built, before any state is resolved.  Every runner returns plain-dict results whose verdicts are
+recomputable from the raw numbers included next to them, and leaves all
+randomness keyed by the scenario seed.
 """
 
 import time
@@ -15,7 +15,7 @@ from .analyzer import classify_scaling, max_additive_fluctuation
 from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
-from .evolve import MIN_TRAJECTORIES, TrajectoryEnsemble, evolve_noisy, stability_dt_bound
+from .evolve import TrajectoryEnsemble, evolve_noisy, stability_dt_bound
 from .ground import WHICH_LOWEST_TWO, ground_state, pure_phase_vacuum
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
@@ -24,12 +24,8 @@ from .noise import NoiseModel
 from .operators import AdditiveOperator, expectation
 from .rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
+from .scenario import _STATEFUL_EXPERIMENTS
 from .stateio import export_state, import_state
-
-
-def _noise_from_params(p):
-    xi = p.xi if p.kernel == "exponential" else None
-    return NoiseModel(kappa=p.kappa, kernel=p.kernel, axis=p.axis, xi=xi)
 
 
 def _state_entries(scenario):
@@ -61,17 +57,8 @@ def _state_entries(scenario):
     ]
 
 
-def _single_entry(scenario, experiment):
-    entries = _state_entries(scenario)
-    if len(entries) != 1:
-        raise ValidationError(f"experiment {experiment!r} needs a single state family")
-    return entries[0]
-
-
-def run_classify(scenario):
-    if len(scenario.sizes) < 3:
-        raise ValidationError("classify needs at least 3 sizes for the scaling fit")
-    label, states = _single_entry(scenario, "classify")
+def run_classify(scenario, entries):
+    [(label, states)] = entries
     per_size = []
     points = []
     for n in scenario.sizes:
@@ -99,10 +86,10 @@ def run_classify(scenario):
     return {"classify": results}, {"classification": verdict.verdict}
 
 
-def run_cluster(scenario, include_rho=True):
+def run_cluster(scenario, entries):
     per_state = []
     verdicts = {}
-    for label, states in _state_entries(scenario):
+    for label, states in entries:
         per_size = []
         points = []
         for n in scenario.sizes:
@@ -112,9 +99,8 @@ def run_cluster(scenario, include_rho=True):
                 "epsilon": rep.epsilon,
                 "omega": rep.omega,
                 "omega_of_x": [int(v) for v in rep.omega_of_x],
+                "rho": [[float(v) for v in r] for r in rep.field.rho],
             }
-            if include_rho:
-                row["rho"] = [[float(v) for v in r] for r in rep.field.rho]
             per_size.append(row)
             points.append((n, rep.omega))
         entry = {"label": label, "per_size": per_size}
@@ -131,11 +117,11 @@ def run_cluster(scenario, include_rho=True):
     return {"cluster": {"per_state": per_state}}, verdicts
 
 
-def run_measure(scenario):
+def run_measure(scenario, entries):
     p = scenario.params
     per_state = []
     verdicts = {}
-    for label, states in _state_entries(scenario):
+    for label, states in entries:
         per_size = []
         for n in scenario.sizes:
             rep = stability_test(
@@ -188,26 +174,10 @@ def _auto_ensemble(p, noise, lattice, gamma_hint):
     return TrajectoryEnsemble(n_traj=p.n_traj, dt=dt, horizon=horizon, seed=p.seed)
 
 
-def run_decohere(scenario):
+def run_decohere(scenario, entries):
     p = scenario.params
-    if p.kappa <= 0:
-        raise ValidationError("decohere needs kappa > 0")
-    if len(scenario.sizes) < 3:
-        raise ValidationError("decohere needs at least 3 sizes for the scaling fit")
-    if p.n_traj != 0 and p.n_traj < MIN_TRAJECTORIES:
-        raise ValidationError(
-            f"n_traj must be 0 (analytic only) or >= {MIN_TRAJECTORIES}, got {p.n_traj}"
-        )
-    label, states = _single_entry(scenario, "decohere")
-    noise = _noise_from_params(p)
-    if p.dt is not None and p.n_traj > 0:
-        # validate the step bound for every size before any computation
-        for n in scenario.sizes:
-            bound = stability_dt_bound(noise, LatticeSpec(n, p.geometry))
-            if p.dt > bound:
-                raise ValidationError(
-                    f"dt={p.dt} violates the stability bound {bound} at n={n}"
-                )
+    [(label, states)] = entries
+    noise = p.noise_model()
     per_size = []
     analytic_points = []
     traj_points = []
@@ -259,12 +229,8 @@ def run_decohere(scenario):
     return {"decohere": results}, verdicts
 
 
-def run_symmetry_breaking(scenario):
+def run_symmetry_breaking(scenario, entries):
     p = scenario.params
-    if p.model != "transverse-ising":
-        raise ValidationError("symmetry-breaking scenario is defined for the transverse-ising model")
-    if p.B != 0.0:
-        raise ValidationError("symmetry-breaking scenario needs B = 0 for the symmetric ground state")
     noise = NoiseModel(kappa=p.kappa, kernel="collective", axis="z")
     per_size = []
     paramagnetic = not (abs(p.h) < abs(p.J))
@@ -388,15 +354,20 @@ def _correspondence_rows(results):
     return rows
 
 
-def run_scenario(scenario, export_base=None):
-    """Execute the scenario's experiment set and assemble one report."""
+def run_scenario(scenario):
+    """Execute the scenario's experiment set and assemble one report.
+
+    The state source is resolved once, before any experiment runs, and
+    every experiment reads the same states.
+    """
     start = time.monotonic()
-    if scenario.state is not None and scenario.state.file is not None:
-        _state_entries(scenario)  # validates file/size agreement before compute
+    entries = None
+    if any(e in _STATEFUL_EXPERIMENTS for e in scenario.experiments):
+        entries = _state_entries(scenario)
     results = {}
     verdicts = {}
     for experiment in scenario.experiments:
-        frag_results, frag_verdicts = _RUNNERS[experiment](scenario)
+        frag_results, frag_verdicts = _RUNNERS[experiment](scenario, entries)
         results.update(frag_results)
         verdicts.update(frag_verdicts)
     if "cluster" in results and "measure" in results:

@@ -18,9 +18,10 @@ from dataclasses import asdict, dataclass, field
 
 from .catalog import FAMILY_NAMES
 from .errors import FormatError, ValidationError
+from .evolve import MIN_TRAJECTORIES, stability_dt_bound
 from .hamiltonian import MODELS, TRANSVERSE_ISING
-from .lattice import GEOMETRIES, OPEN_CHAIN
-from .noise import KERNELS
+from .lattice import GEOMETRIES, OPEN_CHAIN, LatticeSpec
+from .noise import KERNELS, NoiseModel
 
 EXPERIMENTS = ("classify", "cluster", "decohere", "measure", "symmetry-breaking")
 FORMATS = ("structured", "csv", "both")
@@ -51,6 +52,11 @@ class ScenarioParams:
     nfs_factor: float = 3.0
     geometry: str = OPEN_CHAIN
 
+    def noise_model(self):
+        """The correlated noise a decohere run couples to."""
+        xi = self.xi if self.kernel == "exponential" else None
+        return NoiseModel(kappa=self.kappa, kernel=self.kernel, axis=self.axis, xi=xi)
+
 
 @dataclass(frozen=True)
 class StateSource:
@@ -68,6 +74,47 @@ class Scenario:
     params: ScenarioParams = ScenarioParams()
     output_path: str = None
     output_format: str = "both"
+
+    def __post_init__(self):
+        """Checks shared by scenario files and the command line; they run
+        before any state is built."""
+        p = self.params
+        sizes = list(self.sizes)
+        _require(sizes, "sizes must not be empty")
+        _require(
+            all(a < b for a, b in zip(sizes, sizes[1:])),
+            f"sizes must be strictly ascending, got {sizes}",
+        )
+        for e in self.experiments:
+            if e in _SCALING_EXPERIMENTS:
+                _require(len(sizes) >= 3, "scaling experiments need at least 3 sizes")
+                _require(
+                    self.state is None or self.state.family != "catalog",
+                    f"experiment {e!r} needs a single state family, not the catalog",
+                )
+        for key in ("epsilon", "varepsilon"):
+            val = getattr(p, key)
+            _require(0.0 < val < 1.0, f"params.{key} must lie in (0, 1), got {val!r}")
+        if "measure" in self.experiments and p.min_distance is not None:
+            _require(
+                1 <= p.min_distance <= sizes[0] - 1,
+                f"params.min_distance must lie in [1, {sizes[0] - 1}] for sizes {sizes}, "
+                f"got {p.min_distance}",
+            )
+        _require(
+            p.n_traj == 0 or p.n_traj >= MIN_TRAJECTORIES,
+            f"params.n_traj must be 0 (analytic only) or >= {MIN_TRAJECTORIES}, got {p.n_traj}",
+        )
+        if "decohere" in self.experiments:
+            _require(p.kappa > 0, "decohere needs kappa > 0")
+            if p.dt is not None and p.n_traj > 0:
+                noise = p.noise_model()
+                for n in sizes:
+                    bound = stability_dt_bound(noise, LatticeSpec(n, p.geometry))
+                    _require(p.dt <= bound, f"dt={p.dt} violates the stability bound {bound} at n={n}")
+        if "symmetry-breaking" in self.experiments:
+            _require(p.model == TRANSVERSE_ISING, "symmetry-breaking is defined for the transverse-ising model")
+            _require(p.B == 0.0, "symmetry-breaking needs B = 0 for the symmetric ground state")
 
     def echo(self):
         """Plain-dict copy embedded into every report."""
@@ -127,10 +174,6 @@ def validate_scenario(raw):
         isinstance(sizes, list) and all(isinstance(n, int) and not isinstance(n, bool) for n in sizes),
         "scenario.sizes must be a list of integers",
     )
-    _require(sizes == sorted(sizes) and len(set(sizes)) == len(sizes), "scenario.sizes must be strictly ascending")
-    _require(len(sizes) >= 1, "scenario.sizes must not be empty")
-    if any(e in _SCALING_EXPERIMENTS for e in experiments):
-        _require(len(sizes) >= 3, "scaling experiments need at least 3 sizes")
 
     state = None
     if any(e in _STATEFUL_EXPERIMENTS for e in experiments):
@@ -173,7 +216,6 @@ def validate_scenario(raw):
     _require(merged["axis"] in ("x", "y", "z"), "params.axis must be x, y or z")
     _require(merged["model"] in MODELS, f"params.model must be one of {MODELS}")
     _require(merged["geometry"] in GEOMETRIES, f"params.geometry must be one of {GEOMETRIES}")
-    _require(merged["n_traj"] == 0 or merged["n_traj"] >= 100, "params.n_traj must be 0 (analytic only) or >= 100")
     _require(0 <= merged["seed"] < 2**64, "params.seed must fit in 64 bits")
     params = ScenarioParams(**merged)
 

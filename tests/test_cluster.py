@@ -8,18 +8,18 @@ from scipy.optimize import minimize
 from macrostab import (
     ArgumentError,
     LatticeSpec,
+    StateVector,
     basis_state,
     cluster_verdict,
-    connected_correlator,
     correlation_field,
     make_dicke,
     make_ghz,
     make_uniform_product,
-    normalized_correlation,
     omega,
-    pauli,
 )
 from macrostab.analyzer import covariance_matrix
+from macrostab.cluster import _inverse_sqrt_projected
+from conftest import random_state_amps
 
 
 def rho_bruteforce(psi, x, y, grid=100):
@@ -70,38 +70,33 @@ def rho_bruteforce(psi, x, y, grid=100):
 
 
 class TestConnectedCorrelator:
+    """Connected two-point values <ab> - <a><b> read off the shared table."""
+
     def test_ghz_endpoints(self):
-        lat = LatticeSpec(4)
-        val = connected_correlator(make_ghz(lat), pauli(lat, 0, "z"), pauli(lat, 3, "z"))
-        assert val == pytest.approx(1.0, abs=1e-12)
+        cov = covariance_matrix(make_ghz(LatticeSpec(4)))
+        assert cov.site_block(0, 3)[2, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_product_no_correlations(self):
-        lat = LatticeSpec(4)
-        up = basis_state(lat, 0)
-        assert connected_correlator(up, pauli(lat, 0, "z"), pauli(lat, 3, "z")) == pytest.approx(0.0, abs=1e-12)
-        lat3 = LatticeSpec(3)
-        plus = make_uniform_product(lat3, math.pi / 2)
-        assert connected_correlator(plus, pauli(lat3, 0, "x"), pauli(lat3, 2, "x")) == pytest.approx(0.0, abs=1e-12)
-
-    def test_same_site_rejected(self):
-        lat = LatticeSpec(3)
-        with pytest.raises(ArgumentError):
-            connected_correlator(make_ghz(lat), pauli(lat, 1, "z"), pauli(lat, 1, "x"))
+        up = covariance_matrix(basis_state(LatticeSpec(4), 0))
+        assert up.site_block(0, 3)[2, 2] == pytest.approx(0.0, abs=1e-12)
+        plus = covariance_matrix(make_uniform_product(LatticeSpec(3), math.pi / 2))
+        assert plus.site_block(0, 2)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestNormalizedCorrelation:
     def test_ghz_saturates(self):
         psi = make_ghz(LatticeSpec(5))
-        assert normalized_correlation(psi, 0, 4) == pytest.approx(1.0, abs=1e-9)
+        assert correlation_field(psi).rho[0, 4] == pytest.approx(1.0, abs=1e-9)
 
     def test_product_vanishes(self):
         psi = make_uniform_product(LatticeSpec(4), math.pi / 3, 0.7)
+        rho = correlation_field(psi).rho
         for x, y in itertools.combinations(range(4), 2):
-            assert normalized_correlation(psi, x, y) == pytest.approx(0.0, abs=1e-9)
+            assert rho[x, y] == pytest.approx(0.0, abs=1e-9)
 
     def test_w_state_value_and_symmetry(self):
-        psi = make_dicke(LatticeSpec(3), 1)
-        vals = [normalized_correlation(psi, x, y) for x, y in [(0, 1), (0, 2), (1, 2)]]
+        rho = correlation_field(make_dicke(LatticeSpec(3), 1)).rho
+        vals = [rho[x, y] for x, y in [(0, 1), (0, 2), (1, 2)]]
         assert max(vals) - min(vals) < 1e-10
         assert 0.0 < vals[0] < 1.0
 
@@ -116,23 +111,16 @@ class TestNormalizedCorrelation:
     def test_matches_bruteforce_oracle(self, make):
         psi = make()
         grid_val = rho_bruteforce(psi, 0, 1)
-        svd_val = normalized_correlation(psi, 0, 1)
+        svd_val = correlation_field(psi).rho[0, 1]
         assert svd_val >= grid_val - 1e-9  # grid is a lower bound
         assert abs(svd_val - grid_val) < 1e-6
 
     def test_cauchy_schwarz(self, rng):
-        from macrostab import StateVector
-        from conftest import random_state_amps
-
         lat = LatticeSpec(4)
         for _ in range(10):
-            psi = StateVector(lat, random_state_amps(4, rng))
+            rho = correlation_field(StateVector(lat, random_state_amps(4, rng))).rho
             for x, y in itertools.combinations(range(4), 2):
-                assert normalized_correlation(psi, x, y) <= 1 + 1e-9
-
-    def test_same_site_rejected(self):
-        with pytest.raises(ArgumentError):
-            normalized_correlation(make_ghz(LatticeSpec(3)), 1, 1)
+                assert rho[x, y] <= 1 + 1e-9
 
 
 class TestOmega:
@@ -189,6 +177,34 @@ def test_field_symmetric_with_unit_diagonal():
     field = correlation_field(make_dicke(LatticeSpec(4), 2))
     assert np.allclose(field.rho, field.rho.T, atol=1e-12)
     assert np.allclose(np.diag(field.rho), 1.0)
+
+
+def test_batched_field_equals_per_pair_loop(rng):
+    # |0> (x) Bell (x) |+> (x) random 2-site state; site k lives on bit k.
+    # The table's 3x3 blocks include zero blocks (the product sites' cross
+    # blocks), rank-2 blocks (their own blocks) and full-rank ones (Bell).
+    zero = np.array([1.0, 0.0])
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
+    amps = np.kron(random_state_amps(2, rng), np.kron(plus, np.kron(bell, zero)))
+    psi = StateVector(LatticeSpec(6), amps)
+    cov = covariance_matrix(psi)
+    ranks = {int(np.linalg.matrix_rank(cov.site_block(x, y), tol=1e-10))
+             for x in range(6) for y in range(6)}
+    assert {0, 2, 3} <= ranks
+    expected = np.eye(6)
+    for x, y in itertools.combinations(range(6), 2):
+        wx = _inverse_sqrt_projected(cov.site_block(x, x))
+        wy = _inverse_sqrt_projected(cov.site_block(y, y))
+        sv = np.linalg.svd(wx @ cov.site_block(x, y) @ wy, compute_uv=False)
+        expected[x, y] = expected[y, x] = sv[0]
+    rho = correlation_field(psi).rho
+    assert np.array_equal(rho, expected)
+    assert np.array_equal(rho, rho.T)
+    assert np.array_equal(np.diag(rho), np.ones(6))
+    assert rho[1, 2] == pytest.approx(1.0, abs=1e-12)
+    for x in (0, 3):
+        assert np.allclose(np.delete(rho[x], x), 0.0, atol=1e-12)
 
 
 def test_afs_families_lack_cluster_property():

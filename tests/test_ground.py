@@ -114,7 +114,7 @@ class TestPurePhaseVacuum:
         monkeypatch.setattr(ground, "ground_state", counted)
         monkeypatch.setattr(runner, "pure_phase_vacuum", recorded)
         sizes = (4, 6, 8)
-        results, _ = runner.run_symmetry_breaking(Scenario("sb", sizes, ("symmetry-breaking",)))
+        results, _ = runner.run_symmetry_breaking(Scenario("sb", sizes, ("symmetry-breaking",)), None)
         assert solved == list(sizes)
         rows = results["symmetry-breaking"]["per_size"]
         for row, pp in zip(rows, made):

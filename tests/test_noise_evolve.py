@@ -6,7 +6,6 @@ import pytest
 from macrostab import (
     ArgumentError,
     CapabilityError,
-    HamiltonianSpec,
     LatticeSpec,
     LocalOperator,
     NoiseModel,
@@ -14,7 +13,6 @@ from macrostab import (
     TrajectoryEnsemble,
     analytic_dephasing_rate,
     basis_state,
-    build_hamiltonian,
     dephasing_channel_density,
     evolve_noisy,
     fit_gamma_scaling,
@@ -24,7 +22,7 @@ from macrostab import (
     stability_dt_bound,
 )
 from macrostab import evolve
-from macrostab.rates import fit_initial_rate, trajectory_rate
+from macrostab.rates import trajectory_rate
 from conftest import dense_site_op, random_state_amps
 
 
@@ -282,31 +280,6 @@ class TestEvolve:
                 expected = amps[i] * np.conj(amps[j]) * math.exp(-2 * 0.05 * d * 2.0)
                 assert rho[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_hamiltonian_evolution_matches_expm(self):
-        # kappa = 0 with H on: the Strang path reduces to pure unitary evolution
-        from scipy.linalg import expm
-
-        lat = LatticeSpec(3)
-        spec = HamiltonianSpec("transverse-ising", lat, J=1.0, h=0.7)
-        ham = build_hamiltonian(spec)
-        psi = make_ghz(lat)
-        noise = NoiseModel(0.0, "independent", axis="z")
-        t_final = 1.0
-        ens = TrajectoryEnsemble(100, 0.05, t_final, seed=9)
-        res = evolve_noisy(psi, noise, ens, hamiltonian=ham)
-        u = expm(-1j * t_final * ham.dense())
-        expected = abs(np.vdot(psi.amplitudes, u @ psi.amplitudes)) ** 2
-        assert res.f_mean[-1] == pytest.approx(expected, abs=1e-8)
-
-    def test_noisy_with_hamiltonian_runs(self):
-        lat = LatticeSpec(3)
-        ham = build_hamiltonian(HamiltonianSpec("transverse-ising", lat, J=1.0, h=0.4))
-        noise = NoiseModel(0.02, "collective", axis="z")
-        ens = TrajectoryEnsemble(100, 0.05, 1.0, seed=11, collect_density=True)
-        res = evolve_noisy(make_ghz(lat), noise, ens, hamiltonian=ham)
-        assert float(np.trace(res.density_matrix).real) == pytest.approx(1.0, abs=1e-8)
-        assert np.all(res.f_mean <= 1.0 + 1e-9)
-
 
 class TestScalingFit:
     def test_quadratic_fragile(self):
@@ -330,13 +303,3 @@ class TestScalingFit:
             fit_gamma_scaling([(4, 0.1), (6, 0.2)])
         with pytest.raises(ArgumentError):
             fit_gamma_scaling([(4, 0.1), (6, 0.0), (8, 0.2)])
-
-
-def test_fit_initial_rate_on_exact_series():
-    gamma = 0.25
-    t = np.linspace(0, 4.0, 401)
-    f = np.exp(-gamma * t)
-    err = np.full_like(t, 1e-6)
-    err[0] = 0.0
-    fit = fit_initial_rate(t, f, err)
-    assert fit.gamma == pytest.approx(gamma, rel=1e-6)

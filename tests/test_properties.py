@@ -14,8 +14,8 @@ from macrostab import (
     additive_variance,
     expectation,
     make_product_state,
+    correlation_field,
     max_additive_fluctuation,
-    normalized_correlation,
     pauli,
 )
 from macrostab.measure import _conditional_closed_form, _two_point_table, conditional_distribution
@@ -81,10 +81,11 @@ def test_expectation_is_additive(psi):
 @settings(max_examples=25, deadline=None)
 @given(random_states(min_sites=2, max_sites=4))
 def test_normalized_correlation_obeys_cauchy_schwarz(psi):
+    rho = correlation_field(psi).rho
     n = psi.n_sites
     for x in range(n):
         for y in range(x + 1, n):
-            assert normalized_correlation(psi, x, y) <= 1 + 1e-9
+            assert rho[x, y] <= 1 + 1e-9
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from macrostab import LatticeSpec, ValidationError, export_state, make_ghz
+from macrostab import LatticeSpec, ValidationError, export_state, make_ghz, runner
 from macrostab.cli import main, parse_sizes
-from macrostab.scenario import validate_scenario
+from macrostab.scenario import Scenario, ScenarioParams, StateSource, validate_scenario
 from conftest import subprocess_env
 
 
@@ -51,10 +51,11 @@ class TestScenarioValidation:
             validate_scenario(raw)
 
     def test_sizes_must_ascend(self):
-        raw = self.base()
-        raw["sizes"] = [6, 4, 8]
-        with pytest.raises(ValidationError):
-            validate_scenario(raw)
+        for sizes in ([6, 4, 8], [8, 4, 6], [4, 4, 6], []):
+            raw = self.base()
+            raw["sizes"] = sizes
+            with pytest.raises(ValidationError):
+                validate_scenario(raw)
 
     def test_scaling_needs_three_sizes(self):
         raw = self.base()
@@ -80,6 +81,20 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             validate_scenario(raw)
 
+    def test_threshold_ranges(self):
+        bad = [{"epsilon": 2.0}, {"epsilon": 0.0}, {"varepsilon": 1.0}, {"varepsilon": -0.5},
+               {"min_distance": 0}, {"min_distance": 4}]
+        for params in bad:
+            raw = self.base()
+            raw["experiments"] = ["cluster", "measure"]
+            raw["params"] = params
+            with pytest.raises(ValidationError):
+                validate_scenario(raw)
+        raw = self.base()
+        raw["experiments"] = ["measure"]
+        raw["params"] = {"min_distance": 3}
+        assert validate_scenario(raw).params.min_distance == 3
+
 
 def test_parse_sizes():
     assert parse_sizes("4:12:2") == [4, 6, 8, 10, 12]
@@ -89,6 +104,84 @@ def test_parse_sizes():
         parse_sizes("4:2:1")
     with pytest.raises(ValidationError):
         parse_sizes("abc")
+    # comma lists parse in the given order; a Scenario rejects any that do not ascend
+    assert parse_sizes("8,4,6") == [8, 4, 6]
+    for text in ("8,4,6", "4,4,6"):
+        with pytest.raises(ValidationError):
+            Scenario("measure", tuple(parse_sizes(text)), ("measure",), StateSource(family="ghz"))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("state built or imported despite invalid input")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--state", "catalog", "--sizes", "4:12:2", "--epsilon", "2"],
+        ["measure", "--state", "ghz", "--sizes", "8,4,6"],
+        ["measure", "--state", "ghz", "--sizes", "4,4,6"],
+        ["measure", "--state", "ghz", "--sizes", "4:8:2", "--varepsilon", "1"],
+        ["measure", "--state", "ghz", "--sizes", "4:8:2", "--min-distance", "4"],
+        ["measure", "--state-file", "g.state", "--sizes", "4", "--epsilon", "0"],
+        ["classify", "--state", "ghz", "--sizes", "4:6:2"],
+        ["classify", "--state", "catalog", "--sizes", "4:8:2"],
+        ["decohere", "--state", "catalog", "--sizes", "4:8:2", "--n-traj", "0"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--kappa", "0"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--n-traj", "50"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--dt", "100"],
+        ["symmetry-breaking", "--sizes", "4:8:2", "--b-field", "0.1"],
+    ],
+)
+def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
+    monkeypatch.setattr(runner, "build_state", _refuse)
+    monkeypatch.setattr(runner, "import_state", _refuse)
+    monkeypatch.setattr(runner, "ground_state", _refuse)
+    assert main(argv) == 2
+
+
+def test_invalid_experiment_later_in_scenario_stops_before_any_state(tmp_path, monkeypatch):
+    # a bad symmetry-breaking model stops the run before cluster builds any state
+    monkeypatch.setattr(runner, "build_state", _refuse)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({
+        "name": "x", "state": {"family": "catalog"}, "sizes": [4, 6, 8],
+        "experiments": ["cluster", "symmetry-breaking"], "params": {"model": "xxz"},
+    }))
+    assert main(["run", str(path)]) == 2
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    original = getattr(runner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, name, wrapper)
+    return calls
+
+
+def test_catalog_states_resolved_once_per_scenario(monkeypatch):
+    from macrostab.catalog import correspondence_catalog
+
+    calls = _counted(monkeypatch, "build_state")
+    scenario = Scenario("cm", (4, 5, 6), ("cluster", "measure"), StateSource(family="catalog"),
+                        ScenarioParams(min_distance=1))
+    report = runner.run_scenario(scenario)
+    assert len(calls) == 3 * len(correspondence_catalog()) == 24
+    assert len(report["results"]["correspondence"]) == len(correspondence_catalog())
+
+
+def test_state_file_imported_once(tmp_path, monkeypatch):
+    path = tmp_path / "g.state"
+    export_state(make_ghz(LatticeSpec(4)), path)
+    calls = _counted(monkeypatch, "import_state")
+    scenario = Scenario("f", (4,), ("cluster", "measure"), StateSource(file=str(path)))
+    report = runner.run_scenario(scenario)
+    assert len(calls) == 1
+    assert report["verdicts"]["measurement-stable/file"] is False
 
 
 class TestCliEndToEnd:
