@@ -151,6 +151,17 @@ def _classify_exponent(exponent):
     return INTERMEDIATE
 
 
+def log_log_fit(points):
+    """Least-squares line through (ln N, ln v) of positive (N, v) pairs:
+    slope, intercept and RMS residual."""
+    logn = np.log([n for n, _ in points])
+    logv = np.log([v for _, v in points])
+    slope, intercept = np.polyfit(logn, logv, 1)
+    fit = slope * logn + intercept
+    residual = float(np.sqrt(np.mean((logv - fit) ** 2)))
+    return float(slope), float(intercept), residual
+
+
 def classify_scaling(points):
     """Least-squares log-log fit of (N, max_variance) pairs.
 
@@ -163,11 +174,5 @@ def classify_scaling(points):
         raise ArgumentError("scaling fit needs at least 3 distinct sizes")
     if any(v <= 0.0 for _, v in pts):
         return ScalingVerdict(float("nan"), float("nan"), 0.0, NFS, tuple(pts))
-    logn = np.log([n for n, _ in pts])
-    logv = np.log([v for _, v in pts])
-    slope, intercept = np.polyfit(logn, logv, 1)
-    fit = slope * logn + intercept
-    residual = float(np.sqrt(np.mean((logv - fit) ** 2)))
-    return ScalingVerdict(
-        float(slope), float(intercept), residual, _classify_exponent(float(slope)), tuple(pts)
-    )
+    slope, intercept, residual = log_log_fit(pts)
+    return ScalingVerdict(slope, intercept, residual, _classify_exponent(slope), tuple(pts))

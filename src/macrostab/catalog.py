@@ -25,7 +25,7 @@ def _tfim_ground(n_sites, geometry, params, default_h):
         h=float(params.get("h", default_h)),
         B=float(params.get("B", 0.0)),
     )
-    return ground_state(build_hamiltonian(spec), "lowest").states[0]
+    return ground_state(build_hamiltonian(spec)).states[0]
 
 
 def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None):

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: classify, cluster, decohere, measure, ground,
-symmetry-breaking, and run <scenario-file>.  Exit codes: 0 success,
+symmetry-breaking, and run <scenario-file>.  Every subcommand but run
+stands for the one-experiment scenario file its flags spell out: it
+builds that raw scenario, and ``validate_scenario`` checks it and
+``run_scenario`` runs it exactly as for ``run``.  Exit codes: 0 success,
 2 validation error, 3 numerical error, 4 capability (size cap) error.
 """
 
@@ -10,14 +13,20 @@ import json
 import sys
 
 from .errors import MacrostabError, ValidationError
-from .runner import run_ground_report, run_scenario, write_report_files
-from .scenario import (
-    FORMATS,
-    Scenario,
-    ScenarioParams,
-    StateSource,
-    load_scenario,
-)
+from .runner import run_scenario, write_report_files
+from .scenario import FORMATS, load_scenario, validate_scenario
+
+_COUPLINGS = ("J", "h", "B")
+
+# the scenario params each subcommand's own flags set, besides seed and geometry
+_COMMAND_PARAMS = {
+    "classify": _COUPLINGS,
+    "cluster": ("epsilon",) + _COUPLINGS,
+    "decohere": ("kappa", "kernel", "axis", "xi", "n_traj", "dt", "horizon") + _COUPLINGS,
+    "measure": ("epsilon", "varepsilon", "min_distance") + _COUPLINGS,
+    "ground": ("model", "delta") + _COUPLINGS,
+    "symmetry-breaking": ("model", "kappa", "nfs_factor") + _COUPLINGS,
+}
 
 
 def parse_sizes(text):
@@ -54,14 +63,18 @@ def _add_state(p):
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--phi", type=float, default=None)
     p.add_argument("--method", default=None, help="pure-phase construction method")
+    _add_couplings(p)
+
+
+def _add_couplings(p):
+    p.add_argument("--j", dest="J", type=float, default=1.0)
+    p.add_argument("--h", dest="h", type=float, default=0.1)
+    p.add_argument("--b-field", dest="B", type=float, default=0.0)
 
 
 def _add_model(p):
     p.add_argument("--model", choices=("transverse-ising", "xxz"), default="transverse-ising")
-    p.add_argument("--j", dest="J", type=float, default=1.0)
-    p.add_argument("--h", dest="h", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--b-field", dest="B", type=float, default=0.0)
+    _add_couplings(p)
 
 
 def build_parser():
@@ -75,18 +88,15 @@ def build_parser():
     p = sub.add_parser("classify", help="AFS/NFS scaling of the maximal additive fluctuation")
     _add_common(p)
     _add_state(p)
-    _add_model(p)
 
     p = sub.add_parser("cluster", help="normalized correlations and Omega(eps)")
     _add_common(p)
     _add_state(p)
-    _add_model(p)
     p.add_argument("--epsilon", type=float, default=0.1)
 
     p = sub.add_parser("decohere", help="dephasing rates and their size scaling")
     _add_common(p)
     _add_state(p)
-    _add_model(p)
     p.add_argument("--kappa", type=float, default=0.01)
     p.add_argument("--kernel", choices=("collective", "independent", "exponential"), default="collective")
     p.add_argument("--axis", choices=("x", "y", "z"), default="z")
@@ -98,7 +108,6 @@ def build_parser():
     p = sub.add_parser("measure", help="stability against local measurements")
     _add_common(p)
     _add_state(p)
-    _add_model(p)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--varepsilon", type=float, default=0.05)
     p.add_argument("--min-distance", type=int, default=None)
@@ -106,7 +115,7 @@ def build_parser():
     p = sub.add_parser("ground", help="iterative ground states of a spin-chain model")
     _add_common(p)
     _add_model(p)
-    p.add_argument("--export", default=None, help="base path for exported state files")
+    p.add_argument("--delta", type=float, default=1.0)
 
     p = sub.add_parser("symmetry-breaking", help="symmetric ground state versus pure-phase vacuum")
     _add_common(p)
@@ -121,59 +130,31 @@ def build_parser():
 
 
 def _state_source(args):
-    if getattr(args, "state_file", None):
-        return StateSource(file=args.state_file)
+    if args.state_file:
+        return {"file": args.state_file}
     params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.theta is not None:
-        params["theta"] = args.theta
-    if args.phi is not None:
-        params["phi"] = args.phi
-    if args.method is not None:
-        params["method"] = args.method
+    for key in ("k", "theta", "phi", "method"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     if args.state in ("tfim-ground", "pure-phase"):
-        params.setdefault("J", args.J)
-        params.setdefault("h", args.h)
+        params.update(J=args.J, h=args.h)
     if args.state == "tfim-ground" and args.B:
         params["B"] = args.B
-    return StateSource(family=args.state, params=params)
-
-
-def _params(args, **extra):
-    fields = {"seed": args.seed, "geometry": args.geometry}
-    for name in ("J", "h", "delta", "B", "model"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    fields.update(extra)
-    return ScenarioParams(**fields)
+    return {"family": args.state, "params": params}
 
 
 def _scenario_from_args(args):
-    sizes = tuple(parse_sizes(args.sizes))
-    command = args.command
-    if command == "classify":
-        return Scenario("classify", sizes, ("classify",), _state_source(args), _params(args), args.out, args.format)
-    if command == "cluster":
-        return Scenario("cluster", sizes, ("cluster",), _state_source(args),
-                        _params(args, epsilon=args.epsilon), args.out, args.format)
-    if command == "decohere":
-        return Scenario("decohere", sizes, ("decohere",), _state_source(args),
-                        _params(args, kappa=args.kappa, kernel=args.kernel, axis=args.axis,
-                                xi=args.xi, n_traj=args.n_traj, dt=args.dt, horizon=args.horizon),
-                        args.out, args.format)
-    if command == "measure":
-        return Scenario("measure", sizes, ("measure",), _state_source(args),
-                        _params(args, epsilon=args.epsilon, varepsilon=args.varepsilon,
-                                min_distance=args.min_distance),
-                        args.out, args.format)
-    if command == "ground":
-        return Scenario("ground", sizes, (), None, _params(args), args.out, args.format)
-    if command == "symmetry-breaking":
-        return Scenario("symmetry-breaking", sizes, ("symmetry-breaking",), None,
-                        _params(args, kappa=args.kappa, nfs_factor=args.nfs_factor),
-                        args.out, args.format)
-    raise ValidationError(f"unknown command {command!r}")
+    """The scenario file a subcommand stands for, validated like one."""
+    raw = {
+        "name": args.command,
+        "sizes": parse_sizes(args.sizes),
+        "experiments": [args.command],
+        "params": {key: getattr(args, key) for key in ("seed", "geometry") + _COMMAND_PARAMS[args.command]},
+        "output": {"path": args.out, "format": args.format},
+    }
+    if hasattr(args, "state"):
+        raw["state"] = _state_source(args)
+    return validate_scenario(raw)
 
 
 def _summarize(report, stream):
@@ -188,13 +169,9 @@ def main(argv=None):
     try:
         if args.command == "run":
             scenario = load_scenario(args.scenario)
-            report = run_scenario(scenario)
-        elif args.command == "ground":
-            scenario = _scenario_from_args(args)
-            report = run_ground_report(scenario, export_base=args.export)
         else:
             scenario = _scenario_from_args(args)
-            report = run_scenario(scenario)
+        report = run_scenario(scenario)
         written = write_report_files(report, scenario)
         if scenario.output_path is None:
             json.dump(report, sys.stdout, sort_keys=True, indent=2)

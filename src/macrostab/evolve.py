@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, CapabilityError
+from .operators import _apply_matrix_at_site
 
 DENSITY_CAP_SITES = 8
 MIN_TRAJECTORIES = 100
@@ -108,9 +109,8 @@ def _traj_rng(seed, traj):
 
 def _rotate_sites(psi, mats):
     """Apply the product of single-site 2x2 matrices; site x acts on bit x."""
-    dim = psi.shape[0]
     for x, u in enumerate(mats):
-        psi = np.einsum("ab,hbl->hal", u, psi.reshape(-1, 2, 1 << x)).reshape(dim)
+        psi = _apply_matrix_at_site(psi, x, u)
     return psi
 
 

@@ -23,9 +23,6 @@ from .states import StateVector
 
 RESIDUAL_TOL = 1e-9
 
-WHICH_LOWEST = "lowest"
-WHICH_LOWEST_TWO = "lowest-two"
-
 METHOD_DOUBLET = "doublet-superposition"
 METHOD_SB_FIELD = "sb-field-limit"
 
@@ -71,12 +68,10 @@ def _parity_rotate(ham, vecs, energies):
     return [new_vecs[i] for i in order], [new_energies[i] for i in order]
 
 
-def ground_state(ham, which=WHICH_LOWEST):
-    """Lowest (or lowest two) eigenstates with verified residuals."""
+def ground_state(ham):
+    """Lowest two eigenstates with verified residuals, lowest first."""
     if not isinstance(ham, Hamiltonian):
         raise ArgumentError("ham must be a Hamiltonian handle")
-    if which not in (WHICH_LOWEST, WHICH_LOWEST_TWO):
-        raise ArgumentError(f"which must be '{WHICH_LOWEST}' or '{WHICH_LOWEST_TWO}'")
     dim = ham.dim
     k = 2
     if dim < _DENSE_CUTOFF:
@@ -113,8 +108,7 @@ def ground_state(ham, which=WHICH_LOWEST):
         StateVector(ham.lattice, v.astype(np.complex128) / np.linalg.norm(v), _take=True)
         for v in vecs
     )
-    n_keep = 1 if which == WHICH_LOWEST else 2
-    return GroundStateResult(states[:n_keep], tuple(energies[:n_keep]), tuple(residuals[:n_keep]))
+    return GroundStateResult(states, tuple(energies), tuple(residuals))
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,7 @@ def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
     m_op = AdditiveOperator.from_axis(spec.lattice, "z")
     if method == METHOD_DOUBLET:
         if pair is None:
-            pair = ground_state(build_hamiltonian(spec), WHICH_LOWEST_TWO)
+            pair = ground_state(build_hamiltonian(spec))
         v0 = pair.states[0].amplitudes
         v1 = pair.states[1].amplitudes
         r = 1.0 / math.sqrt(2.0)
@@ -170,8 +164,7 @@ def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
         return PurePhaseVacuum(best_state, energy, best_m, method, warning)
     ham = build_hamiltonian(spec)
     biased = build_hamiltonian(replace(spec, B=0.05 * spec.J))
-    res = ground_state(biased, WHICH_LOWEST)
-    state = res.states[0]
+    state = ground_state(biased).states[0]
     m_val = expectation(m_op, state)
     energy = float(np.real(state.overlap(
         StateVector(spec.lattice, ham.matvec(state.amplitudes), normalized=False, _take=True)

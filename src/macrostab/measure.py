@@ -415,8 +415,8 @@ class CascadeResult:
     final_state: StateVector
 
 
-def measurement_cascade(psi, axis="z", nfs_factor=3.0, max_measurements=None):
-    """Measure one site after another until fluctuations look normal.
+def measurement_cascade(psi, nfs_factor=3.0):
+    """Measure sigma_z at one site after another until fluctuations look normal.
 
     Deterministic outcome policy: take the more probable branch (ties go
     to the larger eigenvalue).  A state counts as NFS here once its
@@ -425,16 +425,14 @@ def measurement_cascade(psi, axis="z", nfs_factor=3.0, max_measurements=None):
     """
     psi.require_normalized()
     n = psi.n_sites
-    if max_measurements is None:
-        max_measurements = n
     threshold = nfs_factor * n
     steps = []
     current = psi
     reached = max_additive_fluctuation(current).max_variance <= threshold
-    for site in range(min(n, max_measurements)):
+    for site in range(n):
         if reached:
             break
-        obs = LocalOperator(site, PAULI_MATRICES[axis])
+        obs = LocalOperator(site, PAULI_MATRICES["z"])
         out = measure_local(current, obs)
         a_plus, a_minus = out.eigenvalues
         p_plus = out.probabilities[a_plus]

@@ -106,7 +106,7 @@ class AdditiveOperator:
         return cls(lattice, terms)
 
 
-def _apply_matrix_at_site(amps, site, matrix, n_sites):
+def _apply_matrix_at_site(amps, site, matrix):
     """(matrix on `site`, identity elsewhere) applied to an amplitude array."""
     low = 1 << site
     block = amps.reshape(-1, 2, low)
@@ -117,7 +117,7 @@ def _apply_matrix_at_site(amps, site, matrix, n_sites):
 def apply_local(op, psi):
     """Apply a local operator; result is generally unnormalized."""
     psi.lattice.validate_site(op.site)
-    out = _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix, psi.n_sites)
+    out = _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix)
     return StateVector(psi.lattice, out, normalized=False, _take=True)
 
 
@@ -128,7 +128,7 @@ def apply_additive(additive, psi):
     acc = np.zeros(psi.dim, dtype=np.complex128)
     for op in additive.terms:
         if np.any(op.matrix):
-            acc += _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix, psi.n_sites)
+            acc += _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix)
     return StateVector(psi.lattice, acc, normalized=False, _take=True)
 
 
@@ -171,7 +171,7 @@ def centered_applied_vectors(psi, ops):
     means = np.empty(len(ops), dtype=np.float64)
     for k, op in enumerate(ops):
         psi.lattice.validate_site(op.site)
-        phi[k] = _apply_matrix_at_site(amps, op.site, op.matrix, psi.n_sites)
+        phi[k] = _apply_matrix_at_site(amps, op.site, op.matrix)
         means[k] = _real_expectation(_cdot(amps, phi[k]))
         phi[k] -= means[k] * amps
     return phi, means

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import covariance_matrix
+from .analyzer import covariance_matrix, log_log_fit
 from .errors import ArgumentError
 from .operators import PAULI_AXES, PAULI_MATRICES
 
 FRAGILE_EXPONENT = 1.5
 RATE_WINDOW_FRACTION = 0.05
+JACKKNIFE_BLOCKS = 20
 
 _PAULI_STACK = np.stack([PAULI_MATRICES[a] for a in PAULI_AXES])
 
@@ -66,12 +67,8 @@ def fit_gamma_scaling(points):
         raise ArgumentError("rate-scaling fit needs at least 3 distinct sizes")
     if any(g <= 0 for _, g in pts):
         raise ArgumentError("rate-scaling fit needs strictly positive rates")
-    logn = np.log([n for n, _ in pts])
-    logg = np.log([g for _, g in pts])
-    slope, intercept = np.polyfit(logn, logg, 1)
-    fit = slope * logn + intercept
-    residual = float(np.sqrt(np.mean((logg - fit) ** 2)))
-    return DecoherenceFit(tuple(pts), float(np.exp(intercept)), float(slope), residual)
+    slope, intercept, residual = log_log_fit(pts)
+    return DecoherenceFit(tuple(pts), float(np.exp(intercept)), slope, residual)
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def _weighted_slope(t, y, w):
     return (sw * sty - st * sy) / denom, sw / denom
 
 
-def trajectory_rate(result, window_fraction=RATE_WINDOW_FRACTION, n_blocks=20):
+def trajectory_rate(result):
     """Decay rate from an ensemble run with a jackknife standard error.
 
     The slope is a weighted line through -ln F over the early-time window.
@@ -107,7 +104,7 @@ def trajectory_rate(result, window_fraction=RATE_WINDOW_FRACTION, n_blocks=20):
     """
     times = result.times
     f_rows = result.f_rows
-    window = window_fraction * float(times[-1])
+    window = RATE_WINDOW_FRACTION * float(times[-1])
     sel = (times > 0) & (times <= window)
     if int(sel.sum()) < 3:
         raise ArgumentError(
@@ -125,7 +122,7 @@ def trajectory_rate(result, window_fraction=RATE_WINDOW_FRACTION, n_blocks=20):
         return _weighted_slope(t, y, w)[0]
 
     slope = slope_of(f_full)
-    n_blocks = max(2, min(n_blocks, n_traj))
+    n_blocks = max(2, min(JACKKNIFE_BLOCKS, n_traj))
     edges = np.linspace(0, n_traj, n_blocks + 1, dtype=int)
     total = cols.sum(axis=0)
     replicates = []

@@ -7,6 +7,7 @@ randomness keyed by the scenario seed.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
 from .evolve import TrajectoryEnsemble, evolve_noisy, stability_dt_bound
-from .ground import WHICH_LOWEST_TWO, ground_state, pure_phase_vacuum
+from .ground import ground_state, pure_phase_vacuum
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
 from .measure import measurement_cascade, stability_test
@@ -238,7 +239,7 @@ def run_symmetry_breaking(scenario, entries):
         lattice = LatticeSpec(n, p.geometry)
         spec = HamiltonianSpec("transverse-ising", lattice, J=p.J, h=p.h)
         ham = build_hamiltonian(spec)
-        res = ground_state(ham, WHICH_LOWEST_TWO)
+        res = ground_state(ham)
         sym = res.states[0]
         m_op = AdditiveOperator.from_axis(lattice, "z")
         pp = pure_phase_vacuum(spec, p.method, pair=res)
@@ -286,7 +287,9 @@ def run_symmetry_breaking(scenario, entries):
     return {"symmetry-breaking": results}, verdicts
 
 
-def run_ground(scenario, export_base=None):
+def run_ground(scenario, entries):
+    """Lowest two eigenpairs of the scenario's model at each size; with an
+    output path, the ground state of size k goes to <out>_ground_N<k>.state."""
     p = scenario.params
     per_size = []
     exported = []
@@ -294,7 +297,7 @@ def run_ground(scenario, export_base=None):
         lattice = LatticeSpec(n, p.geometry)
         spec = HamiltonianSpec(p.model, lattice, J=p.J, h=p.h, delta=p.delta, B=p.B)
         ham = build_hamiltonian(spec)
-        res = ground_state(ham, WHICH_LOWEST_TWO)
+        res = ground_state(ham)
         m_op = AdditiveOperator.from_axis(lattice, "z")
         per_size.append(
             {
@@ -305,8 +308,9 @@ def run_ground(scenario, export_base=None):
                 "max_fluctuation": max_additive_fluctuation(res.states[0]).max_variance,
             }
         )
-        if export_base is not None:
-            path = f"{export_base}_ground_N{n}.state"
+        if scenario.output_path is not None:
+            path = f"{scenario.output_path}_ground_N{n}.state"
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
             export_state(res.states[0], path)
             exported.append(path)
     results = {"model": p.model, "J": p.J, "h": p.h, "delta": p.delta, "B": p.B, "per_size": per_size}
@@ -315,23 +319,12 @@ def run_ground(scenario, export_base=None):
     return {"ground": results}, {}
 
 
-def run_ground_report(scenario, export_base=None):
-    """Assemble a full report for the ground-state subcommand."""
-    start = time.monotonic()
-    results, verdicts = run_ground(scenario, export_base=export_base)
-    provenance = {
-        "seed": scenario.params.seed,
-        "version": __version__,
-        "wall_time_s": time.monotonic() - start,
-    }
-    return build_report(scenario.echo(), results, verdicts, provenance)
-
-
 _RUNNERS = {
     "classify": run_classify,
     "cluster": run_cluster,
     "decohere": run_decohere,
     "measure": run_measure,
+    "ground": run_ground,
     "symmetry-breaking": run_symmetry_breaking,
 }
 

@@ -23,7 +23,7 @@ from .hamiltonian import MODELS, TRANSVERSE_ISING
 from .lattice import GEOMETRIES, OPEN_CHAIN, LatticeSpec
 from .noise import KERNELS, NoiseModel
 
-EXPERIMENTS = ("classify", "cluster", "decohere", "measure", "symmetry-breaking")
+EXPERIMENTS = ("classify", "cluster", "decohere", "measure", "ground", "symmetry-breaking")
 FORMATS = ("structured", "csv", "both")
 
 _SCALING_EXPERIMENTS = ("classify", "decohere")

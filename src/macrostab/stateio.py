@@ -5,7 +5,6 @@ followed by 2^N lines ``<index> <re> <im>`` in increasing index order,
 17 significant digits per float so amplitudes round-trip bit-exactly.
 """
 
-import io
 import math
 import re
 from pathlib import Path
@@ -44,8 +43,6 @@ def import_state(source, geometry=OPEN_CHAIN):
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as fh:
             return _read(fh, geometry)
-    if isinstance(source, bytes):
-        return _read(io.StringIO(source.decode("ascii")), geometry)
     return _read(source, geometry)
 
 

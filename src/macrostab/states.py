@@ -84,9 +84,6 @@ class StateVector:
             return StateVector(self.lattice, self._amps, normalized=True)
         return StateVector(self.lattice, self._amps / n, normalized=True, _take=True)
 
-    def writable_copy(self):
-        return np.array(self._amps, dtype=np.complex128)
-
     def require_normalized(self):
         if abs(self.norm_squared() - 1.0) > NORM_TOL:
             raise StateError("operation requires a normalized state")

@@ -41,7 +41,6 @@ from macrostab import (
     stability_test,
 )
 from macrostab.catalog import build_state, correspondence_catalog
-from macrostab.ground import WHICH_LOWEST_TWO
 from macrostab.rates import trajectory_rate
 from conftest import dense_tfim, subprocess_env
 
@@ -238,7 +237,7 @@ def test_criterion_8_symmetry_breaking():
         lat = LatticeSpec(n)
         spec = HamiltonianSpec("transverse-ising", lat, J=1.0, h=0.1)
         ham = build_hamiltonian(spec)
-        res = ground_state(ham, WHICH_LOWEST_TWO)
+        res = ground_state(ham)
         dense_evals = np.sort(np.linalg.eigvalsh(dense_tfim(n, 1.0, 0.1)))
         _check(failures, abs(res.energies[0] - dense_evals[0]) <= 1e-8,
                f"N={n}: iterative E0 {res.energies[0]!r} vs dense {dense_evals[0]!r}")

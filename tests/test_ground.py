@@ -4,6 +4,7 @@ import pytest
 from macrostab import (
     AdditiveOperator,
     ArgumentError,
+    GroundStateResult,
     HamiltonianSpec,
     LatticeSpec,
     basis_state,
@@ -14,7 +15,7 @@ from macrostab import (
     pure_phase_vacuum,
 )
 from macrostab import ground, runner
-from macrostab.ground import METHOD_DOUBLET, METHOD_SB_FIELD, WHICH_LOWEST_TWO
+from macrostab.ground import METHOD_DOUBLET, METHOD_SB_FIELD
 from macrostab.scenario import Scenario
 from conftest import dense_tfim
 
@@ -28,19 +29,19 @@ def tfim(n, h, J=1.0, B=0.0):
 class TestGroundState:
     @pytest.mark.parametrize("n,h", [(4, 0.5), (6, 1.0), (8, 2.0)])
     def test_energy_matches_dense(self, n, h):
-        res = ground_state(tfim(n, h), WHICH_LOWEST_TWO)
+        res = ground_state(tfim(n, h))
         dense_evals = np.sort(np.linalg.eigvalsh(dense_tfim(n, 1.0, h)))
         assert res.energies[0] == pytest.approx(dense_evals[0], abs=1e-8)
         assert res.energies[1] == pytest.approx(dense_evals[1], abs=1e-8)
         assert res.energies[0] <= res.energies[1]
 
     def test_residuals_small(self):
-        res = ground_state(tfim(8, 0.7), WHICH_LOWEST_TWO)
+        res = ground_state(tfim(8, 0.7))
         assert all(r <= 1e-9 for r in res.residuals)
 
     def test_symmetric_ground_zero_magnetization(self):
         lat = LatticeSpec(8)
-        res = ground_state(tfim(8, 0.1), WHICH_LOWEST_TWO)
+        res = ground_state(tfim(8, 0.1))
         m = AdditiveOperator.from_axis(lat, "z")
         assert abs(expectation(m, res.states[0])) < 1e-6
         assert abs(expectation(m, res.states[1])) < 1e-6
@@ -51,13 +52,13 @@ class TestGroundState:
         assert fluct >= 0.8 * 64
 
     def test_deterministic(self):
-        a = ground_state(tfim(6, 0.3), WHICH_LOWEST_TWO)
-        b = ground_state(tfim(6, 0.3), WHICH_LOWEST_TWO)
+        a = ground_state(tfim(6, 0.3))
+        b = ground_state(tfim(6, 0.3))
         assert a.energies == b.energies
         assert np.array_equal(a.states[0].amplitudes, b.states[0].amplitudes)
 
     def test_small_chain_direct_path(self):
-        res = ground_state(tfim(2, 1.0), WHICH_LOWEST_TWO)
+        res = ground_state(tfim(2, 1.0))
         assert res.energies[0] == pytest.approx(-np.sqrt(5.0), abs=1e-10)
 
 
@@ -71,7 +72,7 @@ class TestPurePhaseVacuum:
 
     def test_doublet_energy_is_midpoint(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(6), J=1.0, h=0.1)
-        res = ground_state(build_hamiltonian(spec), WHICH_LOWEST_TWO)
+        res = ground_state(build_hamiltonian(spec))
         pp = pure_phase_vacuum(spec, METHOD_DOUBLET)
         assert pp.energy == pytest.approx(0.5 * (res.energies[0] + res.energies[1]), abs=1e-12)
         assert pp.energy >= res.energies[0] - 1e-12
@@ -86,7 +87,7 @@ class TestPurePhaseVacuum:
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(6), J=1.0, h=0.1)
         pp = pure_phase_vacuum(spec, METHOD_SB_FIELD)
         assert pp.magnetization >= 0.9 * 6
-        res = ground_state(build_hamiltonian(spec), WHICH_LOWEST_TWO)
+        res = ground_state(build_hamiltonian(spec))
         # energy under the unbiased Hamiltonian is above the true ground energy
         assert pp.energy >= res.energies[0] - 1e-10
         assert max_additive_fluctuation(pp.state).max_variance <= 2 * 6
@@ -102,9 +103,9 @@ class TestPurePhaseVacuum:
         solved = []
         made = []
 
-        def counted(ham, which="lowest"):
+        def counted(ham):
             solved.append(ham.lattice.n_sites)
-            return ground_state(ham, which)
+            return ground_state(ham)
 
         def recorded(*args, **kwargs):
             made.append(pure_phase_vacuum(*args, **kwargs))
@@ -126,8 +127,10 @@ class TestPurePhaseVacuum:
 
     def test_pair_must_belong_to_spec(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(4), J=1.0, h=0.1)
-        other = ground_state(tfim(5, 0.1), WHICH_LOWEST_TWO)
+        other = ground_state(tfim(5, 0.1))
         with pytest.raises(ArgumentError):
             pure_phase_vacuum(spec, pair=other)
+        pair = ground_state(tfim(4, 0.1))
+        lowest_only = GroundStateResult(pair.states[:1], pair.energies[:1], pair.residuals[:1])
         with pytest.raises(ArgumentError):
-            pure_phase_vacuum(spec, pair=ground_state(tfim(4, 0.1)))
+            pure_phase_vacuum(spec, pair=lowest_only)

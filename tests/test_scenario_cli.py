@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from macrostab import LatticeSpec, ValidationError, export_state, make_ghz, runner
@@ -131,6 +132,9 @@ def _refuse(*args, **kwargs):
         ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--n-traj", "50"],
         ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--dt", "100"],
         ["symmetry-breaking", "--sizes", "4:8:2", "--b-field", "0.1"],
+        ["decohere", "--state", "ghz", "--sizes", "4:12:2", "--seed", "-1"],
+        ["cluster", "--state", "ghz", "--sizes", "4:8:2", "--seed", "-5"],
+        ["cluster", "--state", "nosuch", "--sizes", "4:8:2"],
     ],
 )
 def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
@@ -138,6 +142,59 @@ def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
     monkeypatch.setattr(runner, "import_state", _refuse)
     monkeypatch.setattr(runner, "ground_state", _refuse)
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--state", "ghz", "--sizes", "4:8:2", "--model", "xxz"],
+        ["classify", "--state", "ghz", "--sizes", "4:8:2", "--delta", "3"],
+        ["symmetry-breaking", "--sizes", "4:8:2", "--delta", "2"],
+        ["ground", "--sizes", "4", "--export", "st"],
+    ],
+)
+def test_flags_no_scenario_reads_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+# each subcommand next to the scenario file it stands for
+_CLI_FILE_PAIRS = [
+    (["classify", "--state", "ghz", "--sizes", "4:8:2"],
+     {"state": {"family": "ghz"}, "sizes": [4, 6, 8]}),
+    (["cluster", "--state", "tfim-ground", "--h", "0.3", "--sizes", "4:6:2", "--epsilon", "0.2"],
+     {"state": {"family": "tfim-ground", "params": {"J": 1.0, "h": 0.3}}, "sizes": [4, 6],
+      "params": {"h": 0.3, "epsilon": 0.2}}),
+    (["decohere", "--state", "ghz", "--sizes", "4:6", "--kernel", "independent", "--n-traj", "100",
+      "--seed", "7"],
+     {"state": {"family": "ghz"}, "sizes": [4, 5, 6],
+      "params": {"kernel": "independent", "n_traj": 100, "seed": 7}}),
+    (["measure", "--state", "dicke", "--k", "2", "--sizes", "5", "--min-distance", "2"],
+     {"state": {"family": "dicke", "params": {"k": 2}}, "sizes": [5], "params": {"min_distance": 2}}),
+    (["ground", "--model", "xxz", "--delta", "0.5", "--sizes", "4:6:2"],
+     {"sizes": [4, 6], "params": {"model": "xxz", "delta": 0.5}}),
+    (["symmetry-breaking", "--sizes", "4:6:2", "--kappa", "0.02"],
+     {"sizes": [4, 6], "params": {"kappa": 0.02}}),
+]
+
+
+@pytest.mark.parametrize("argv,scenario", _CLI_FILE_PAIRS, ids=[a[0] for a, _ in _CLI_FILE_PAIRS])
+def test_subcommand_matches_its_scenario_file(argv, scenario, tmp_path):
+    out = tmp_path / "out" / "rep"
+
+    def outputs():
+        files = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+        files["rep.json"] = _strip_wall_time(files["rep.json"].decode())
+        return files
+
+    assert main([*argv, "--out", str(out)]) == 0
+    from_cli = outputs()
+    raw = {"name": argv[0], "experiments": [argv[0]], "output": {"path": str(out)}, **scenario}
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 0
+    assert outputs() == from_cli
 
 
 def test_invalid_experiment_later_in_scenario_stops_before_any_state(tmp_path, monkeypatch):
@@ -222,16 +279,34 @@ class TestCliEndToEnd:
     def test_ground_export_roundtrip(self, tmp_path):
         out = tmp_path / "rep"
         code = main([
-            "ground", "--model", "transverse-ising", "--h", "0.5", "--sizes", "4",
-            "--export", str(tmp_path / "st"), "--out", str(out),
+            "ground", "--model", "transverse-ising", "--h", "0.5", "--sizes", "4", "--out", str(out),
         ])
         assert code == 0
         from macrostab import import_state
 
-        psi = import_state(tmp_path / "st_ground_N4.state")
+        psi = import_state(tmp_path / "rep_ground_N4.state")
         assert psi.n_sites == 4
         report = json.loads((tmp_path / "rep.json").read_text())
         assert report["results"]["ground"]["per_size"][0]["residuals"][0] <= 1e-9
+
+    def test_ground_scenario_file_writes_its_states(self, tmp_path):
+        from macrostab import HamiltonianSpec, build_hamiltonian, ground_state, import_state
+
+        scen = {
+            "name": "xxz", "sizes": [4, 6], "experiments": ["ground"],
+            "params": {"model": "xxz", "delta": 0.5},
+            "output": {"path": str(tmp_path / "g"), "format": "structured"},
+        }
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(scen))
+        assert main(["run", str(path)]) == 0
+        report = json.loads((tmp_path / "g.json").read_text())
+        exported = report["results"]["ground"]["exported"]
+        assert exported == [str(tmp_path / f"g_ground_N{n}.state") for n in (4, 6)]
+        for n, state_path in zip((4, 6), exported):
+            spec = HamiltonianSpec("xxz", LatticeSpec(n), J=1.0, h=0.1, delta=0.5)
+            solved = ground_state(build_hamiltonian(spec)).states[0]
+            assert np.array_equal(import_state(state_path).amplitudes, solved.amplitudes)
 
     def test_invalid_args_exit_2(self):
         assert main(["classify", "--state", "ghz", "--sizes", "4:6:2"]) == 2  # two sizes only
