@@ -19,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .operators import (
-    PAULI_AXES,
-    AdditiveOperator,
-    additive_variance,
-    centered_applied_vectors,
-    pauli,
-)
+from .operators import PAULI_AXES, AdditiveOperator, _real_expectation, additive_variance
+from .states import _cdot
 
 AFS = "AFS"
 NFS = "NFS"
@@ -54,30 +49,38 @@ class CovarianceMatrix:
         return self.entries[a::3, b::3]
 
 
-def _pauli_operator_list(lattice):
-    ops = []
-    for x in lattice.sites:
-        for axis in PAULI_AXES:
-            ops.append(pauli(lattice, x, axis))
-    return ops
-
-
 def covariance_matrix(psi):
-    """Covariance of all 3N single-site Pauli fluctuations of ``psi``.
+    """Two-point Pauli table: covariances of all 3N single-site Pauli
+    fluctuations of ``psi``, built once per state and shared by its diagnostics.
 
-    Built as the real part of the Gram matrix of centered applied vectors,
-    which makes it symmetric and positive semidefinite by construction.
-    With the rows read as real vectors of (re, im) pairs, Re <phi_a|phi_b>
-    is one real product V V^T, which BLAS evaluates as an exactly
-    symmetric rank-k update without complex or transposed copies.
+    Row 3x+a of V is (sigma_a(x) - <sigma_a(x)>)|psi> as real (re, im) pairs,
+    filled by slicing the amplitudes along the bit of site x: sigma_x swaps
+    the halves, sigma_y swaps them with re/im exchanged and signs, sigma_z
+    negates the bit-1 half.  C = V V^T is one BLAS rank-k update, exactly
+    symmetric and positive semidefinite by construction.
     """
-    lattice = psi.lattice
-    phi, means = centered_applied_vectors(psi, _pauli_operator_list(lattice))
-    v = phi.view(np.float64)
+    psi.require_normalized()
+    amps = psi.amplitudes
+    flat = amps.view(np.float64)
+    v = np.empty((3 * psi.n_sites, flat.size))
+    for x in psi.lattice.sites:
+        src = flat.reshape(-1, 2, 1 << x, 2)  # (high bits, bit x, low bits, re/im)
+        sx, sy, sz = (v[3 * x + a].reshape(src.shape) for a in range(3))
+        sx[:, 0] = src[:, 1]
+        sx[:, 1] = src[:, 0]
+        sy[:, 0, :, 0] = src[:, 1, :, 1]  # -i psi_1
+        np.negative(src[:, 1, :, 0], out=sy[:, 0, :, 1])
+        np.negative(src[:, 0, :, 1], out=sy[:, 1, :, 0])  # i psi_0
+        sy[:, 1, :, 1] = src[:, 0, :, 0]
+        sz[:, 0] = src[:, 0]
+        np.negative(src[:, 1], out=sz[:, 1])
+    means = np.array([_real_expectation(_cdot(amps, row)) for row in v.view(np.complex128)])
+    for k in range(len(v)):
+        v[k] -= means[k] * flat
     entries = v @ v.T
     entries.flags.writeable = False
     means.flags.writeable = False
-    return CovarianceMatrix(lattice, entries, means)
+    return CovarianceMatrix(psi.lattice, entries, means)
 
 
 @dataclass(frozen=True)
@@ -99,14 +102,16 @@ class FluctuationReport:
         return AdditiveOperator.from_coefficients(self.lattice, self.optimal_coefficients)
 
 
-def max_additive_fluctuation(psi):
+def max_additive_fluctuation(psi, cov=None):
     """Maximize <dA^2> over additive Pauli observables with sum c^2 = N.
 
-    The optimum is N * lambda_max of the covariance matrix; the report is
-    cross-checked by rebuilding the maximizing operator and evaluating its
-    variance directly.
+    The optimum is N * lambda_max of the covariance matrix ``cov``, which
+    is built from ``psi`` unless the caller holds it already.  The report
+    is cross-checked by rebuilding the maximizing operator and evaluating
+    its variance directly.
     """
-    cov = covariance_matrix(psi)
+    if cov is None:
+        cov = covariance_matrix(psi)
     n = psi.n_sites
     try:
         evals, evecs = np.linalg.eigh(cov.entries)

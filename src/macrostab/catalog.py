@@ -3,90 +3,83 @@
 import math
 
 from .errors import ArgumentError
-from .ground import METHOD_DOUBLET, ground_state, pure_phase_vacuum
+from .ground import METHOD_DOUBLET, METHODS, ground_state, pure_phase_vacuum
 from .hamiltonian import TRANSVERSE_ISING, HamiltonianSpec, build_hamiltonian
 from .lattice import OPEN_CHAIN, LatticeSpec
 from .states import make_dicke, make_ghz, make_uniform_product
 
+_NUMBER, _INTEGER = "a number", "an integer"
+_TYPES = {_NUMBER: (int, float), _INTEGER: int}
 
-def _reject_unknown(params, allowed, family):
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ArgumentError(
-            f"unknown parameter(s) {sorted(unknown)} for state family {family!r}"
-        )
+# The params each family accepts: a type or a tuple of allowed values.
+# "catalog" names the whole correspondence catalog, which takes none.
+FAMILY_PARAMS = {
+    "ghz": {},
+    "product-up": {},
+    "product-plus": {},
+    "product": {"theta": _NUMBER, "phi": _NUMBER},
+    "w": {},
+    "dicke": {"k": _INTEGER},
+    "dicke-half": {},
+    "tfim-ground": {"J": _NUMBER, "h": _NUMBER, "B": _NUMBER},
+    "tfim-paramagnetic": {"J": _NUMBER},
+    "pure-phase": {"J": _NUMBER, "h": _NUMBER, "method": METHODS},
+    "catalog": {},
+}
 
 
-def _tfim_ground(n_sites, geometry, params, default_h):
-    spec = HamiltonianSpec(
-        TRANSVERSE_ISING,
-        LatticeSpec(n_sites, geometry),
-        J=float(params.get("J", 1.0)),
-        h=float(params.get("h", default_h)),
-        B=float(params.get("B", 0.0)),
-    )
-    return ground_state(build_hamiltonian(spec)).states[0]
+def check_state_params(family, params):
+    """Reject an unknown family, unknown or mistyped params and a Dicke
+    state without k."""
+    if family not in FAMILY_PARAMS:
+        raise ArgumentError(f"unknown state family {family!r}")
+    for key, val in params.items():
+        kind = FAMILY_PARAMS[family].get(key)
+        if kind is None:
+            raise ArgumentError(f"unknown parameter {key!r} for state family {family!r}")
+        if isinstance(kind, tuple):
+            ok, kind = val in kind, f"one of {list(kind)}"
+        else:
+            ok = isinstance(val, _TYPES[kind]) and not isinstance(val, bool)
+        if not ok:
+            raise ArgumentError(f"state parameter {key!r} of family {family!r} must be {kind}, got {val!r}")
+    if family == "dicke" and "k" not in params:
+        raise ArgumentError("dicke family needs parameter k")
+
+
+def _tfim_spec(lattice, params, default_h):
+    J, h, B = (float(params.get(k, d)) for k, d in (("J", 1.0), ("h", default_h), ("B", 0.0)))
+    return HamiltonianSpec(TRANSVERSE_ISING, lattice, J=J, h=h, B=B)
 
 
 def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None):
     """Construct a catalog state by family name."""
     params = dict(params or {})
+    check_state_params(family, params)
     lattice = LatticeSpec(n_sites, geometry)
     if family == "ghz":
-        _reject_unknown(params, (), family)
         return make_ghz(lattice)
     if family == "product-up":
-        _reject_unknown(params, (), family)
         return make_uniform_product(lattice, 0.0)
     if family == "product-plus":
-        _reject_unknown(params, (), family)
         return make_uniform_product(lattice, math.pi / 2)
     if family == "product":
-        _reject_unknown(params, ("theta", "phi"), family)
         return make_uniform_product(
             lattice, float(params.get("theta", 0.0)), float(params.get("phi", 0.0))
         )
     if family == "w":
-        _reject_unknown(params, (), family)
         return make_dicke(lattice, 1)
     if family == "dicke-half":
-        _reject_unknown(params, (), family)
         return make_dicke(lattice, n_sites // 2)
     if family == "dicke":
-        _reject_unknown(params, ("k",), family)
-        if "k" not in params:
-            raise ArgumentError("dicke family needs parameter k")
-        return make_dicke(lattice, int(params["k"]))
-    if family == "tfim-ground":
-        _reject_unknown(params, ("J", "h", "B"), family)
-        return _tfim_ground(n_sites, geometry, params, default_h=0.1)
-    if family == "tfim-paramagnetic":
-        _reject_unknown(params, ("J",), family)
-        return _tfim_ground(n_sites, geometry, params, default_h=2.0)
+        return make_dicke(lattice, params["k"])
+    if family in ("tfim-ground", "tfim-paramagnetic"):
+        spec = _tfim_spec(lattice, params, 0.1 if family == "tfim-ground" else 2.0)
+        return ground_state(build_hamiltonian(spec)).states[0]
     if family == "pure-phase":
-        _reject_unknown(params, ("J", "h", "method"), family)
-        spec = HamiltonianSpec(
-            TRANSVERSE_ISING,
-            lattice,
-            J=float(params.get("J", 1.0)),
-            h=float(params.get("h", 0.1)),
-        )
+        spec = _tfim_spec(lattice, params, 0.1)
         return pure_phase_vacuum(spec, params.get("method", METHOD_DOUBLET)).state
-    raise ArgumentError(f"unknown state family {family!r}")
-
-
-FAMILY_NAMES = (
-    "ghz",
-    "product-up",
-    "product-plus",
-    "product",
-    "w",
-    "dicke",
-    "dicke-half",
-    "tfim-ground",
-    "tfim-paramagnetic",
-    "pure-phase",
-)
+    raise ArgumentError("the catalog is a set of families; build its states one family at a time")
 
 
 def correspondence_catalog():

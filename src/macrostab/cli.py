@@ -63,18 +63,18 @@ def _add_state(p):
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--phi", type=float, default=None)
     p.add_argument("--method", default=None, help="pure-phase construction method")
-    _add_couplings(p)
+    _add_couplings(p, h_default=0.1, h_help="transverse field of tfim-ground and pure-phase")
 
 
-def _add_couplings(p):
+def _add_couplings(p, h_default, h_help):
     p.add_argument("--j", dest="J", type=float, default=1.0)
-    p.add_argument("--h", dest="h", type=float, default=0.1)
+    p.add_argument("--h", dest="h", type=float, default=h_default, help=h_help)
     p.add_argument("--b-field", dest="B", type=float, default=0.0)
 
 
 def _add_model(p):
     p.add_argument("--model", choices=("transverse-ising", "xxz"), default="transverse-ising")
-    _add_couplings(p)
+    _add_couplings(p, h_default=None, h_help="transverse field (default 0.1 for transverse-ising, 0 for xxz)")
 
 
 def build_parser():

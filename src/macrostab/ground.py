@@ -25,6 +25,7 @@ RESIDUAL_TOL = 1e-9
 
 METHOD_DOUBLET = "doublet-superposition"
 METHOD_SB_FIELD = "sb-field-limit"
+METHODS = (METHOD_DOUBLET, METHOD_SB_FIELD)
 
 _PARITY_MIX_TOL = 1e-13
 _DENSE_CUTOFF = 64
@@ -140,7 +141,7 @@ def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
     it; the doublet superposition is built from it instead of a second
     identical solve.  The sb-field limit does not use it.
     """
-    if method not in (METHOD_DOUBLET, METHOD_SB_FIELD):
+    if method not in METHODS:
         raise ArgumentError(f"unknown pure-phase method {method!r}")
     if pair is not None and (len(pair.states) != 2 or pair.states[0].lattice != spec.lattice):
         raise ArgumentError("pair must be the lowest-two ground-state result of spec")

@@ -415,20 +415,23 @@ class CascadeResult:
     final_state: StateVector
 
 
-def measurement_cascade(psi, nfs_factor=3.0):
+def measurement_cascade(psi, nfs_factor=3.0, fluctuation=None):
     """Measure sigma_z at one site after another until fluctuations look normal.
 
     Deterministic outcome policy: take the more probable branch (ties go
     to the larger eigenvalue).  A state counts as NFS here once its
     maximal additive fluctuation drops to ``nfs_factor * N``, an O(N)
-    proxy consistent with every product-like exemplar.
+    proxy consistent with every product-like exemplar.  ``fluctuation``
+    is the ``FluctuationReport`` of ``psi`` when the caller holds it.
     """
     psi.require_normalized()
     n = psi.n_sites
     threshold = nfs_factor * n
     steps = []
     current = psi
-    reached = max_additive_fluctuation(current).max_variance <= threshold
+    if fluctuation is None:
+        fluctuation = max_additive_fluctuation(psi)
+    reached = fluctuation.max_variance <= threshold
     for site in range(n):
         if reached:
             break

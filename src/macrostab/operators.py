@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ArgumentError, NumericalError
 from .lattice import LatticeSpec
-from .states import StateVector, _cdot
+from .states import StateVector
 
 HERMITICITY_TOL = 1e-12
 IMAG_TOL = 1e-8
@@ -160,18 +160,3 @@ def additive_variance(additive, psi):
     first = _real_expectation(psi.overlap(phi))
     var = second - first * first
     return var if var > 0.0 else 0.0
-
-
-def centered_applied_vectors(psi, ops):
-    """Rows (op - <op>)|psi> plus the means; Gram matrices of the rows give
-    symmetrized fluctuation covariances."""
-    psi.require_normalized()
-    amps = psi.amplitudes
-    phi = np.empty((len(ops), psi.dim), dtype=np.complex128)
-    means = np.empty(len(ops), dtype=np.float64)
-    for k, op in enumerate(ops):
-        psi.lattice.validate_site(op.site)
-        phi[k] = _apply_matrix_at_site(amps, op.site, op.matrix)
-        means[k] = _real_expectation(_cdot(amps, phi[k]))
-        phi[k] -= means[k] * amps
-    return phi, means

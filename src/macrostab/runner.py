@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyzer import classify_scaling, max_additive_fluctuation
+from .analyzer import classify_scaling, covariance_matrix, max_additive_fluctuation
 from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
@@ -243,7 +243,10 @@ def run_symmetry_breaking(scenario, entries):
         sym = res.states[0]
         m_op = AdditiveOperator.from_axis(lattice, "z")
         pp = pure_phase_vacuum(spec, p.method, pair=res)
-        cascade = measurement_cascade(sym, nfs_factor=p.nfs_factor)
+        cov_sym = covariance_matrix(sym)
+        cov_pp = covariance_matrix(pp.state)
+        fluct_sym = max_additive_fluctuation(sym, cov_sym)
+        cascade = measurement_cascade(sym, nfs_factor=p.nfs_factor, fluctuation=fluct_sym)
         per_size.append(
             {
                 "n": n,
@@ -251,10 +254,10 @@ def run_symmetry_breaking(scenario, entries):
                 "e_pure_phase": pp.energy,
                 "m_symmetric": expectation(m_op, sym),
                 "m_pure_phase": pp.magnetization,
-                "fluct_symmetric": max_additive_fluctuation(sym).max_variance,
-                "fluct_pure_phase": max_additive_fluctuation(pp.state).max_variance,
-                "gamma_symmetric": analytic_dephasing_rate(sym, noise),
-                "gamma_pure_phase": analytic_dephasing_rate(pp.state, noise),
+                "fluct_symmetric": fluct_sym.max_variance,
+                "fluct_pure_phase": max_additive_fluctuation(pp.state, cov_pp).max_variance,
+                "gamma_symmetric": analytic_dephasing_rate(sym, noise, cov_sym),
+                "gamma_pure_phase": analytic_dephasing_rate(pp.state, noise, cov_pp),
                 "cascade_measurements": len(cascade.steps),
                 "cascade_reached_nfs": cascade.reached_nfs,
                 "cascade": [

@@ -14,12 +14,13 @@ typo can never silently change physics parameters.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .catalog import FAMILY_NAMES
+from .catalog import check_state_params
 from .errors import FormatError, ValidationError
 from .evolve import MIN_TRAJECTORIES, stability_dt_bound
-from .hamiltonian import MODELS, TRANSVERSE_ISING
+from .ground import METHODS
+from .hamiltonian import MODELS, TRANSVERSE_ISING, XXZ
 from .lattice import GEOMETRIES, OPEN_CHAIN, LatticeSpec
 from .noise import KERNELS, NoiseModel
 
@@ -28,6 +29,14 @@ FORMATS = ("structured", "csv", "both")
 
 _SCALING_EXPERIMENTS = ("classify", "decohere")
 _STATEFUL_EXPERIMENTS = ("classify", "cluster", "decohere", "measure")
+
+# the transverse field h of each model when a scenario leaves it unset
+MODEL_FIELD = {TRANSVERSE_ISING: 0.1, XXZ: 0.0}
+
+
+def _require(cond, message):
+    if not cond:
+        raise ValidationError(message)
 
 
 @dataclass(frozen=True)
@@ -45,12 +54,17 @@ class ScenarioParams:
     seed: int = 12345
     model: str = TRANSVERSE_ISING
     J: float = 1.0
-    h: float = 0.1
+    h: float = None  # unset: the model's own transverse field, MODEL_FIELD
     delta: float = 1.0
     B: float = 0.0
     method: str = "doublet-superposition"
     nfs_factor: float = 3.0
     geometry: str = OPEN_CHAIN
+
+    def __post_init__(self):
+        _require(self.model in MODELS, f"params.model must be one of {MODELS}")
+        if self.h is None:
+            object.__setattr__(self, "h", MODEL_FIELD[self.model])
 
     def noise_model(self):
         """The correlated noise a decohere run couples to."""
@@ -134,11 +148,6 @@ class Scenario:
         }
 
 
-def _require(cond, message):
-    if not cond:
-        raise ValidationError(message)
-
-
 def _check_keys(obj, allowed, where):
     _require(isinstance(obj, dict), f"{where} must be an object")
     unknown = set(obj) - set(allowed)
@@ -190,20 +199,15 @@ def validate_scenario(raw):
         sparams = sobj.get("params") or {}
         _require(isinstance(sparams, dict), "scenario.state.params must be an object")
         if family is not None:
-            _require(
-                family in FAMILY_NAMES + ("catalog",),
-                f"unknown state family {family!r}",
-            )
+            check_state_params(family, sparams)
         state = StateSource(family=family, params=dict(sparams), file=file_path)
 
-    defaults = ScenarioParams()
     pobj = raw.get("params") or {}
-    _check_keys(pobj, tuple(asdict(defaults)), "scenario.params")
-    merged = dict(asdict(defaults))
+    merged = {f.name: f.default for f in fields(ScenarioParams)}
+    _check_keys(pobj, tuple(merged), "scenario.params")
     for key, val in pobj.items():
         if val is None:
             continue
-        ref = getattr(defaults, key)
         if key in ("min_distance", "n_traj", "seed"):
             _require(isinstance(val, int) and not isinstance(val, bool), f"params.{key} must be an integer")
         elif key in ("kernel", "axis", "model", "method", "geometry"):
@@ -214,7 +218,7 @@ def validate_scenario(raw):
         merged[key] = val
     _require(merged["kernel"] in KERNELS, f"params.kernel must be one of {KERNELS}")
     _require(merged["axis"] in ("x", "y", "z"), "params.axis must be x, y or z")
-    _require(merged["model"] in MODELS, f"params.model must be one of {MODELS}")
+    _require(merged["method"] in METHODS, f"params.method must be one of {METHODS}")
     _require(merged["geometry"] in GEOMETRIES, f"params.geometry must be one of {GEOMETRIES}")
     _require(0 <= merged["seed"] < 2**64, "params.seed must fit in 64 bits")
     params = ScenarioParams(**merged)

@@ -22,7 +22,7 @@ from macrostab import (
     pauli,
     expectation,
 )
-from conftest import random_state_amps
+from conftest import PAULI, dense_site_op, random_state_amps
 
 
 class TestCovariance:
@@ -46,6 +46,18 @@ class TestCovariance:
                 assert cov.entries[3 * x + a, 3 * x + a] == pytest.approx(
                     1 - mean**2, abs=1e-10
                 )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_dense_kron_oracle(self, n, rng):
+        # rows 3x+a against sigma_a(x) built by Kronecker products
+        amps = random_state_amps(n, rng)
+        ops = [dense_site_op(n, x, PAULI[a]) for x in range(n) for a in "xyz"]
+        applied = np.array([op @ amps for op in ops])
+        means = (applied @ amps.conj()).real
+        second = (applied.conj() @ applied.T).real
+        cov = covariance_matrix(StateVector(LatticeSpec(n), amps))
+        assert np.allclose(cov.means, means, rtol=0, atol=1e-12)
+        assert np.allclose(cov.entries, second - np.outer(means, means), rtol=0, atol=1e-12)
 
     def test_symmetric_and_psd(self, rng):
         psi = StateVector(LatticeSpec(4), random_state_amps(4, rng))

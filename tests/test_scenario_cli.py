@@ -45,6 +45,21 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             validate_scenario(raw)
 
+    def test_unknown_method_and_model(self):
+        for params in ({"method": "nosuch"}, {"model": "nosuch"}):
+            raw = self.base()
+            raw["params"] = params
+            with pytest.raises(ValidationError):
+                validate_scenario(raw)
+
+    def test_unset_field_follows_the_model(self):
+        raw = self.base()
+        assert validate_scenario(raw).params.h == 0.1
+        raw["params"] = {"model": "xxz"}
+        assert validate_scenario(raw).params.h == 0.0
+        raw["params"] = {"model": "xxz", "h": 0.3}
+        assert validate_scenario(raw).params.h == 0.3
+
     def test_unknown_experiment(self):
         raw = self.base()
         raw["experiments"] = ["classify", "teleport"]
@@ -135,6 +150,8 @@ def _refuse(*args, **kwargs):
         ["decohere", "--state", "ghz", "--sizes", "4:12:2", "--seed", "-1"],
         ["cluster", "--state", "ghz", "--sizes", "4:8:2", "--seed", "-5"],
         ["cluster", "--state", "nosuch", "--sizes", "4:8:2"],
+        ["cluster", "--state", "ghz", "--sizes", "4:8:2", "--k", "2"],
+        ["measure", "--state", "pure-phase", "--sizes", "4", "--method", "nosuch"],
     ],
 )
 def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
@@ -142,6 +159,29 @@ def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
     monkeypatch.setattr(runner, "import_state", _refuse)
     monkeypatch.setattr(runner, "ground_state", _refuse)
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"family": "dicke", "params": {"k": "two"}},
+        {"family": "dicke", "params": {"k": 2.0}},
+        {"family": "dicke"},
+        {"family": "catalog", "params": {"k": 2}},
+        {"family": "ghz", "params": {"J": 1.0}},
+        {"family": "product", "params": {"theta": True}},
+        {"family": "tfim-ground", "params": {"h": "0.1"}},
+        {"family": "pure-phase", "params": {"method": "nosuch"}},
+    ],
+)
+def test_invalid_state_params_exit_before_any_state(state, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "build_state", _refuse)
+    monkeypatch.setattr(runner, "ground_state", _refuse)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(
+        {"name": "p", "state": state, "sizes": [4, 5, 6], "experiments": ["cluster"]}
+    ))
+    assert main(["run", str(path)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -231,6 +271,27 @@ def test_catalog_states_resolved_once_per_scenario(monkeypatch):
     assert len(report["results"]["correspondence"]) == len(correspondence_catalog())
 
 
+def test_symmetry_breaking_builds_one_table_per_state(monkeypatch):
+    # the symmetric state, the pure-phase vacuum and each cascade post-state
+    import macrostab
+
+    tables = []
+    original = macrostab.analyzer.covariance_matrix
+
+    def counted(psi):
+        tables.append(psi)
+        return original(psi)
+
+    for module in ("analyzer", "cluster", "measure", "rates", "runner"):
+        monkeypatch.setattr(getattr(macrostab, module), "covariance_matrix", counted)
+    scenario = Scenario("sb", (4, 6, 8), ("symmetry-breaking",))
+    per_size = runner.run_scenario(scenario)["results"]["symmetry-breaking"]["per_size"]
+    steps = sum(len(row["cascade"]) for row in per_size)
+    assert steps > 0
+    assert len(tables) == 2 * len(per_size) + steps
+    assert len({id(psi) for psi in tables}) == len(tables)
+
+
 def test_state_file_imported_once(tmp_path, monkeypatch):
     path = tmp_path / "g.state"
     export_state(make_ghz(LatticeSpec(4)), path)
@@ -304,9 +365,23 @@ class TestCliEndToEnd:
         exported = report["results"]["ground"]["exported"]
         assert exported == [str(tmp_path / f"g_ground_N{n}.state") for n in (4, 6)]
         for n, state_path in zip((4, 6), exported):
-            spec = HamiltonianSpec("xxz", LatticeSpec(n), J=1.0, h=0.1, delta=0.5)
+            spec = HamiltonianSpec("xxz", LatticeSpec(n), J=1.0, delta=0.5)
             solved = ground_state(build_hamiltonian(spec)).states[0]
             assert np.array_equal(import_state(state_path).amplitudes, solved.amplitudes)
+
+    def test_ground_field_defaults_to_the_models(self, tmp_path):
+        from macrostab import HamiltonianSpec, build_hamiltonian, ground_state
+
+        for model, field in (("xxz", 0.0), ("transverse-ising", 0.1)):
+            out = tmp_path / model
+            assert main(["ground", "--model", model, "--j", "1", "--delta", "1", "--sizes", "4:6:2",
+                         "--out", str(out), "--format", "structured"]) == 0
+            report = json.loads((tmp_path / f"{model}.json").read_text())
+            assert report["scenario"]["params"]["h"] == field
+            assert report["results"]["ground"]["h"] == field
+            for row in report["results"]["ground"]["per_size"]:
+                spec = HamiltonianSpec(model, LatticeSpec(row["n"]), J=1.0, h=field, delta=1.0)
+                assert row["energies"] == list(ground_state(build_hamiltonian(spec)).energies)
 
     def test_invalid_args_exit_2(self):
         assert main(["classify", "--state", "ghz", "--sizes", "4:6:2"]) == 2  # two sizes only
