@@ -51,7 +51,9 @@ class CovarianceMatrix:
 
 def covariance_matrix(psi):
     """Two-point Pauli table: covariances of all 3N single-site Pauli
-    fluctuations of ``psi``, built once per state and shared by its diagnostics.
+    fluctuations of ``psi``.  It is computed on the state's first use and
+    kept with the state, so every later call returns the same read-only
+    table and all diagnostics of one state share it.
 
     Row 3x+a of V is (sigma_a(x) - <sigma_a(x)>)|psi> as real (re, im) pairs,
     filled by slicing the amplitudes along the bit of site x: sigma_x swaps
@@ -59,6 +61,8 @@ def covariance_matrix(psi):
     negates the bit-1 half.  C = V V^T is one BLAS rank-k update, exactly
     symmetric and positive semidefinite by construction.
     """
+    if psi._table is not None:
+        return psi._table
     psi.require_normalized()
     amps = psi.amplitudes
     flat = amps.view(np.float64)
@@ -80,7 +84,9 @@ def covariance_matrix(psi):
     entries = v @ v.T
     entries.flags.writeable = False
     means.flags.writeable = False
-    return CovarianceMatrix(psi.lattice, entries, means)
+    table = CovarianceMatrix(psi.lattice, entries, means)
+    object.__setattr__(psi, "_table", table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -102,19 +108,17 @@ class FluctuationReport:
         return AdditiveOperator.from_coefficients(self.lattice, self.optimal_coefficients)
 
 
-def max_additive_fluctuation(psi, cov=None):
+def max_additive_fluctuation(psi):
     """Maximize <dA^2> over additive Pauli observables with sum c^2 = N.
 
-    The optimum is N * lambda_max of the covariance matrix ``cov``, which
-    is built from ``psi`` unless the caller holds it already.  The report
-    is cross-checked by rebuilding the maximizing operator and evaluating
-    its variance directly.
+    The optimum is N * lambda_max of the state's covariance matrix, which
+    is computed on the state's first use and kept with it.  The report is
+    cross-checked by rebuilding the maximizing operator and evaluating its
+    variance directly.
     """
-    if cov is None:
-        cov = covariance_matrix(psi)
     n = psi.n_sites
     try:
-        evals, evecs = np.linalg.eigh(cov.entries)
+        evals, evecs = np.linalg.eigh(covariance_matrix(psi).entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance eigensolve failed: {exc}") from exc
     lam = float(evals[-1])

@@ -13,6 +13,10 @@ import json
 import sys
 
 from .errors import MacrostabError, ValidationError
+from .hamiltonian import MODELS
+from .lattice import GEOMETRIES
+from .noise import KERNELS
+from .operators import PAULI_AXES
 from .runner import run_scenario, write_report_files
 from .scenario import FORMATS, load_scenario, validate_scenario
 
@@ -53,7 +57,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--out", default=None, help="output base path (writes <out>.json / CSVs)")
     p.add_argument("--format", choices=FORMATS, default="both")
-    p.add_argument("--geometry", choices=("open-chain", "periodic-chain"), default="open-chain")
+    p.add_argument("--geometry", choices=GEOMETRIES, default="open-chain")
 
 
 def _add_state(p):
@@ -73,7 +77,7 @@ def _add_couplings(p, h_default, h_help):
 
 
 def _add_model(p):
-    p.add_argument("--model", choices=("transverse-ising", "xxz"), default="transverse-ising")
+    p.add_argument("--model", choices=MODELS, default="transverse-ising")
     _add_couplings(p, h_default=None, h_help="transverse field (default 0.1 for transverse-ising, 0 for xxz)")
 
 
@@ -98,8 +102,8 @@ def build_parser():
     _add_common(p)
     _add_state(p)
     p.add_argument("--kappa", type=float, default=0.01)
-    p.add_argument("--kernel", choices=("collective", "independent", "exponential"), default="collective")
-    p.add_argument("--axis", choices=("x", "y", "z"), default="z")
+    p.add_argument("--kernel", choices=KERNELS, default="collective")
+    p.add_argument("--axis", choices=PAULI_AXES, default="z")
     p.add_argument("--xi", type=float, default=2.0)
     p.add_argument("--n-traj", type=int, default=200, help="0 runs analytic rates only")
     p.add_argument("--dt", type=float, default=None)

@@ -28,22 +28,21 @@ JACKKNIFE_BLOCKS = 20
 _PAULI_STACK = np.stack([PAULI_MATRICES[a] for a in PAULI_AXES])
 
 
-def analytic_dephasing_rate(psi, noise, cov=None):
+def analytic_dephasing_rate(psi, noise):
     """Initial fidelity-decay rate of ``psi`` under ``noise``.
 
     Each coupling decomposes as a(x) = c_x0 + sum_k c_xk sigma_k(x) with
     c_xk = (1/2) Re tr(sigma_k a(x)).  The identity part c_x0 drops out of
     the fluctuation, so Re<da(x) da(y)> = c_x^T C_xy c_y on the two-point
-    Pauli table C of ``psi``, ``cov`` when the caller holds it.
+    Pauli table C of ``psi``, computed on the state's first use and kept
+    with it.
     """
-    if cov is None:
-        cov = covariance_matrix(psi)
     lattice = psi.lattice
     n = lattice.n_sites
     ops = noise.coupling_operators(lattice)
     g = noise.kernel_matrix(lattice)
     coeffs = 0.5 * np.einsum("kij,xji->xk", _PAULI_STACK, [op.matrix for op in ops]).real
-    table = cov.entries.reshape(n, 3, n, 3)
+    table = covariance_matrix(psi).entries.reshape(n, 3, n, 3)
     rate = noise.kappa * float(np.einsum("xy,xk,xkyl,yl->", g, coeffs, table, coeffs))
     return rate if rate > 0.0 else 0.0
 

@@ -7,12 +7,13 @@ randomness keyed by the scenario seed.
 """
 
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analyzer import classify_scaling, covariance_matrix, max_additive_fluctuation
+from .analyzer import classify_scaling, max_additive_fluctuation
 from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
@@ -107,12 +108,7 @@ def run_cluster(scenario, entries):
         entry = {"label": label, "per_size": per_size}
         if len(scenario.sizes) >= 3:
             cv = cluster_verdict(points)
-            entry["verdict"] = {
-                "has_cluster_property": cv.has_cluster_property,
-                "tail_constant": cv.tail_constant,
-                "tail_small": cv.tail_small,
-                "points": [list(p) for p in cv.points],
-            }
+            entry["verdict"] = asdict(cv)
             verdicts[f"cluster/{label}"] = cv.has_cluster_property
         per_state.append(entry)
     return {"cluster": {"per_state": per_state}}, verdicts
@@ -123,41 +119,10 @@ def run_measure(scenario, entries):
     per_state = []
     verdicts = {}
     for label, states in entries:
-        per_size = []
-        for n in scenario.sizes:
-            rep = stability_test(
-                states[n], p.epsilon, p.varepsilon,
-                p.min_distance if p.min_distance is not None else max(1, n // 2),
-            )
-            per_size.append(
-                {
-                    "n": n,
-                    "epsilon": rep.epsilon,
-                    "varepsilon": rep.varepsilon,
-                    "min_distance": rep.min_distance,
-                    "max_deviation": rep.max_deviation,
-                    "max_deviation_at_distance": {
-                        str(d): v for d, v in sorted(rep.max_deviation_at_distance.items())
-                    },
-                    "stable": rep.stable,
-                    "grid_version": rep.grid_version,
-                    "pairs": [
-                        {
-                            "x": r.x,
-                            "y": r.y,
-                            "distance": r.distance,
-                            "direction_a": list(r.direction_a),
-                            "direction_b": list(r.direction_b),
-                            "a": r.a,
-                            "b": r.b,
-                            "p_b_given_a": r.p_b_given_a,
-                            "p_b": r.p_b,
-                            "deviation": r.deviation,
-                        }
-                        for r in rep.pairs
-                    ],
-                }
-            )
+        per_size = [
+            {"n": n, **asdict(stability_test(states[n], p.epsilon, p.varepsilon, p.min_distance))}
+            for n in scenario.sizes
+        ]
         stable_at_largest = per_size[-1]["stable"]
         per_state.append({"label": label, "per_size": per_size, "stable": stable_at_largest})
         verdicts[f"measurement-stable/{label}"] = stable_at_largest
@@ -212,13 +177,7 @@ def run_decohere(scenario, entries):
 
     def _fit_block(points):
         fit = fit_gamma_scaling(points)
-        return {
-            "prefactor": fit.prefactor,
-            "one_plus_delta": fit.one_plus_delta,
-            "residual": fit.residual,
-            "fragile": fit.fragile,
-            "points": [list(q) for q in fit.points],
-        }
+        return {**asdict(fit), "fragile": fit.fragile}
 
     if all(g > 0 for _, g in analytic_points):
         results["fit_analytic"] = _fit_block(analytic_points)
@@ -243,9 +202,7 @@ def run_symmetry_breaking(scenario, entries):
         sym = res.states[0]
         m_op = AdditiveOperator.from_axis(lattice, "z")
         pp = pure_phase_vacuum(spec, p.method, pair=res)
-        cov_sym = covariance_matrix(sym)
-        cov_pp = covariance_matrix(pp.state)
-        fluct_sym = max_additive_fluctuation(sym, cov_sym)
+        fluct_sym = max_additive_fluctuation(sym)
         cascade = measurement_cascade(sym, nfs_factor=p.nfs_factor, fluctuation=fluct_sym)
         per_size.append(
             {
@@ -255,21 +212,12 @@ def run_symmetry_breaking(scenario, entries):
                 "m_symmetric": expectation(m_op, sym),
                 "m_pure_phase": pp.magnetization,
                 "fluct_symmetric": fluct_sym.max_variance,
-                "fluct_pure_phase": max_additive_fluctuation(pp.state, cov_pp).max_variance,
-                "gamma_symmetric": analytic_dephasing_rate(sym, noise, cov_sym),
-                "gamma_pure_phase": analytic_dephasing_rate(pp.state, noise, cov_pp),
+                "fluct_pure_phase": max_additive_fluctuation(pp.state).max_variance,
+                "gamma_symmetric": analytic_dephasing_rate(sym, noise),
+                "gamma_pure_phase": analytic_dephasing_rate(pp.state, noise),
                 "cascade_measurements": len(cascade.steps),
                 "cascade_reached_nfs": cascade.reached_nfs,
-                "cascade": [
-                    {
-                        "site": s.site,
-                        "outcome": s.outcome,
-                        "probability": s.probability,
-                        "max_variance": s.max_variance,
-                        "is_nfs": s.is_nfs,
-                    }
-                    for s in cascade.steps
-                ],
+                "cascade": [asdict(step) for step in cascade.steps],
             }
         )
     ratios = [r["gamma_symmetric"] / r["gamma_pure_phase"] for r in per_size if r["gamma_pure_phase"] > 0]

@@ -23,6 +23,7 @@ from .ground import METHODS
 from .hamiltonian import MODELS, TRANSVERSE_ISING, XXZ
 from .lattice import GEOMETRIES, OPEN_CHAIN, LatticeSpec
 from .noise import KERNELS, NoiseModel
+from .operators import PAULI_AXES
 
 EXPERIMENTS = ("classify", "cluster", "decohere", "measure", "ground", "symmetry-breaking")
 FORMATS = ("structured", "csv", "both")
@@ -99,6 +100,7 @@ class Scenario:
             all(a < b for a, b in zip(sizes, sizes[1:])),
             f"sizes must be strictly ascending, got {sizes}",
         )
+        lattices = [LatticeSpec(n, p.geometry) for n in sizes]  # the site cap, before any state
         for e in self.experiments:
             if e in _SCALING_EXPERIMENTS:
                 _require(len(sizes) >= 3, "scaling experiments need at least 3 sizes")
@@ -123,9 +125,9 @@ class Scenario:
             _require(p.kappa > 0, "decohere needs kappa > 0")
             if p.dt is not None and p.n_traj > 0:
                 noise = p.noise_model()
-                for n in sizes:
-                    bound = stability_dt_bound(noise, LatticeSpec(n, p.geometry))
-                    _require(p.dt <= bound, f"dt={p.dt} violates the stability bound {bound} at n={n}")
+                for lattice in lattices:
+                    bound = stability_dt_bound(noise, lattice)
+                    _require(p.dt <= bound, f"dt={p.dt} violates the stability bound {bound} at n={lattice.n_sites}")
         if "symmetry-breaking" in self.experiments:
             _require(p.model == TRANSVERSE_ISING, "symmetry-breaking is defined for the transverse-ising model")
             _require(p.B == 0.0, "symmetry-breaking needs B = 0 for the symmetric ground state")
@@ -217,7 +219,7 @@ def validate_scenario(raw):
             val = float(val)
         merged[key] = val
     _require(merged["kernel"] in KERNELS, f"params.kernel must be one of {KERNELS}")
-    _require(merged["axis"] in ("x", "y", "z"), "params.axis must be x, y or z")
+    _require(merged["axis"] in PAULI_AXES, "params.axis must be x, y or z")
     _require(merged["method"] in METHODS, f"params.method must be one of {METHODS}")
     _require(merged["geometry"] in GEOMETRIES, f"params.geometry must be one of {GEOMETRIES}")
     _require(0 <= merged["seed"] < 2**64, "params.seed must fit in 64 bits")

@@ -25,10 +25,11 @@ class StateVector:
 
     Pass ``normalized=False`` for intermediate unnormalized vectors (e.g. the
     image of a local operator); such states are rejected by expectation
-    values and measurements.
+    values and measurements.  ``_table`` holds the state's two-point Pauli
+    table once ``analyzer.covariance_matrix`` has built it.
     """
 
-    __slots__ = ("lattice", "_amps")
+    __slots__ = ("lattice", "_amps", "_table")
 
     def __init__(self, lattice, amplitudes, *, normalized=True, _take=False):
         if not isinstance(lattice, LatticeSpec):
@@ -49,6 +50,7 @@ class StateVector:
         arr.flags.writeable = False
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "_amps", arr)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")

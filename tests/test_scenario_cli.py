@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import macrostab
 from macrostab import LatticeSpec, ValidationError, export_state, make_ghz, runner
 from macrostab.cli import main, parse_sizes
 from macrostab.scenario import Scenario, ScenarioParams, StateSource, validate_scenario
@@ -271,25 +272,61 @@ def test_catalog_states_resolved_once_per_scenario(monkeypatch):
     assert len(report["results"]["correspondence"]) == len(correspondence_catalog())
 
 
+def _count_tables(monkeypatch):
+    """Record every two-point table built and every state one is asked for."""
+    analyzer = macrostab.analyzer
+    built, asked = [], []
+    original_build, original_lookup = analyzer.CovarianceMatrix, analyzer.covariance_matrix
+
+    def build(*args):
+        built.append(args)
+        return original_build(*args)
+
+    def lookup(psi):
+        asked.append(psi)
+        return original_lookup(psi)
+
+    monkeypatch.setattr(analyzer, "CovarianceMatrix", build)
+    for module in ("analyzer", "cluster", "measure", "rates"):
+        monkeypatch.setattr(getattr(macrostab, module), "covariance_matrix", lookup)
+    return built, asked
+
+
 def test_symmetry_breaking_builds_one_table_per_state(monkeypatch):
     # the symmetric state, the pure-phase vacuum and each cascade post-state
-    import macrostab
-
-    tables = []
-    original = macrostab.analyzer.covariance_matrix
-
-    def counted(psi):
-        tables.append(psi)
-        return original(psi)
-
-    for module in ("analyzer", "cluster", "measure", "rates", "runner"):
-        monkeypatch.setattr(getattr(macrostab, module), "covariance_matrix", counted)
+    built, asked = _count_tables(monkeypatch)
     scenario = Scenario("sb", (4, 6, 8), ("symmetry-breaking",))
     per_size = runner.run_scenario(scenario)["results"]["symmetry-breaking"]["per_size"]
     steps = sum(len(row["cascade"]) for row in per_size)
     assert steps > 0
-    assert len(tables) == 2 * len(per_size) + steps
-    assert len({id(psi) for psi in tables}) == len(tables)
+    assert len(built) == 2 * len(per_size) + steps
+    assert len({id(psi) for psi in asked}) == len(built)
+
+
+def test_catalog_cluster_measure_builds_one_table_per_state(monkeypatch):
+    from macrostab.catalog import correspondence_catalog
+
+    built, asked = _count_tables(monkeypatch)
+    scenario = Scenario("cm", (4, 5, 6), ("cluster", "measure"), StateSource(family="catalog"),
+                        ScenarioParams(min_distance=1))
+    runner.run_scenario(scenario)
+    assert len(built) == 3 * len(correspondence_catalog()) == 24
+    assert len({id(psi) for psi in asked}) == len(built)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ground", "--sizes", "4,6,8"],
+        ["cluster", "--state", "catalog", "--sizes", "4,6,8"],
+    ],
+)
+def test_every_size_meets_the_site_cap_before_any_state(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("MACROSTAB_MAX_SITES", "6")
+    monkeypatch.setattr(runner, "build_state", _refuse)
+    monkeypatch.setattr(runner, "ground_state", _refuse)
+    assert main(argv + ["--out", str(tmp_path / "rep")]) == 4
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_state_file_imported_once(tmp_path, monkeypatch):
