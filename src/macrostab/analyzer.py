@@ -63,7 +63,6 @@ def covariance_matrix(psi):
     """
     if psi._table is not None:
         return psi._table
-    psi.require_normalized()
     amps = psi.amplitudes
     flat = amps.view(np.float64)
     v = np.empty((3 * psi.n_sites, flat.size))

@@ -91,17 +91,6 @@ class EvolveResult:
     density_matrix: np.ndarray = None
 
 
-def _site_eigensystems(ops):
-    n = len(ops)
-    lam = np.empty((n, 2), dtype=np.float64)
-    q = np.empty((n, 2, 2), dtype=np.complex128)
-    for x, op in enumerate(ops):
-        evals, evecs = np.linalg.eigh(op.matrix)
-        lam[x] = evals
-        q[x] = evecs
-    return q, lam
-
-
 def _traj_rng(seed, traj):
     key = np.array([seed, traj], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -154,7 +143,6 @@ def evolve_noisy(psi0, noise, ensemble):
     noise : NoiseModel
     ensemble : TrajectoryEnsemble
     """
-    psi0.require_normalized()
     lattice = psi0.lattice
     bound = stability_dt_bound(noise, lattice)
     if ensemble.dt > bound:
@@ -169,7 +157,7 @@ def evolve_noisy(psi0, noise, ensemble):
         )
 
     ops = noise.coupling_operators(lattice)
-    q, lam = _site_eigensystems(ops)
+    lam, q = np.linalg.eigh(np.stack([op.matrix for op in ops]))
     n_steps = ensemble.n_steps
     stride = ensemble.effective_stride()
     n_rec = n_steps // stride

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 from .errors import ArgumentError, NumericalError
 from .hamiltonian import Hamiltonian, build_hamiltonian
 from .operators import AdditiveOperator, expectation
-from .states import StateVector
+from .states import StateVector, _cdot
 
 RESIDUAL_TOL = 1e-9
 
@@ -167,7 +167,5 @@ def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
     biased = build_hamiltonian(replace(spec, B=0.05 * spec.J))
     state = ground_state(biased).states[0]
     m_val = expectation(m_op, state)
-    energy = float(np.real(state.overlap(
-        StateVector(spec.lattice, ham.matvec(state.amplitudes), normalized=False, _take=True)
-    )))
+    energy = float(np.real(_cdot(state.amplitudes, ham.matvec(state.amplitudes))))
     return PurePhaseVacuum(state, energy, m_val, method, warning)

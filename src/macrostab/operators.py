@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ArgumentError, NumericalError
 from .lattice import LatticeSpec
-from .states import StateVector
+from .states import _cdot
 
 HERMITICITY_TOL = 1e-12
 IMAG_TOL = 1e-8
@@ -115,21 +115,20 @@ def _apply_matrix_at_site(amps, site, matrix):
 
 
 def apply_local(op, psi):
-    """Apply a local operator; result is generally unnormalized."""
+    """Amplitudes of O|psi> as a plain array: an operator image, not a state."""
     psi.lattice.validate_site(op.site)
-    out = _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix)
-    return StateVector(psi.lattice, out, normalized=False, _take=True)
+    return _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix)
 
 
 def apply_additive(additive, psi):
-    """Apply a site-summed operator; result is generally unnormalized."""
+    """Amplitudes of A|psi> for a site-summed A, as a plain array (not a state)."""
     if additive.lattice.n_sites != psi.n_sites:
         raise ArgumentError("operator and state live on different lattices")
     acc = np.zeros(psi.dim, dtype=np.complex128)
     for op in additive.terms:
         if np.any(op.matrix):
             acc += _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix)
-    return StateVector(psi.lattice, acc, normalized=False, _take=True)
+    return acc
 
 
 def _real_expectation(value):
@@ -142,21 +141,19 @@ def _real_expectation(value):
 
 def expectation(op, psi):
     """<psi|O|psi> for a local or additive Hermitian operator."""
-    psi.require_normalized()
     if isinstance(op, LocalOperator):
         phi = apply_local(op, psi)
     elif isinstance(op, AdditiveOperator):
         phi = apply_additive(op, psi)
     else:
         raise ArgumentError("op must be a LocalOperator or AdditiveOperator")
-    return _real_expectation(psi.overlap(phi))
+    return _real_expectation(_cdot(psi.amplitudes, phi))
 
 
 def additive_variance(additive, psi):
     """<A^2> - <A>^2, clamped at zero against round-off near eigenstates."""
-    psi.require_normalized()
     phi = apply_additive(additive, psi)
-    second = float(np.sum(phi.amplitudes.real**2 + phi.amplitudes.imag**2))
-    first = _real_expectation(psi.overlap(phi))
+    second = float(np.sum(phi.real**2 + phi.imag**2))
+    first = _real_expectation(_cdot(psi.amplitudes, phi))
     var = second - first * first
     return var if var > 0.0 else 0.0

@@ -280,21 +280,15 @@ _RUNNERS = {
 }
 
 
-def _correspondence_rows(results):
-    cluster_by_label = {}
-    for entry in results.get("cluster", {}).get("per_state", []):
-        if "verdict" in entry:
-            cluster_by_label[entry["label"]] = entry["verdict"]["has_cluster_property"]
+def _correspondence_rows(results, verdicts):
     rows = []
-    for entry in results.get("measure", {}).get("per_state", []):
-        label = entry["label"]
-        if label not in cluster_by_label:
-            continue
-        has_cluster = cluster_by_label[label]
-        stable = entry["stable"]
-        rows.append(
-            {"label": label, "cluster": has_cluster, "stable": stable, "match": has_cluster == stable}
-        )
+    for entry in results["measure"]["per_state"]:
+        label, stable = entry["label"], entry["stable"]
+        has_cluster = verdicts.get(f"cluster/{label}")
+        if has_cluster is not None:
+            rows.append(
+                {"label": label, "cluster": has_cluster, "stable": stable, "match": has_cluster == stable}
+            )
     return rows
 
 
@@ -315,7 +309,7 @@ def run_scenario(scenario):
         results.update(frag_results)
         verdicts.update(frag_verdicts)
     if "cluster" in results and "measure" in results:
-        rows = _correspondence_rows(results)
+        rows = _correspondence_rows(results, verdicts)
         if rows:
             results["correspondence"] = rows
             verdicts["cluster-equals-measurement-stability"] = all(r["match"] for r in rows)

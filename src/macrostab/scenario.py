@@ -111,9 +111,10 @@ class Scenario:
         for key in ("epsilon", "varepsilon"):
             val = getattr(p, key)
             _require(0.0 < val < 1.0, f"params.{key} must lie in (0, 1), got {val!r}")
-        if "measure" in self.experiments and p.min_distance is not None:
+        if "measure" in self.experiments:
+            _require(sizes[0] >= 2, f"measure needs a site pair: sizes must be >= 2, got {sizes[0]}")
             _require(
-                1 <= p.min_distance <= sizes[0] - 1,
+                p.min_distance is None or 1 <= p.min_distance <= sizes[0] - 1,
                 f"params.min_distance must lie in [1, {sizes[0] - 1}] for sizes {sizes}, "
                 f"got {p.min_distance}",
             )

@@ -1,8 +1,8 @@
 """Pure states of a spin-1/2 chain as dense amplitude vectors.
 
-Published ``StateVector`` objects are immutable; every operation returns a
-new instance.  Reductions use numpy's pairwise summation so results do not
-depend on how work is partitioned.
+Published ``StateVector`` objects are immutable and normalized; every
+operation returns a new instance.  Reductions use numpy's pairwise
+summation so results do not depend on how work is partitioned.
 """
 
 import math
@@ -23,15 +23,15 @@ def _cdot(a, b):
 class StateVector:
     """Normalized pure state on ``lattice``; amplitudes indexed bit-wise by site.
 
-    Pass ``normalized=False`` for intermediate unnormalized vectors (e.g. the
-    image of a local operator); such states are rejected by expectation
-    values and measurements.  ``_table`` holds the state's two-point Pauli
-    table once ``analyzer.covariance_matrix`` has built it.
+    Normalization is checked at construction, so every ``StateVector`` is a
+    state; unnormalized vectors such as operator images stay plain arrays.
+    ``_table`` holds the state's two-point Pauli table once
+    ``analyzer.covariance_matrix`` has built it.
     """
 
     __slots__ = ("lattice", "_amps", "_table")
 
-    def __init__(self, lattice, amplitudes, *, normalized=True, _take=False):
+    def __init__(self, lattice, amplitudes, *, _take=False):
         if not isinstance(lattice, LatticeSpec):
             raise ArgumentError("lattice must be a LatticeSpec")
         arr = np.asarray(amplitudes, dtype=np.complex128)
@@ -43,10 +43,9 @@ class StateVector:
             raise StateError("amplitudes must be finite")
         if not _take:
             arr = arr.copy()
-        if normalized:
-            n2 = float(np.sum(arr.real**2 + arr.imag**2))
-            if abs(n2 - 1.0) > NORM_TOL:
-                raise StateError(f"state not normalized: sum |a|^2 = {n2!r}")
+        n2 = float(np.sum(arr.real**2 + arr.imag**2))
+        if abs(n2 - 1.0) > NORM_TOL:
+            raise StateError(f"state not normalized: sum |a|^2 = {n2!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "_amps", arr)
@@ -76,20 +75,6 @@ class StateVector:
         if other.lattice.n_sites != self.lattice.n_sites:
             raise ArgumentError("states live on different lattices")
         return _cdot(self._amps, other._amps)
-
-    def normalized(self):
-        """Unit-norm copy of this state."""
-        n = math.sqrt(self.norm_squared())
-        if n < 1e-12:
-            raise StateError("cannot normalize a (near-)zero vector")
-        if abs(n - 1.0) <= 1e-12:
-            return StateVector(self.lattice, self._amps, normalized=True)
-        return StateVector(self.lattice, self._amps / n, normalized=True, _take=True)
-
-    def require_normalized(self):
-        if abs(self.norm_squared() - 1.0) > NORM_TOL:
-            raise StateError("operation requires a normalized state")
-        return self
 
 
 def basis_state(lattice, index):

@@ -8,7 +8,6 @@ from macrostab import (
     ArgumentError,
     LatticeSpec,
     LocalOperator,
-    StateError,
     StateVector,
     additive_variance,
     apply_additive,
@@ -46,14 +45,15 @@ class TestApplyLocal:
     def test_bit_flip(self):
         lat = LatticeSpec(2)
         out = apply_local(pauli(lat, 0, "x"), basis_state(lat, 0))
-        assert np.allclose(out.amplitudes, basis_state(lat, 1).amplitudes)
+        assert isinstance(out, np.ndarray)
+        assert np.allclose(out, basis_state(lat, 1).amplitudes)
 
     def test_sign_flip_single_site(self):
         lat = LatticeSpec(1)
         plus = make_uniform_product(lat, math.pi / 2)
         out = apply_local(pauli(lat, 0, "z"), plus)
         r = 1 / math.sqrt(2)
-        assert np.allclose(out.amplitudes, [r, -r])
+        assert np.allclose(out, [r, -r])
 
     def test_ghz_phase(self):
         lat = LatticeSpec(3)
@@ -61,7 +61,7 @@ class TestApplyLocal:
         expected = np.zeros(8, dtype=complex)
         expected[0] = 1 / math.sqrt(2)
         expected[7] = -1 / math.sqrt(2)
-        assert np.allclose(out.amplitudes, expected)
+        assert np.allclose(out, expected)
 
     def test_input_unchanged(self):
         lat = LatticeSpec(2)
@@ -82,7 +82,7 @@ class TestApplyLocal:
         psi = StateVector(lat, random_state_amps(n, rng))
         out = apply_local(pauli(lat, site, axis), psi)
         expected = dense_site_op(n, site, PAULI[axis]) @ psi.amplitudes
-        assert np.allclose(out.amplitudes, expected, atol=1e-13)
+        assert np.allclose(out, expected, atol=1e-13)
 
 
 class TestExpectation:
@@ -108,12 +108,6 @@ class TestExpectation:
         A = AdditiveOperator.from_axis(lat, "y")
         total = sum(expectation(pauli(lat, x, "y"), psi) for x in lat.sites)
         assert expectation(A, psi) == pytest.approx(total, abs=1e-10)
-
-    def test_unnormalized_rejected(self):
-        lat = LatticeSpec(2)
-        bad = StateVector(lat, [0.5, 0.5, 0.5, 0.5 + 0.3j], normalized=False)
-        with pytest.raises(StateError):
-            expectation(pauli(lat, 0, "z"), bad)
 
     def test_imaginary_part_guard(self):
         # a manufactured non-Hermitian path cannot arise through the public
@@ -183,4 +177,5 @@ class TestAdditiveOperator:
             for a in range(3)
         )
         out = apply_additive(A, psi)
-        assert np.allclose(out.amplitudes, dense @ psi.amplitudes, atol=1e-12)
+        assert isinstance(out, np.ndarray)
+        assert np.allclose(out, dense @ psi.amplitudes, atol=1e-12)

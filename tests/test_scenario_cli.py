@@ -140,6 +140,7 @@ def _refuse(*args, **kwargs):
         ["measure", "--state", "ghz", "--sizes", "4,4,6"],
         ["measure", "--state", "ghz", "--sizes", "4:8:2", "--varepsilon", "1"],
         ["measure", "--state", "ghz", "--sizes", "4:8:2", "--min-distance", "4"],
+        ["measure", "--state", "product-up", "--sizes", "1"],
         ["measure", "--state-file", "g.state", "--sizes", "4", "--epsilon", "0"],
         ["classify", "--state", "ghz", "--sizes", "4:6:2"],
         ["classify", "--state", "catalog", "--sizes", "4:8:2"],

@@ -62,8 +62,9 @@ class TestLattice:
 class TestStateVector:
     def test_normalization_enforced(self):
         lat = LatticeSpec(2)
-        with pytest.raises(StateError):
-            StateVector(lat, [1.0, 1.0, 0.0, 0.0])
+        for amps in ([1.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5 + 0.3j]):
+            with pytest.raises(StateError):
+                StateVector(lat, amps)
 
     def test_immutable(self):
         psi = make_ghz(LatticeSpec(2))
