@@ -8,6 +8,7 @@ from macrostab import (
     ArgumentError,
     LatticeSpec,
     LocalOperator,
+    StateError,
     StateVector,
     additive_variance,
     apply_additive,
@@ -108,6 +109,12 @@ class TestExpectation:
         A = AdditiveOperator.from_axis(lat, "y")
         total = sum(expectation(pauli(lat, x, "y"), psi) for x in lat.sites)
         assert expectation(A, psi) == pytest.approx(total, abs=1e-10)
+
+    def test_unnormalized_rejected(self):
+        # an unnormalized state never reaches expectation: building it fails
+        lat = LatticeSpec(2)
+        with pytest.raises(StateError):
+            expectation(pauli(lat, 0, "z"), StateVector(lat, [0.5, 0.5, 0.5, 0.5 + 0.3j]))
 
     def test_imaginary_part_guard(self):
         # a manufactured non-Hermitian path cannot arise through the public
