@@ -1,20 +1,15 @@
 """Iterative ground states and pure-phase vacuum construction.
 
-The solver is ARPACK's implicitly restarted, reorthogonalized Lanczos
-(scipy eigsh) with a fixed pseudo-random start vector for reproducibility.
-For parity-symmetric Hamiltonians the returned pair is rotated into
-eigenstates of the global spin flip; for a near-degenerate ferromagnetic
-doublet this pins the symmetric combination (zero order parameter) and
-its partner even when the splitting sits below the solver's resolution.
-Very small problems (dim < 64) bypass ARPACK and use a direct dense
-solve, which the residual contract covers either way.
+One thick-restarted Lanczos solver serves every size; every reduction over the
+2^N axis is an ``np.einsum`` (no BLAS, so no thread-count dependence).  At B = 0
+the pair is the lowest state of each sector of the global spin flip P (index
+i -> dim-1-i), pinning the symmetric member of a ferromagnetic doublet.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import ArgumentError, NumericalError
 from .hamiltonian import Hamiltonian, build_hamiltonian
@@ -27,89 +22,94 @@ METHOD_DOUBLET = "doublet-superposition"
 METHOD_SB_FIELD = "sb-field-limit"
 METHODS = (METHOD_DOUBLET, METHOD_SB_FIELD)
 
-_PARITY_MIX_TOL = 1e-13
-_DENSE_CUTOFF = 64
+_MAX_STEPS = 400
+_BASIS = 32  # Krylov vectors held at once
+_KEEP = 8  # Ritz vectors a thick restart keeps (Wu and Simon, SIMAX 22, 602 (2000))
+_CHECK_EVERY = 8
+_RITZ_TOL = 1e-10
+_DGKS_RATIO = 0.7  # Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 772 (1976)
 
 
-def _start_vector(dim):
-    rng = np.random.Generator(np.random.Philox(key=np.array([0x475244, dim], dtype=np.uint64)))
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _norm(v):
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
-def _gauge_fix(vec):
-    pivot = int(np.argmax(np.abs(vec)))
-    if vec[pivot] < 0:
-        vec = -vec
-    return vec
+def _start_vector(dim, index=0):
+    key = np.array([0x475244, dim], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key).jumped(index)).standard_normal(dim)
 
 
-def _parity_rotate(ham, vecs, energies):
-    """Rotate a 2-vector span into global-spin-flip eigenstates if mixed.
-
-    The flip of all bits maps basis index i to dim-1-i, so P|psi> is the
-    reversed amplitude array.
-    """
-    p_mat = np.empty((2, 2))
-    flipped = [v[::-1] for v in vecs]
-    for i in range(2):
-        for j in range(2):
-            p_mat[i, j] = float(np.sum(vecs[i] * flipped[j]))
-    if abs(p_mat[0, 1]) <= _PARITY_MIX_TOL and abs(p_mat[1, 0]) <= _PARITY_MIX_TOL:
-        return vecs, energies
-    _, rot = np.linalg.eigh(0.5 * (p_mat + p_mat.T))
-    new_vecs = []
-    new_energies = []
-    for k in range(2):
-        v = rot[0, k] * vecs[0] + rot[1, k] * vecs[1]
-        v /= np.linalg.norm(v)
-        new_vecs.append(v)
-        new_energies.append(float(np.sum(v * ham.matvec(v))))
-    order = np.argsort(new_energies)
-    return [new_vecs[i] for i in order], [new_energies[i] for i in order]
+def _lowest(matrix, start, locked=()):
+    """Lowest (energy, unit vector) of the real symmetric ``matrix`` orthogonal to
+    the unit vectors ``locked``; the Ritz pair is tested every 8 steps, on breakdown
+    and on a full basis, which then keeps its lowest Ritz vectors (thick restart)."""
+    dim, n_locked = matrix.shape[0], len(locked)
+    size = min(_BASIS, dim - n_locked)
+    basis = np.empty((n_locked + size, dim))
+    basis[:n_locked] = np.reshape(locked, (n_locked, dim))
+    proj = np.zeros((size, size))  # basis^T matrix basis; its [:j, :j] block is current
+    q = start - np.einsum("ki,k->i", basis[:n_locked], np.einsum("ki,i->k", basis[:n_locked], start))
+    q /= _norm(q)
+    j = 0
+    for _ in range(_MAX_STEPS):
+        row = n_locked + j
+        basis[row] = q
+        w = matrix @ q
+        a = float(np.einsum("i,i->", q, w))
+        proj[j, j] = a
+        w -= a * q
+        if j:
+            w -= proj[j, j - 1] * basis[row - 1]
+        for _ in range(2):  # once more only if < 0.7 of the norm is left (DGKS 1976)
+            coef = np.einsum("ki,i->k", basis[: row + 1], w)
+            w -= np.einsum("ki,k->i", basis[: row + 1], coef)
+            b = _norm(w)
+            if b * b >= _DGKS_RATIO**2 * (b * b + coef @ coef):
+                break
+        j += 1
+        if j < size:
+            proj[j, j - 1] = proj[j - 1, j] = b
+        if j % _CHECK_EVERY == 0 or b <= _RITZ_TOL or j == size:
+            theta, ritz = np.linalg.eigh(proj[:j, :j])
+            if b * abs(ritz[-1, 0]) <= _RITZ_TOL:
+                vec = np.einsum("ki,k->i", basis[n_locked : row + 1], ritz[:, 0])
+                return float(theta[0]), vec / _norm(vec)
+            if j == size:
+                j = min(_KEEP, size - 1)
+                basis[n_locked : n_locked + j] = np.einsum("kr,ki->ri", ritz[:, :j], basis[n_locked:])
+                proj[:j, :j] = np.diag(theta[:j])
+                proj[j, :j] = proj[:j, j] = b * ritz[-1, :j]
+        q = w / b
+    raise NumericalError(f"Lanczos found no eigenpair in {_MAX_STEPS} steps at dim {dim}")
 
 
 def ground_state(ham):
-    """Lowest two eigenstates with verified residuals, lowest first."""
+    """Lowest two eigenstates (B != 0) or the lowest state of each spin-flip
+    sector (B = 0), with verified residuals, lowest first."""
     if not isinstance(ham, Hamiltonian):
         raise ArgumentError("ham must be a Hamiltonian handle")
-    dim = ham.dim
-    k = 2
-    if dim < _DENSE_CUTOFF:
-        evals, evecs = np.linalg.eigh(ham.dense())
-        energies = [float(evals[i]) for i in range(k)]
-        vecs = [np.ascontiguousarray(evecs[:, i]) for i in range(k)]
-    else:
-        try:
-            evals, evecs = eigsh(
-                ham.to_csr(),
-                k=k,
-                which="SA",
-                v0=_start_vector(dim),
-                ncv=min(dim - 1, 40),
-                tol=0,
-            )
-        except (ArpackError, ArpackNoConvergence) as exc:
-            raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-        order = np.argsort(evals)
-        energies = [float(evals[i]) for i in order]
-        vecs = [np.ascontiguousarray(evecs[:, i]) for i in order]
+    start = _start_vector(ham.dim)
     if ham.parity_symmetric:
-        vecs, energies = _parity_rotate(ham, vecs, energies)
-    vecs = [_gauge_fix(v) for v in vecs]
-    residuals = []
-    for v, e in zip(vecs, energies):
-        res = float(np.linalg.norm(ham.matvec(v) - e * v))
-        if res > RESIDUAL_TOL:
-            raise NumericalError(
-                f"eigenpair residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at energy {e!r}"
-            )
-        residuals.append(res)
-    states = tuple(
-        StateVector(ham.lattice, v.astype(np.complex128) / np.linalg.norm(v), _take=True)
-        for v in vecs
-    )
-    return GroundStateResult(states, tuple(energies), tuple(residuals))
+        # sector s of P in the basis (|i> + s|dim-1-i>)/sqrt(2), i < dim/2
+        half = ham.dim // 2
+        top = ham.to_csr()[:half]
+        left, right = top[:, :half], top[:, : half - 1 : -1]
+        pairs = []
+        for s, sector in ((1.0, left + right), (-1.0, left - right)):
+            e, u = _lowest(sector, start[:half] + s * start[: half - 1 : -1])
+            pairs.append((e, np.concatenate((u, s * u[::-1])) / math.sqrt(2.0)))
+        pairs.sort(key=lambda pair: pair[0])
+    else:
+        e0, v0 = _lowest(ham.to_csr(), start)
+        pairs = [(e0, v0), _lowest(ham.to_csr(), _start_vector(ham.dim, 1), locked=(v0,))]
+    energies = tuple(e for e, _ in pairs)
+    vecs = [v if v[np.argmax(np.abs(v))] > 0 else -v for _, v in pairs]
+    residuals = tuple(_norm(ham.matvec(v) - e * v) for e, v in zip(energies, vecs))
+    overlap = abs(float(np.einsum("i,i->", *vecs)))
+    if max(residuals) > RESIDUAL_TOL or overlap > RESIDUAL_TOL:
+        raise NumericalError(f"eigenpair residuals {residuals} or overlap {overlap:.1e} over {RESIDUAL_TOL}")
+    states = tuple(StateVector(ham.lattice, (v / _norm(v)).astype(complex), _take=True) for v in vecs)
+    return GroundStateResult(states, energies, residuals)
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,15 @@ def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
     doublet-superposition: (|E0> + |E1>)/sqrt(2) with the sign that
     maximizes the order parameter.  sb-field-limit: ground state after
     adding a longitudinal field B = 0.05 J; its energy is still reported
-    under the unbiased Hamiltonian.  ``pair`` is the lowest-two
-    ``GroundStateResult`` of ``spec`` when the caller has already solved
+    under the unbiased Hamiltonian.  ``pair`` is the ``ground_state``
+    result (``GroundStateResult``) of ``spec`` when the caller has already solved
     it; the doublet superposition is built from it instead of a second
     identical solve.  The sb-field limit does not use it.
     """
     if method not in METHODS:
         raise ArgumentError(f"unknown pure-phase method {method!r}")
     if pair is not None and (len(pair.states) != 2 or pair.states[0].lattice != spec.lattice):
-        raise ArgumentError("pair must be the lowest-two ground-state result of spec")
+        raise ArgumentError("pair must be the ground-state result of spec")
     warning = not (abs(spec.h) < abs(spec.J))
     m_op = AdditiveOperator.from_axis(spec.lattice, "z")
     if method == METHOD_DOUBLET:

@@ -9,8 +9,8 @@ xxz (antiferromagnetic sign convention, singlet ground state for J > 0):
 
 Both commute with the global spin flip P = prod_x sx when B = 0, which the
 ground-state solver exploits to resolve near-degenerate doublets.  One CSR
-matrix per Hamiltonian serves every matvec, the Lanczos solve and the
-exponential propagator.
+matrix per Hamiltonian serves every matvec and the Lanczos solve, whose
+two spin-flip sector matrices are sliced out of it.
 """
 
 from dataclasses import dataclass

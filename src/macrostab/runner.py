@@ -239,7 +239,7 @@ def run_symmetry_breaking(scenario, entries):
 
 
 def run_ground(scenario, entries):
-    """Lowest two eigenpairs of the scenario's model at each size; with an
+    """Ground pair (at B = 0 one state per spin-flip sector) at each size; with an
     output path, the ground state of size k goes to <out>_ground_N<k>.state."""
     p = scenario.params
     per_size = []

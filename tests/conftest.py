@@ -23,6 +23,14 @@ def dense_site_op(n, site, matrix):
     return reduce(np.kron, reversed(mats))
 
 
+def dense_bond_op(n, x, y, a, b):
+    """a at site x times b at site y (x != y), identity elsewhere."""
+    mats = [ID2] * n
+    mats[x] = a
+    mats[y] = b
+    return reduce(np.kron, reversed(mats))
+
+
 def dense_additive(n, axis):
     return sum(dense_site_op(n, x, PAULI[axis]) for x in range(n))
 
@@ -34,10 +42,11 @@ def dense_tfim(n, J, h, B=0.0, periodic=False):
     if periodic and n > 2:
         bonds.append((n - 1, 0))
     for x, y in bonds:
-        H -= J * dense_site_op(n, x, SZ) @ dense_site_op(n, y, SZ)
-    for x in range(n):
-        H -= h * dense_site_op(n, x, SX)
-        H -= B * dense_site_op(n, x, SZ)
+        H -= J * dense_bond_op(n, x, y, SZ, SZ)
+    if h:
+        H -= h * dense_additive(n, "x")
+    if B:
+        H -= B * dense_additive(n, "z")
     return H
 
 
@@ -49,13 +58,14 @@ def dense_xxz(n, J, delta, h=0.0, B=0.0, periodic=False):
         bonds.append((n - 1, 0))
     for x, y in bonds:
         H += J * (
-            dense_site_op(n, x, SX) @ dense_site_op(n, y, SX)
-            + dense_site_op(n, x, SY) @ dense_site_op(n, y, SY)
-            + delta * dense_site_op(n, x, SZ) @ dense_site_op(n, y, SZ)
+            dense_bond_op(n, x, y, SX, SX)
+            + dense_bond_op(n, x, y, SY, SY)
+            + delta * dense_bond_op(n, x, y, SZ, SZ)
         )
-    for x in range(n):
-        H -= h * dense_site_op(n, x, SX)
-        H -= B * dense_site_op(n, x, SZ)
+    if h:
+        H -= h * dense_additive(n, "x")
+    if B:
+        H -= B * dense_additive(n, "z")
     return H
 
 

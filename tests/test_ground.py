@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from macrostab import (
 from macrostab import ground, runner
 from macrostab.ground import METHOD_DOUBLET, METHOD_SB_FIELD
 from macrostab.scenario import Scenario
-from conftest import dense_tfim
+from conftest import dense_additive, dense_tfim, dense_xxz
 
 
 def tfim(n, h, J=1.0, B=0.0):
@@ -57,9 +59,68 @@ class TestGroundState:
         assert a.energies == b.energies
         assert np.array_equal(a.states[0].amplitudes, b.states[0].amplitudes)
 
-    def test_small_chain_direct_path(self):
+    def test_two_site_chain(self):
+        # dim 4: Lanczos exhausts each 2-dim flip sector
         res = ground_state(tfim(2, 1.0))
         assert res.energies[0] == pytest.approx(-np.sqrt(5.0), abs=1e-10)
+
+
+def _spec_and_oracle(model, n, periodic, J=1.0, h=None):
+    """B = 0 spec and its real dense kron oracle."""
+    lattice = LatticeSpec(n, "periodic-chain" if periodic else "open-chain")
+    if model == "xxz":
+        h = 0.3 if h is None else h
+        spec, dense = HamiltonianSpec("xxz", lattice, J=J, h=h), dense_xxz(n, J, 1.0, h, periodic=periodic)
+    else:
+        h = 0.5 if h is None else h
+        spec, dense = HamiltonianSpec(model, lattice, J=J, h=h), dense_tfim(n, J, h, periodic=periodic)
+    assert not dense.imag.any()
+    return spec, dense.real
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("model", ["transverse-ising", "xxz"])
+def test_solver_matches_dense_oracle(model, n, periodic):
+    spec, dense = _spec_and_oracle(model, n, periodic)
+    # B = 0: the lowest state of each flip sector, an exact eigenstate of P
+    res = ground_state(build_hamiltonian(spec))
+    half = len(dense) // 2
+    top = dense[:half]
+    signs = []
+    for energy, state in zip(res.energies, res.states):
+        v = state.amplitudes.real
+        sign = 1.0 if np.array_equal(v[::-1], v) else -1.0
+        assert np.array_equal(v[::-1], sign * v)
+        # the sector block in the basis (|i> + s|dim-1-i>)/sqrt(2), i < dim/2
+        block = top[:, :half] + sign * top[:, ::-1][:, :half]
+        assert energy == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-10)
+        signs.append(sign)
+    assert sorted(signs) == [-1.0, 1.0]
+    # an odd XXZ ring at h != 0 has its lowest level twice in one sector
+    if not (model == "xxz" and periodic and n > 2 and n % 2):
+        assert list(res.energies) == pytest.approx(np.linalg.eigvalsh(dense)[:2], abs=1e-10)
+    # B != 0: the lowest two states, orthogonal
+    biased = ground_state(build_hamiltonian(replace(spec, B=0.05)))
+    dense_biased = dense - 0.05 * dense_additive(n, "z").real
+    assert list(biased.energies) == pytest.approx(np.linalg.eigvalsh(dense_biased)[:2], abs=1e-10)
+    assert abs(biased.states[0].overlap(biased.states[1])) <= 1e-10
+
+
+def test_odd_xxz_ring_keeps_one_state_per_flip_sector():
+    spec, dense = _spec_and_oracle("xxz", 3, True)
+    assert list(np.linalg.eigvalsh(dense)[:2]) == pytest.approx([-3.3, -3.3], abs=1e-12)
+    assert list(ground_state(build_hamiltonian(spec)).energies) == pytest.approx([-3.3, -2.7], abs=1e-12)
+
+
+def test_degenerate_biased_ring_gives_two_orthogonal_states():
+    # antiferromagnetic triangle in a field: three one-flipped states share E = -1.05
+    spec, dense = _spec_and_oracle("transverse-ising", 3, True, J=-1.0, h=0.0)
+    dense_biased = dense - 0.05 * dense_additive(3, "z").real
+    assert list(np.linalg.eigvalsh(dense_biased)[:3]) == pytest.approx([-1.05] * 3, abs=1e-12)
+    res = ground_state(build_hamiltonian(replace(spec, B=0.05)))
+    assert list(res.energies) == pytest.approx([-1.05, -1.05], abs=1e-10)
+    assert abs(res.states[0].overlap(res.states[1])) <= 1e-10
 
 
 class TestPurePhaseVacuum:

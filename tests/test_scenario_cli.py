@@ -468,6 +468,31 @@ def _strip_wall_time(text):
 
 
 class TestReproducibility:
+    def test_large_ground_states_same_bytes_across_threads(self, tmp_path):
+        # N = 14 is the default site cap; the ground-state solver makes no
+        # BLAS reduction over the 2^N axis, so its bits ignore the thread count
+        commands = (
+            ["symmetry-breaking", "--sizes", "12:14:2", "--out", "sb"],
+            ["ground", "--model", "xxz", "--j", "1", "--delta", "1", "--sizes", "12:14:2", "--out", "gr"],
+        )
+        outputs = {}
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            for args in commands:
+                res = run_cli(args, env_extra={"OPENBLAS_NUM_THREADS": threads}, cwd=cwd)
+                assert res.returncode == 0, res.stderr
+            # relative --out paths, so the reports name the same files
+            outputs[threads] = {
+                p.name: _strip_wall_time(p.read_text()) if p.suffix == ".json" else p.read_bytes()
+                for p in sorted(cwd.iterdir())
+            }
+        assert sorted(outputs["1"]) == [
+            "gr.json", "gr_ground.csv", "gr_ground_N12.state", "gr_ground_N14.state",
+            "sb.json", "sb_symmetry_breaking.csv",
+        ]
+        assert outputs["1"] == outputs["2"]
+
     def test_same_seed_same_bytes_across_threads(self, tmp_path):
         # the BLAS thread count is the only one the computation can see
         decohere = {
@@ -505,3 +530,12 @@ class TestReproducibility:
             assert reports["t1", name]["json"] == reports["t1b", name]["json"]
             assert reports["t1", name]["csv"] == reports["t2", name]["csv"]
         assert reports["t1", "decohere"]["fid"] == reports["t2", "decohere"]["fid"]
+
+
+def test_cli_import_leaves_out_the_sparse_eigensolvers():
+    # the ground-state solver is numpy Lanczos; scipy.sparse.linalg (and the
+    # scipy.linalg it pulls in) would only add start-up time and memory
+    probe = "import sys, macrostab.cli; print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False"]
