@@ -52,10 +52,19 @@ def _tfim_spec(lattice, params, default_h):
     return HamiltonianSpec(TRANSVERSE_ISING, lattice, J=J, h=h, B=B)
 
 
-def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None):
-    """Construct a catalog state by family name."""
+def _solved(spec, solved):
+    """``ground_state`` result of ``spec``, solved once per ``solved`` dict."""
+    if spec not in solved:
+        solved[spec] = ground_state(build_hamiltonian(spec))
+    return solved[spec]
+
+
+def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None, solved=None):
+    """Construct a catalog state by family name.  States that share one ``solved``
+    dict (HamiltonianSpec -> ground_state result) solve each Hamiltonian once."""
     params = dict(params or {})
     check_state_params(family, params)
+    solved = {} if solved is None else solved
     lattice = LatticeSpec(n_sites, geometry)
     if family == "ghz":
         return make_ghz(lattice)
@@ -75,10 +84,11 @@ def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None):
         return make_dicke(lattice, params["k"])
     if family in ("tfim-ground", "tfim-paramagnetic"):
         spec = _tfim_spec(lattice, params, 0.1 if family == "tfim-ground" else 2.0)
-        return ground_state(build_hamiltonian(spec)).states[0]
+        return _solved(spec, solved).states[0]
     if family == "pure-phase":
-        spec = _tfim_spec(lattice, params, 0.1)
-        return pure_phase_vacuum(spec, params.get("method", METHOD_DOUBLET)).state
+        spec, method = _tfim_spec(lattice, params, 0.1), params.get("method", METHOD_DOUBLET)
+        pair = _solved(spec, solved) if method == METHOD_DOUBLET else None
+        return pure_phase_vacuum(spec, method, pair=pair).state
     raise ArgumentError("the catalog is a set of families; build its states one family at a time")
 
 

@@ -39,11 +39,11 @@ def _start_vector(dim, index=0):
     return np.random.Generator(np.random.Philox(key=key).jumped(index)).standard_normal(dim)
 
 
-def _lowest(matrix, start, locked=()):
-    """Lowest (energy, unit vector) of the real symmetric ``matrix`` orthogonal to
+def _lowest(apply, start, locked=()):
+    """Lowest (energy, unit vector) of the real symmetric operator ``apply`` orthogonal to
     the unit vectors ``locked``; the Ritz pair is tested every 8 steps, on breakdown
     and on a full basis, which then keeps its lowest Ritz vectors (thick restart)."""
-    dim, n_locked = matrix.shape[0], len(locked)
+    dim, n_locked = start.shape[0], len(locked)
     size = min(_BASIS, dim - n_locked)
     basis = np.empty((n_locked + size, dim))
     basis[:n_locked] = np.reshape(locked, (n_locked, dim))
@@ -54,7 +54,7 @@ def _lowest(matrix, start, locked=()):
     for _ in range(_MAX_STEPS):
         row = n_locked + j
         basis[row] = q
-        w = matrix @ q
+        w = apply(q)
         a = float(np.einsum("i,i->", q, w))
         proj[j, j] = a
         w -= a * q
@@ -92,16 +92,14 @@ def ground_state(ham):
     if ham.parity_symmetric:
         # sector s of P in the basis (|i> + s|dim-1-i>)/sqrt(2), i < dim/2
         half = ham.dim // 2
-        top = ham.to_csr()[:half]
-        left, right = top[:, :half], top[:, : half - 1 : -1]
         pairs = []
-        for s, sector in ((1.0, left + right), (-1.0, left - right)):
-            e, u = _lowest(sector, start[:half] + s * start[: half - 1 : -1])
+        for s in (1.0, -1.0):
+            e, u = _lowest(ham.operator(s), start[:half] + s * start[: half - 1 : -1])
             pairs.append((e, np.concatenate((u, s * u[::-1])) / math.sqrt(2.0)))
         pairs.sort(key=lambda pair: pair[0])
     else:
-        e0, v0 = _lowest(ham.to_csr(), start)
-        pairs = [(e0, v0), _lowest(ham.to_csr(), _start_vector(ham.dim, 1), locked=(v0,))]
+        e0, v0 = _lowest(ham.operator(0), start)
+        pairs = [(e0, v0), _lowest(ham.operator(0), _start_vector(ham.dim, 1), locked=(v0,))]
     energies = tuple(e for e, _ in pairs)
     vecs = [v if v[np.argmax(np.abs(v))] > 0 else -v for _, v in pairs]
     residuals = tuple(_norm(ham.matvec(v) - e * v) for e, v in zip(energies, vecs))
@@ -150,17 +148,10 @@ def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
     if method == METHOD_DOUBLET:
         if pair is None:
             pair = ground_state(build_hamiltonian(spec))
-        v0 = pair.states[0].amplitudes
-        v1 = pair.states[1].amplitudes
+        v0, v1 = (state.amplitudes for state in pair.states)
         r = 1.0 / math.sqrt(2.0)
-        best_state = None
-        best_m = -np.inf
-        for sign in (1.0, -1.0):
-            cand = StateVector(spec.lattice, r * (v0 + sign * v1), _take=True)
-            m_val = expectation(m_op, cand)
-            if m_val > best_m:
-                best_m = m_val
-                best_state = cand
+        cands = [StateVector(spec.lattice, r * (v0 + sign * v1), _take=True) for sign in (1.0, -1.0)]
+        best_m, best_state = max(((expectation(m_op, c), c) for c in cands), key=lambda mc: mc[0])
         energy = 0.5 * (pair.energies[0] + pair.energies[1])
         return PurePhaseVacuum(best_state, energy, best_m, method, warning)
     ham = build_hamiltonian(spec)

@@ -1,4 +1,4 @@
-"""Spin-chain Hamiltonians as sparse (CSR) matrices.
+"""Spin-chain Hamiltonians as matrix-free operators.
 
 Models
 ------
@@ -7,16 +7,17 @@ transverse-ising:
 xxz (antiferromagnetic sign convention, singlet ground state for J > 0):
     H = J sum_bonds [sx sx + sy sy + delta * sz sz] - h sum_x sx - B sum_x sz
 
-Both commute with the global spin flip P = prod_x sx when B = 0, which the
-ground-state solver exploits to resolve near-degenerate doublets.  One CSR
-matrix per Hamiltonian serves every matvec and the Lanczos solve, whose
-two spin-flip sector matrices are sliced out of it.
+A Hamiltonian is its diagonal plus a few off-diagonal terms, each a bit-flip
+mask with a coefficient: one per site for the field h, one per bond for the
+XXZ hopping, which acts only where the two bits differ.  A vector is viewed
+as a (2,)*N tensor, so a flip mask is a reversal of its axes.  Both models
+commute with the global spin flip P = prod_x sx when B = 0; in a P sector
+a mask that flips the top bit folds onto the partner state.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ArgumentError, NumericalError
 from .lattice import LatticeSpec
@@ -44,52 +45,62 @@ class HamiltonianSpec:
                 raise ArgumentError(f"coupling {name} must be finite, got {val!r}")
 
 
-def _spin_signs(n_sites):
-    """(dim, n) array of sigma_z eigenvalues, +1 for bit 0 (up)."""
-    idx = np.arange(1 << n_sites, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n_sites)) & 1
-    return 1.0 - 2.0 * bits
-
-
-def _diagonal(spec):
-    s = _spin_signs(spec.lattice.n_sites)
-    diag = np.zeros(spec.lattice.dim, dtype=np.float64)
-    zz_coef = -spec.J if spec.model == TRANSVERSE_ISING else spec.J * spec.delta
-    for x, y in spec.lattice.bonds():
-        diag += zz_coef * s[:, x] * s[:, y]
-    if spec.B != 0.0:
-        diag -= spec.B * s.sum(axis=1)
-    return diag
-
-
 class Hamiltonian:
-    """Hermitian operator handle for one HamiltonianSpec."""
+    """Hermitian operator handle for one HamiltonianSpec: the diagonal ``diag`` and
+    the off-diagonal ``terms``, (flip mask, coefficient) pairs; a coefficient is a
+    scalar or an array that broadcasts over the (2,)*N view of a vector."""
 
     def __init__(self, spec):
         self.spec = spec
         self.lattice = spec.lattice
-        self.dim = dim = spec.lattice.dim
-        idx = np.arange(dim, dtype=np.int64)
-        rows = [idx]
-        cols = [idx]
-        vals = [_diagonal(spec)]
-        if spec.h != 0.0:
-            for x in range(spec.lattice.n_sites):
-                rows.append(idx)
-                cols.append(idx ^ (1 << x))
-                vals.append(np.full(dim, -spec.h))
-        if spec.model == XXZ and spec.J != 0.0:
-            for x, y in spec.lattice.bonds():
-                mx, my = 1 << x, 1 << y
-                differ = ((idx & mx) == 0) != ((idx & my) == 0)
-                sub = idx[differ]
-                rows.append(sub)
-                cols.append(sub ^ (mx | my))
-                vals.append(np.full(sub.size, 2.0 * spec.J))
-        self._csr = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
+        self.dim = spec.lattice.dim
+        n = spec.lattice.n_sites
+        # sigma_z(x) on the (2,)*N view of a vector, whose axis k holds bit N-1-k
+        z = [1.0 - 2.0 * np.arange(2).reshape([2 if k == n - 1 - x else 1 for k in range(n)]) for x in range(n)]
+        zz = -spec.J if spec.model == TRANSVERSE_ISING else spec.J * spec.delta
+        diag = np.zeros((2,) * n)
+        for x, y in spec.lattice.bonds():
+            diag += zz * z[x] * z[y]
+        if spec.B != 0.0:
+            diag -= spec.B * sum(z)
+        self.diag = diag.reshape(-1)
+        self.terms = [(1 << x, -spec.h) for x in range(n) if spec.h != 0.0]
+        if spec.model == XXZ and spec.J != 0.0:  # hopping only where bits x and y differ
+            self.terms += [((1 << x) | (1 << y), 2.0 * spec.J * (z[x] != z[y])) for x, y in spec.lattice.bonds()]
+        self._full = self.operator(0)
+
+    def operator(self, sector):
+        """H as a function of one vector: on the full space (``sector`` 0) or, at B = 0,
+        on spin-flip sector s = +-1 in the basis (|i> + s|dim-1-i>)/sqrt(2), i < dim/2."""
+        n, diag, terms = self.lattice.n_sites, self.diag, self.terms
+        if sector:  # a mask that flips the top bit folds onto the partner dim-1-i
+            half = self.dim // 2
+            n, diag = n - 1, diag[:half]
+            terms = [(m, c) if m < half else (~m & (half - 1), sector * c) for m, c in terms]
+            terms = [(m, c[0] if np.ndim(c) else c) for m, c in terms]  # rows with top bit 0
+        shape = (2,) * n or (1,)
+        diag = diag.reshape(shape)
+        groups, scalar = [], {}  # scalar terms with one coefficient share one accumulator
+        for m, c in terms:
+            flip = tuple(slice(None, None, -1) if m >> (n - 1 - k) & 1 else slice(None) for k in range(n))
+            if np.ndim(c):
+                groups.append((c, [flip]))
+            else:
+                scalar.setdefault(c, []).append(flip)
+        groups += scalar.items()
+
+        def apply(v):
+            t = v.reshape(shape)
+            out = diag * t
+            for coef, flips in groups:
+                acc = t[flips[0]].copy()
+                for f in flips[1:]:
+                    acc += t[f]
+                acc *= coef
+                out += acc
+            return out.reshape(-1)
+
+        return apply
 
     @property
     def parity_symmetric(self):
@@ -100,16 +111,15 @@ class Hamiltonian:
         v = np.asarray(v)
         if v.shape != (self.dim,):
             raise ArgumentError(f"vector of shape {v.shape} does not match dim {self.dim}")
-        return self._csr @ v
-
-    def to_csr(self):
-        """Sparse matrix form, built once with the handle."""
-        return self._csr
+        return self._full(v)
 
     def dense(self):
         if self.dim > 4096:
             raise ArgumentError("dense form capped at 4096 basis states")
-        return self.to_csr().toarray()
+        out, idx = np.diag(self.diag), np.arange(self.dim)
+        for m, c in self.terms:
+            out[idx, idx ^ m] = np.broadcast_to(c, (2,) * self.lattice.n_sites).reshape(-1)
+        return out
 
     def energy_scale(self):
         """Crude operator-norm bound used for tolerance scaling."""

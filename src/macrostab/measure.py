@@ -41,6 +41,7 @@ CIRCLE_POINTS = 256       # samples of the floor circle
 REFINE_LEVELS = 24        # halvings of the refinement patch
 _PATCH = (0, -2, -1, 1, 2)  # patch offsets in steps, centre first so ties keep it
 _FLOOR_MARGIN = 1e-14     # searched P(a) clear varepsilon by this much, beyond rounding
+_TIE_RTOL, _TIE_ATOL = 1e-9, 1e-12  # orientations of a pair this close tie: the lower site conditions
 _BLOCK_ELEMENTS = 1 << 17  # cap on orderings x grid points x 3 in one array
 
 
@@ -366,7 +367,7 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
     records = []
     m = len(pairs)
     for i in range(m):
-        k = i if deviation[i] >= deviation[i + m] else i + m
+        k = i if deviation[i] >= deviation[i + m] * (1.0 - _TIE_RTOL) - _TIE_ATOL else i + m
         records.append(PairStabilityRecord(
             int(a_sites[k]), int(b_sites[k]), abs(int(b_sites[k]) - int(a_sites[k])),
             tuple(float(v) for v in n_a[k]), tuple(float(v) for v in n_b[k]),

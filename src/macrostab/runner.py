@@ -45,10 +45,11 @@ def _state_entries(scenario):
             )
         return [("file", {psi.n_sites: psi})]
     if src.family == "catalog":
+        solved = {}  # tfim-ferro and pure-phase share their Hamiltonian's solve
         entries = []
         for label, family, params in correspondence_catalog():
             entries.append(
-                (label, {n: build_state(family, n, p.geometry, params) for n in scenario.sizes})
+                (label, {n: build_state(family, n, p.geometry, params, solved) for n in scenario.sizes})
             )
         return entries
     return [

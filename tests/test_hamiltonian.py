@@ -84,3 +84,36 @@ def test_parity_flag():
     assert not build_hamiltonian(
         HamiltonianSpec("transverse-ising", LatticeSpec(3), h=0.3, B=0.1)
     ).parity_symmetric
+
+
+def _columns(apply, dim):
+    return np.stack([apply(e) for e in np.eye(dim)], axis=1)
+
+
+@pytest.mark.parametrize("model", ["transverse-ising", "xxz"])
+@pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("B", [0.0, 0.3])
+def test_operator_matches_the_dense_oracle(model, periodic, n, B):
+    # full space and, at B = 0, both spin-flip sectors in the basis
+    # (|i> + s|dim-1-i>)/sqrt(2), i < dim/2
+    geometry = "periodic-chain" if periodic else "open-chain"
+    spec = HamiltonianSpec(model, LatticeSpec(n, geometry), J=0.8, h=0.45, delta=1.3, B=B)
+    ham = build_hamiltonian(spec)
+    if model == "xxz":
+        oracle = dense_xxz(n, 0.8, 1.3, 0.45, B, periodic)
+    else:
+        oracle = dense_tfim(n, 0.8, 0.45, B, periodic)
+    assert not oracle.imag.any()
+    oracle = oracle.real
+    assert np.array_equal(ham.dense(), oracle)
+    assert np.allclose(_columns(ham.operator(0), ham.dim), oracle, rtol=0, atol=1e-12)
+    if B != 0.0:
+        return
+    half = ham.dim // 2
+    for s in (1.0, -1.0):
+        proj = np.zeros((ham.dim, half))
+        proj[np.arange(half), np.arange(half)] = 1.0 / np.sqrt(2.0)
+        proj[ham.dim - 1 - np.arange(half), np.arange(half)] = s / np.sqrt(2.0)
+        expected = proj.T @ oracle @ proj
+        assert np.allclose(_columns(ham.operator(s), half), expected, rtol=0, atol=1e-12), s

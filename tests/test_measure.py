@@ -160,6 +160,24 @@ class TestStability:
         assert table.p_b_given_a[0, 0] == pytest.approx(rec.p_b_given_a, abs=1e-9)
         assert table.p_b[0] == pytest.approx(rec.p_b, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_tied_orientations_condition_at_the_lower_site(self, n):
+        # the two orientations of a pair agree in exact arithmetic when a
+        # symmetry of the state swaps its sites: the mirror x -> n-1-x for the
+        # pairs (x, n-1-x) of the paramagnetic ground state, and any site
+        # permutation for GHZ, the half-filled Dicke state and a product state
+        lat = LatticeSpec(n)
+        for psi, swapped in (
+            (tfim_ground(n, 2.0), lambda r: r.x + r.y == n - 1),
+            (make_ghz(lat), lambda r: True),
+            (make_dicke(lat, n // 2), lambda r: True),
+            (make_uniform_product(lat, math.pi / 2), lambda r: True),
+        ):
+            rep = stability_test(psi, epsilon=0.1, min_distance=1)
+            tied = [r for r in rep.pairs if swapped(r)]
+            assert tied
+            assert all(r.x < r.y for r in tied), [(r.x, r.y) for r in tied if r.x > r.y]
+
     def test_no_admissible_outcome_reports_zero(self):
         # a maximally mixed site: no outcome reaches P(a) >= 0.6
         lat = LatticeSpec(2)

@@ -273,6 +273,30 @@ def test_catalog_states_resolved_once_per_scenario(monkeypatch):
     assert len(report["results"]["correspondence"]) == len(correspondence_catalog())
 
 
+def test_catalog_solves_each_hamiltonian_once(monkeypatch):
+    # tfim-ferro and pure-phase share the TFIM at J = 1, h = 0.1; tfim-para
+    # has its own: 2 Hamiltonians at each of 3 sizes
+    from macrostab.catalog import build_state, correspondence_catalog
+
+    solved = []
+    original = macrostab.ground.ground_state
+
+    def counted(ham):
+        solved.append(ham.spec)
+        return original(ham)
+
+    for module in ("catalog", "ground", "runner"):
+        monkeypatch.setattr(getattr(macrostab, module), "ground_state", counted)
+    scenario = Scenario("cm", (4, 5, 6), ("cluster", "measure"), StateSource(family="catalog"))
+    entries = dict(runner._state_entries(scenario))
+    assert len(solved) == len(set(solved)) == 6
+    # the shared solve gives every state the bits of its own solve
+    for label, family, params in correspondence_catalog():
+        for n in scenario.sizes:
+            alone = build_state(family, n, params=params).amplitudes
+            assert np.array_equal(entries[label][n].amplitudes, alone), (label, n)
+
+
 def _count_tables(monkeypatch):
     """Record every two-point table built and every state one is asked for."""
     analyzer = macrostab.analyzer
@@ -532,10 +556,15 @@ class TestReproducibility:
         assert reports["t1", "decohere"]["fid"] == reports["t2", "decohere"]["fid"]
 
 
-def test_cli_import_leaves_out_the_sparse_eigensolvers():
-    # the ground-state solver is numpy Lanczos; scipy.sparse.linalg (and the
-    # scipy.linalg it pulls in) would only add start-up time and memory
-    probe = "import sys, macrostab.cli; print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)"
+def test_import_loads_no_scipy():
+    # the Hamiltonian is a numpy matrix-free operator and the solver numpy
+    # Lanczos, so neither the package nor its command line needs scipy
+    probe = (
+        "import sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import macrostab; print(loaded())\n"
+        "import macrostab.cli; print(loaded())\n"
+    )
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env())
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False"]
+    assert res.stdout.splitlines() == ["[]", "[]"]
