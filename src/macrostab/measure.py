@@ -13,16 +13,18 @@ for outcome s of n_a.sigma(x) and outcome t of n_b.sigma(y),
 
 The supremum over n_b is |C_xy^T n_a| / (2 (1 + s r_x.n_a)), reached at n_b
 along s C_xy^T n_a, and flipping n_a absorbs s.  Only n_a is searched, under
-the floor (1 + r_x.n_a)/2 >= varepsilon: a fixed (theta, phi) grid refined
-by a shrinking patch, and the same search along the floor circle, where the
-optimum often sits (grid version v2).  The reported maximum is a
-reproducible lower bound on the true supremum.
+the floor (1 + r_x.n_a)/2 >= varepsilon: a fixed (theta, phi) grid and the
+floor circle, where the optimum often sits, each scored in one matrix product,
+then both refined by one shrinking-patch loop (grid version v2).  Near-ties go
+to the earlier candidate, so the reported maximum, a lower bound on the true
+supremum, and its directions are reproducible.
 
 Mixed states enter as explicit convex mixtures of pure states; their
 outcome distributions are probability-weighted averages per the
 projection postulate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +44,8 @@ REFINE_LEVELS = 24        # halvings of the refinement patch
 _PATCH = (0, -2, -1, 1, 2)  # patch offsets in steps, centre first so ties keep it
 _FLOOR_MARGIN = 1e-14     # searched P(a) clear varepsilon by this much, beyond rounding
 _TIE_RTOL, _TIE_ATOL = 1e-9, 1e-12  # orientations of a pair this close tie: the lower site conditions
-_BLOCK_ELEMENTS = 1 << 17  # cap on orderings x grid points x 3 in one array
+_NEAR_RTOL, _NEAR_ATOL = 1e-13, 1e-14  # search candidates this close in |C^T n| / (1 + r.n) tie
+_BLOCK_ELEMENTS = 1 << 17  # cap on orderings x grid points x 2 in one product
 
 
 @dataclass(frozen=True)
@@ -105,18 +108,14 @@ def _eigendecompose_observable(obs):
             "its measurement reveals nothing"
         )
     # descending order: a_plus first
-    order = [1, 0]
-    vals = tuple(float(evals[i]) for i in order)
-    projs = tuple(np.outer(evecs[:, i], evecs[:, i].conj()) for i in order)
-    return vals, projs
+    return (float(evals[1]), float(evals[0])), tuple(np.outer(evecs[:, i], evecs[:, i].conj()) for i in (1, 0))
 
 
 def measure_local(psi, obs):
     """Ideal projective measurement of a local observable on a pure state."""
     psi.lattice.validate_site(obs.site)
     vals, projs = _eigendecompose_observable(obs)
-    probabilities = {}
-    post_states = {}
+    probabilities, post_states = {}, {}
     for a, proj in zip(vals, projs):
         branch = apply_local(LocalOperator(obs.site, proj), psi)
         p = float(np.sum(branch.real**2 + branch.imag**2))
@@ -150,13 +149,10 @@ def conditional_distribution(state, a_obs, b_obs):
     """
     if a_obs.site == b_obs.site:
         raise ArgumentError("conditional distribution needs two distinct sites")
-    components = _as_components(state)
     a_vals, _ = _eigendecompose_observable(a_obs)
     b_vals, _ = _eigendecompose_observable(b_obs)
-    joint = np.zeros((2, 2))
-    p_a = np.zeros(2)
-    p_b = np.zeros(2)
-    for weight, psi in components:
+    joint, p_a, p_b = np.zeros((2, 2)), np.zeros(2), np.zeros(2)
+    for weight, psi in _as_components(state):
         out_a = measure_local(psi, a_obs)
         out_b = measure_local(psi, b_obs)
         for jb, b in enumerate(b_vals):
@@ -174,9 +170,7 @@ def conditional_distribution(state, a_obs, b_obs):
         if p_a[ia] < OUTCOME_FLOOR:
             p_b_given_a[ia, :] = np.nan
         elif abs(p_b_given_a[ia].sum() - 1.0) > 1e-10:
-            raise NumericalError(
-                f"conditional row sums to {p_b_given_a[ia].sum()!r}"
-            )
+            raise NumericalError(f"conditional row sums to {p_b_given_a[ia].sum()!r}")
     if abs(p_a.sum() - 1.0) > 1e-10 or abs(p_b.sum() - 1.0) > 1e-10:
         raise NumericalError("marginal distributions do not sum to 1")
     return ConditionalTable(a_vals, b_vals, p_a, p_b, p_b_given_a, joint)
@@ -194,8 +188,7 @@ def _two_point_table(state):
     <sigma_a(x) sigma_b(y)> - r_xa r_yb.  A mixture averages the second
     moments C_k + r_k r_k^T of its components before centering.
     """
-    second = 0.0
-    means = 0.0
+    second = means = 0.0
     for weight, psi in _as_components(state):
         cov = covariance_matrix(psi)
         second = second + weight * (cov.entries + np.outer(cov.means, cov.means))
@@ -203,84 +196,102 @@ def _two_point_table(state):
     return means.reshape(-1, 3), second - np.outer(means, means)
 
 
-def _sphere(angles):
-    theta, phi = angles[..., 0], angles[..., 1]
-    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], -1)
+@functools.cache
+def _grids():
+    """Grid version v2, built on first use: the (theta, phi) sphere grid and the
+    floor-circle angles t, with the monomials (x^2, y^2, z^2, xy, xz, yz, x, y, z)
+    (9, K) of their points n and of (cos t, sin t, 1)."""
+    step = math.pi / GRID_THETA
+    sphere = np.stack(np.meshgrid(
+        (np.arange(GRID_THETA) + 0.5) * step, np.arange(2 * GRID_THETA) * step, indexing="ij"
+    ), -1).reshape(-1, 2)
+    t = np.arange(CIRCLE_POINTS) * (2.0 * math.pi / CIRCLE_POINTS)
+    theta, phi = sphere.T
+    points = ((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
+              (np.cos(t), np.sin(t), np.ones_like(t)))
+    sphere_f, circle_f = (np.stack([x * x, y * y, z * z, x * y, x * z, y * z, x, y, z]) for x, y, z in points)
+    return sphere, sphere_f, t, circle_f
 
 
-def _circle(angles):
-    t = angles[..., 0]
-    return np.stack([np.ones_like(t), np.cos(t), np.sin(t)], -1)
-
-
-def _ratio(u, maps, lin, p_min):
-    """|u^T T| / (1 + l.u) per ordering; -inf where (1 + l.u)/2 < p_min.
-
-    ``u`` is (K, 3), shared by all orderings, or (P, K, 3); ``maps`` T is
-    (P, 3, 3) and ``lin`` l is (P, 3).
-    """
-    num = np.linalg.norm(u @ maps, axis=-1)
-    den = 1.0 + (u @ lin[:, :, None])[..., 0]
+def _ratios(q, lin, p_min):
+    """sqrt(q) / (1 + lin) for q = |A u|^2 and lin = l.u; -inf where (1 + l.u)/2 < p_min."""
+    den = 1.0 + lin
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den >= 2.0 * p_min, num / den, -np.inf)
+        return np.where(den >= 2.0 * p_min, np.sqrt(np.maximum(q, 0.0)) / den, -np.inf)
 
 
-def _search(grid, step, to_u, maps, lin, p_min):
-    """Best point of a parameter grid per ordering, then a shrinking patch.
+def _pick(ratios):
+    """Per row, the first candidate within the near-tie tolerance of the best."""
+    best = ratios.max(-1, keepdims=True)
+    return np.argmax(ratios >= best - np.maximum(_NEAR_RTOL * best, _NEAR_ATOL), -1)
 
-    The patch spans two steps either way along each parameter and the step
-    halves REFINE_LEVELS times.  Returns the final u (P, 3) and its ratio.
-    """
-    u = to_u(grid)
-    block = max(1, _BLOCK_ELEMENTS // (3 * len(grid)))
-    best = np.concatenate([
-        np.argmax(_ratio(u, maps[i : i + block], lin[i : i + block], p_min), axis=1)
-        for i in range(0, len(maps), block)
-    ])
-    centre = grid[best]
-    offsets = np.stack(np.meshgrid(*[_PATCH] * grid.shape[1], indexing="ij"), -1)
-    offsets = offsets.reshape(-1, grid.shape[1])
-    rows = np.arange(len(maps))
-    for _ in range(REFINE_LEVELS):
-        trial = centre[:, None] + step * offsets
-        vals = _ratio(to_u(trial), maps, lin, p_min)
-        k = np.argmax(vals, axis=1)
-        centre = trial[rows, k]
-        step /= 2.0
-    return to_u(centre), vals[rows, k]
+
+def _grid_start(w, features, p_min):
+    """First near-best grid point per row of w = [A; l] (P, 4, 3), scored by one
+    (rows x 9) @ (9 x points) product per block of rows."""
+    gram = w[:, :3].transpose(0, 2, 1) @ w[:, :3]  # |A u|^2 = u^T (A^T A) u
+    coef = np.zeros((len(w), 2, 9))
+    coef[:, 0, :3] = gram[:, (0, 1, 2), (0, 1, 2)]
+    coef[:, 0, 3:6] = 2.0 * gram[:, (0, 0, 1), (1, 2, 2)]
+    coef[:, 1, 6:] = w[:, 3]
+    block = max(1, _BLOCK_ELEMENTS // (2 * features.shape[1]))
+    start = np.empty(len(w), dtype=np.intp)
+    for i in range(0, len(w), block):
+        prod = (coef[i : i + block].reshape(-1, 9) @ features).reshape(-1, 2, features.shape[1])
+        start[i : i + block] = _pick(_ratios(prod[:, 0], prod[:, 1], p_min))
+    return start
 
 
 def _best_conditioning(tables, bloch, p_min):
     """Maximize |C^T n| / (1 + r.n) over unit n with (1 + r.n)/2 >= p_min.
 
-    Per ordering, the better of the interior search and the search along
-    the circle (1 + r.n)/2 = p_min + margin.  Returns n (P, 3) and whether
-    any direction clears the floor.
+    Per ordering, the better of the interior search and the search along the
+    circle (1 + r.n)/2 = p_min + margin, each from its best grid point.  The
+    circle is the polar circle theta = a about r_hat, so one loop refines both
+    as (theta, phi) patches, the circle's with no theta step.  Returns n (P, 3)
+    and whether any direction clears the floor.
     """
-    step = math.pi / GRID_THETA
-    grid = np.stack(np.meshgrid(
-        (np.arange(GRID_THETA) + 0.5) * step, np.arange(2 * GRID_THETA) * step, indexing="ij"
-    ), -1).reshape(-1, 2)
-    n_in, v_in = _search(grid, step, _sphere, tables, bloch, p_min)
-
-    # the circle r.n = level is n = B (1, cos t, sin t), B = [cos_a r_hat, sin_a e1, sin_a e2]
+    sphere, sphere_f, circle_t, circle_f = _grids()
+    # the circle r.n = level is n = R (sin a cos t, sin a sin t, cos a), R = [e1, e2, r_hat]
     level = 2.0 * (p_min + _FLOOR_MARGIN) - 1.0
     radius = np.linalg.norm(bloch, axis=1)
     exists = radius > abs(level)
     axis = np.where(exists[:, None], bloch, (0.0, 0.0, 1.0))
     axis = axis / np.linalg.norm(axis, axis=1)[:, None]
-    e1 = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis), axis=1)])
+    # e1 is off the first coordinate axis far from r_hat (some |component| < 1/sqrt(3)),
+    # so rounding noise in components that vanish cannot turn the circle
+    e1 = np.cross(axis, np.eye(3)[np.argmax(np.abs(axis) < 0.6, axis=1)])
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    cos_a = np.where(exists, level / np.where(exists, radius, 1.0), 1.0)[:, None]
-    sin_a = np.sqrt(1.0 - cos_a**2)
-    basis = np.stack([cos_a * axis, sin_a * e1, sin_a * np.cross(axis, e1)], 2)
-    basis_t = basis.transpose(0, 2, 1)
-    step = 2.0 * math.pi / CIRCLE_POINTS
-    u, v_c = _search((np.arange(CIRCLE_POINTS) * step)[:, None], step, _circle,
-                     basis_t @ tables, (basis_t @ bloch[:, :, None])[..., 0], p_min)
-    v_c = np.where(exists, v_c, -np.inf)
-    n_c = (basis @ u[:, :, None])[..., 0]
-    return np.where((v_c > v_in)[:, None], n_c, n_in), np.maximum(v_in, v_c) > -np.inf
+    frame = np.stack([e1, np.cross(axis, e1), axis], 2)
+    cos_a = np.where(exists, level / np.where(exists, radius, 1.0), 1.0)
+    # w = [C^T; r^T] scores n = u; the circle rows score u in the frame
+    m = len(tables)
+    w = np.concatenate([tables.transpose(0, 2, 1), bloch[:, None]], 1)
+    w = np.concatenate([w, w @ frame])
+    scale = np.stack([np.sqrt(1.0 - cos_a**2)] * 2 + [cos_a], 1)[:, None]  # (cos t, sin t, 1) -> frame u
+    centre = np.concatenate([sphere[_grid_start(w[:m], sphere_f, p_min)], np.stack(
+        [np.arccos(cos_a), circle_t[_grid_start(w[m:] * scale, circle_f, p_min)]], 1)])
+    step = np.repeat([[math.pi / GRID_THETA] * 2, [0.0, 2.0 * math.pi / CIRCLE_POINTS]], m, axis=0)
+    patch = np.array(_PATCH, dtype=float)
+    offsets = np.stack(np.meshgrid(patch, patch, indexing="ij"), -1).reshape(-1, 2)
+    u = np.empty((2 * m, 3, len(patch), len(patch)))
+    for _ in range(REFINE_LEVELS):
+        ang = centre[:, :, None] + step[:, :, None] * patch
+        sin, cos = np.sin(ang), np.cos(ang)
+        np.multiply(sin[:, 0, :, None], cos[:, 1, None, :], out=u[:, 0])
+        np.multiply(sin[:, 0, :, None], sin[:, 1, None, :], out=u[:, 1])
+        u[:, 2] = cos[:, 0, :, None]
+        out = w @ u.reshape(2 * m, 3, -1)
+        f = _ratios(np.sum(out[:, :3] ** 2, axis=1), out[:, 3], p_min)
+        k = _pick(f)
+        centre = centre + step * offsets[k]
+        step = step / 2.0
+    rows = np.arange(2 * m)
+    v = f[rows, k].reshape(2, m)
+    v[1] = np.where(exists, v[1], -np.inf)
+    n = u.reshape(2 * m, 3, -1)[rows, :, k]
+    n_c = (frame @ n[m:, :, None])[..., 0]
+    return np.where((_pick(v.T) == 1)[:, None], n_c, n[:m]), v.max(0) > -np.inf
 
 
 def _conditional_closed_form(tables, r_a, r_b, n_a):
@@ -349,9 +360,7 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
     if min_distance is None:
         min_distance = max(1, n // 2)
     if not 1 <= min_distance < n:
-        raise ArgumentError(
-            f"min_distance must lie in [1, {n - 1}], got {min_distance}"
-        )
+        raise ArgumentError(f"min_distance must lie in [1, {n - 1}], got {min_distance}")
     # never empty: the end sites are n - 1 >= min_distance apart
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if y - x >= min_distance]
     bloch, table = _two_point_table(state)
@@ -364,29 +373,19 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
     n_a, admissible = _best_conditioning(tables, r_a, varepsilon + _FLOOR_MARGIN)
     n_b, p_b, deviation = _conditional_closed_form(tables, r_a, bloch[b_sites], n_a)
     deviation = np.where(admissible, deviation, 0.0)
-    records = []
     m = len(pairs)
-    for i in range(m):
-        k = i if deviation[i] >= deviation[i + m] * (1.0 - _TIE_RTOL) - _TIE_ATOL else i + m
-        records.append(PairStabilityRecord(
-            int(a_sites[k]), int(b_sites[k]), abs(int(b_sites[k]) - int(a_sites[k])),
-            tuple(float(v) for v in n_a[k]), tuple(float(v) for v in n_b[k]),
-            1.0, 1.0, float(p_b[k] + deviation[k]), float(p_b[k]), float(deviation[k]),
-        ))
+    lower = deviation[:m] >= deviation[m:] * (1.0 - _TIE_RTOL) - _TIE_ATOL
+    records = [PairStabilityRecord(
+        int(a_sites[k]), int(b_sites[k]), abs(int(b_sites[k]) - int(a_sites[k])),
+        tuple(float(v) for v in n_a[k]), tuple(float(v) for v in n_b[k]),
+        1.0, 1.0, float(p_b[k] + deviation[k]), float(p_b[k]), float(deviation[k]),
+    ) for k in np.where(lower, np.arange(m), np.arange(m, 2 * m))]
     by_distance = {}
     for rec in records:
         by_distance[rec.distance] = max(by_distance.get(rec.distance, 0.0), rec.deviation)
-    d_max = max(by_distance)
-    max_dev = max(r.deviation for r in records)
-    stable = by_distance[d_max] <= epsilon
     return MeasurementStabilityReport(
-        float(epsilon),
-        float(varepsilon),
-        int(min_distance),
-        tuple(records),
-        by_distance,
-        max_dev,
-        stable,
+        float(epsilon), float(varepsilon), int(min_distance), tuple(records), by_distance,
+        max(r.deviation for r in records), by_distance[max(by_distance)] <= epsilon,
     )
 
 

@@ -22,8 +22,12 @@ from macrostab import (
     stability_test,
     HamiltonianSpec,
 )
+from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.operators import PAULI_MATRICES
 from macrostab.measure import _two_point_table
+from macrostab.states import StateVector
+
+from conftest import random_state_amps
 
 
 def tfim_ground(n, h):
@@ -178,6 +182,30 @@ class TestStability:
             assert tied
             assert all(r.x < r.y for r in tied), [(r.x, r.y) for r in tied if r.x > r.y]
 
+    @pytest.mark.parametrize("label", ["w", "dicke-half", "tfim-para", "tfim-ferro", "pure-phase"])
+    def test_directions_survive_a_rounding_perturbation(self, label):
+        # W and Dicke states have a ring of equally good n_a, and the tfim and
+        # pure-phase states mirrored pairs of them; the near-tie rule must pick
+        # the same one after a 1e-15 relative perturbation of the state.  Only
+        # where C_xy itself is at the state's accuracy (pure-phase deviations of
+        # 1e-10 and below) does the optimum move, by at most about 1e-15 / deviation
+        family, params = {lab: (fam, par) for lab, fam, par in correspondence_catalog()}[label]
+        rng = np.random.default_rng(2024)
+        for n in range(4, 9):
+            psi = build_state(family, n, params=params)
+            base = stability_test(psi, epsilon=0.1, min_distance=1)
+            for _ in range(2):
+                amps = psi.amplitudes + 1e-15 * random_state_amps(n, rng)
+                moved = StateVector(psi.lattice, amps / np.sqrt(np.sum(np.abs(amps) ** 2)))
+                rep = stability_test(moved, epsilon=0.1, min_distance=1)
+                for r0, r1 in zip(base.pairs, rep.pairs):
+                    where = (n, r0.x, r0.y)
+                    assert (r1.x, r1.y) == (r0.x, r0.y), where
+                    assert abs(r1.deviation - r0.deviation) <= 1e-12, where
+                    bound = 1e-6 + 1e-14 / r0.deviation
+                    assert np.max(np.abs(np.subtract(r1.direction_a, r0.direction_a))) <= bound, where
+                    assert np.max(np.abs(np.subtract(r1.direction_b, r0.direction_b))) <= bound, where
+
     def test_no_admissible_outcome_reports_zero(self):
         # a maximally mixed site: no outcome reaches P(a) >= 0.6
         lat = LatticeSpec(2)
@@ -219,3 +247,56 @@ class TestCascade:
         result = measurement_cascade(psi)
         assert result.reached_nfs
         assert len(result.steps) == 0
+
+
+_THETA, _PHI = np.meshgrid((np.arange(300) + 0.5) * (math.pi / 300), np.arange(600) * (math.pi / 300), indexing="ij")
+_DENSE_SPHERE = np.stack([np.sin(_THETA) * np.cos(_PHI), np.sin(_THETA) * np.sin(_PHI), np.cos(_THETA)], -1).reshape(-1, 3)
+
+
+def _brute_force_deviations(table, bloch, varepsilon):
+    """(N, N) largest |C_xy^T n| / (2 (1 + r_x.n)), conditioning at x, over a
+    dense (theta, phi) grid of 300 x 600 points and 4,096 points just inside
+    the floor circle, under the floor (1 + r_x.n)/2 >= varepsilon + 1e-14;
+    0 where no n clears it."""
+    n_sites = len(bloch)
+    ref = np.zeros((n_sites, n_sites))
+    level = 2.0 * (varepsilon + 1e-13) - 1.0
+    for x, r in enumerate(bloch):
+        points = [_DENSE_SPHERE]
+        if np.linalg.norm(r) > abs(level):
+            r_hat = r / np.linalg.norm(r)
+            _, _, vt = np.linalg.svd(r_hat[None])
+            t = np.arange(4096)[:, None] * (2.0 * math.pi / 4096)
+            c = level / np.linalg.norm(r)
+            points.append(c * r_hat + math.sqrt(1.0 - c * c) * (np.cos(t) * vt[1] + np.sin(t) * vt[2]))
+        n = np.concatenate(points)
+        den = 1.0 + n @ r
+        ok = den / 2.0 >= varepsilon + 1e-14
+        if ok.any():
+            shifts = (n[ok] @ table[3 * x : 3 * x + 3]).reshape(-1, n_sites, 3)
+            ratio2 = np.einsum("kyb,kyb->ky", shifts, shifts) / (4.0 * den[ok, None] ** 2)
+            ref[x] = np.sqrt(np.max(ratio2, axis=0))
+    return ref
+
+
+def _oracle_states():
+    for n in (3, 4):
+        for label, family, params in correspondence_catalog():
+            yield f"{label}/{n}", build_state(family, n, params=params)
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5):
+        for k in range(2):
+            yield f"random-{k}/{n}", StateVector(LatticeSpec(n), random_state_amps(n, rng))
+
+
+@pytest.mark.parametrize("varepsilon", [0.05, 0.3])
+def test_search_never_falls_below_a_brute_force_reference(varepsilon):
+    # the reference scans every ordering of every pair on a grid about 40 times
+    # denser than the sweep's and on the floor circle
+    for name, psi in _oracle_states():
+        bloch, table = _two_point_table(psi)
+        ref = _brute_force_deviations(table, bloch, varepsilon)
+        rep = stability_test(psi, epsilon=0.1, varepsilon=varepsilon, min_distance=1)
+        for rec in rep.pairs:
+            best = max(ref[rec.x, rec.y], ref[rec.y, rec.x])
+            assert rec.deviation >= best - 1e-10, (name, rec.x, rec.y, rec.deviation, best)

@@ -517,6 +517,28 @@ class TestReproducibility:
         ]
         assert outputs["1"] == outputs["2"]
 
+    def test_catalog_sweep_same_bytes_across_threads(self, tmp_path):
+        # the measurement sweep scores its grid in one BLAS product per block
+        # of orderings: N = 8 has 20 orderings at the default min_distance
+        # (2 blocks) and 56 at min_distance 1 (4 blocks)
+        commands = (
+            ["measure", "--state", "catalog", "--sizes", "6:8:2", "--out", "m"],
+            ["measure", "--state", "catalog", "--sizes", "6:8:2", "--min-distance", "1", "--out", "m1"],
+        )
+        outputs = {}
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            for args in commands:
+                res = run_cli(args, env_extra={"OPENBLAS_NUM_THREADS": threads}, cwd=cwd)
+                assert res.returncode == 0, res.stderr
+            outputs[threads] = {
+                p.name: _strip_wall_time(p.read_text()) if p.suffix == ".json" else p.read_bytes()
+                for p in sorted(cwd.iterdir())
+            }
+        assert sorted(outputs["1"]) == ["m.json", "m1.json", "m1_measure.csv", "m_measure.csv"]
+        assert outputs["1"] == outputs["2"]
+
     def test_same_seed_same_bytes_across_threads(self, tmp_path):
         # the BLAS thread count is the only one the computation can see
         decohere = {
