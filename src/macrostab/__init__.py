@@ -36,7 +36,6 @@ from .evolve import (
     TrajectoryEnsemble,
     dephasing_channel_density,
     evolve_noisy,
-    stability_dt_bound,
 )
 from .ground import (
     METHOD_DOUBLET,

@@ -26,7 +26,7 @@ _COUPLINGS = ("J", "h", "B")
 _COMMAND_PARAMS = {
     "classify": _COUPLINGS,
     "cluster": ("epsilon",) + _COUPLINGS,
-    "decohere": ("kappa", "kernel", "axis", "xi", "n_traj", "dt", "horizon") + _COUPLINGS,
+    "decohere": ("kappa", "kernel", "axis", "xi", "n_traj", "horizon") + _COUPLINGS,
     "measure": ("epsilon", "varepsilon", "min_distance") + _COUPLINGS,
     "ground": ("model", "delta") + _COUPLINGS,
     "symmetry-breaking": ("model", "kappa", "nfs_factor") + _COUPLINGS,
@@ -106,7 +106,6 @@ def build_parser():
     p.add_argument("--axis", choices=PAULI_AXES, default="z")
     p.add_argument("--xi", type=float, default=2.0)
     p.add_argument("--n-traj", type=int, default=200, help="0 runs analytic rates only")
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--horizon", type=float, default=None)
 
     p = sub.add_parser("measure", help="stability against local measurements")

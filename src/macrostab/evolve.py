@@ -7,7 +7,9 @@ other at all times and a trajectory is a closed form in the product
 eigenbasis of the site couplings: the state at step k carries the phase
 sum_x Wcum_x(k) lambda_x(i_x) on basis state i, with Wcum the running
 sum of the increments.  One cumsum and one real matrix product per
-trajectory give its whole fidelity series.
+trajectory give its whole fidelity series.  The closed form is exact at
+any step, so no stability condition limits the step: it sets only the
+spacing of the recorded times, and every step is recorded.
 
 Noise increments come from a counter-based Philox stream keyed by
 (master seed, trajectory index), so a trajectory's result depends only on
@@ -25,29 +27,18 @@ from .operators import _apply_matrix_at_site
 
 DENSITY_CAP_SITES = 8
 MIN_TRAJECTORIES = 100
-_STABILITY_FACTOR = 0.1
-_MAX_RECORD_POINTS = 400
 # phase-matrix elements (record rows x support states) evaluated at once
 _PHASE_BLOCK_ELEMENTS = 1 << 14
 
 
-def stability_dt_bound(noise, lattice):
-    """Largest admissible step: 0.1 / (kappa * N * lambda_max(g))."""
-    if noise.kappa == 0.0:
-        return math.inf
-    lam = noise.max_kernel_eigenvalue(lattice)
-    return _STABILITY_FACTOR / (noise.kappa * lattice.n_sites * lam)
-
-
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Run configuration for a trajectory ensemble."""
+    """Run configuration for a trajectory ensemble; every step is recorded."""
 
     n_traj: int
     dt: float
     horizon: float
     seed: int
-    record_stride: int = None
     collect_density: bool = False
 
     def __post_init__(self):
@@ -59,25 +50,18 @@ class TrajectoryEnsemble:
             raise ArgumentError("horizon must be at least one step long")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ArgumentError("seed must be an integer in [0, 2^64)")
-        if self.record_stride is not None and self.record_stride < 1:
-            raise ArgumentError("record_stride must be >= 1")
 
     @property
     def n_steps(self):
         return max(1, int(round(self.horizon / self.dt)))
-
-    def effective_stride(self):
-        if self.record_stride is not None:
-            return self.record_stride
-        return max(1, -(-self.n_steps // _MAX_RECORD_POINTS))
 
 
 @dataclass(frozen=True)
 class EvolveResult:
     """Fidelity series (and optional ensemble density matrix) of a run.
 
-    ``f_rows`` holds the per-trajectory fidelities at the recorded times
-    after t = 0; resampling them gives error bars that respect the strong
+    ``f_rows`` holds the per-trajectory fidelities at every step after
+    t = 0; resampling them gives error bars that respect the strong
     temporal correlation along each trajectory.
     """
 
@@ -103,11 +87,11 @@ def _rotate_sites(psi, mats):
     return psi
 
 
-def _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals):
+def _closed_form_ensemble(amps0, q, lam, draw_w, f_rows, finals):
     """Noise-only trajectories from phases in the coupling eigenbasis.
 
     With c = (prod_x q_x)^dagger psi0 and p = |c|^2, the fidelity at record
-    row k is |sum_i p_i exp(-i phi_i(k))|^2, phi_i(k) = sum_x Wcum_x(k)
+    step k is |sum_i p_i exp(-i phi_i(k))|^2, phi_i(k) = sum_x Wcum_x(k)
     lam_x(i_x).  Basis states outside the support of p never contribute.
     """
     n_sites = lam.shape[0]
@@ -118,13 +102,12 @@ def _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals):
     lam_s = lam[np.arange(n_sites), bits]
     lam_t = np.ascontiguousarray(lam_s.T)
     p_s = p[support]
-    n_rec = f_rows.shape[1]
+    n_steps = f_rows.shape[1]
     block = max(1, _PHASE_BLOCK_ELEMENTS // support.size)
     for traj in range(f_rows.shape[0]):
         w_cum = np.cumsum(draw_w(traj), axis=0)
-        w_rec = w_cum[stride - 1::stride]
-        for lo in range(0, n_rec, block):
-            phi = w_rec[lo:lo + block] @ lam_t
+        for lo in range(0, n_steps, block):
+            phi = w_cum[lo:lo + block] @ lam_t
             re = np.cos(phi) @ p_s
             im = np.sin(phi) @ p_s
             f_rows[traj, lo:lo + block] = re * re + im * im
@@ -144,12 +127,6 @@ def evolve_noisy(psi0, noise, ensemble):
     ensemble : TrajectoryEnsemble
     """
     lattice = psi0.lattice
-    bound = stability_dt_bound(noise, lattice)
-    if ensemble.dt > bound:
-        raise ArgumentError(
-            f"dt={ensemble.dt!r} violates the stability bound {bound!r} "
-            "(0.1 / (kappa N lambda_kernel))"
-        )
     if ensemble.collect_density and lattice.n_sites > DENSITY_CAP_SITES:
         raise CapabilityError(
             f"ensemble density matrix capped at {DENSITY_CAP_SITES} sites, "
@@ -159,8 +136,6 @@ def evolve_noisy(psi0, noise, ensemble):
     ops = noise.coupling_operators(lattice)
     lam, q = np.linalg.eigh(np.stack([op.matrix for op in ops]))
     n_steps = ensemble.n_steps
-    stride = ensemble.effective_stride()
-    n_rec = n_steps // stride
     b_scaled = noise.kernel_sqrt(lattice) * math.sqrt(noise.kappa * ensemble.dt)
 
     def draw_w(traj):
@@ -168,20 +143,17 @@ def evolve_noisy(psi0, noise, ensemble):
         return rng.standard_normal((n_steps, lattice.n_sites)) @ b_scaled.T
 
     amps0 = psi0.amplitudes.astype(np.complex128)
-    f_rows = np.empty((ensemble.n_traj, n_rec), dtype=np.float64)
+    f_rows = np.empty((ensemble.n_traj, n_steps), dtype=np.float64)
     finals = (
         np.empty((ensemble.n_traj, lattice.dim), dtype=np.complex128)
         if ensemble.collect_density
         else None
     )
-    _closed_form_ensemble(amps0, q, lam, draw_w, stride, f_rows, finals)
+    _closed_form_ensemble(amps0, q, lam, draw_w, f_rows, finals)
 
-    times = np.concatenate(([0.0], ensemble.dt * stride * np.arange(1, n_rec + 1)))
+    times = np.concatenate(([0.0], ensemble.dt * np.arange(1, n_steps + 1)))
     f_mean = np.concatenate(([1.0], f_rows.mean(axis=0)))
-    if ensemble.n_traj > 1:
-        spread = f_rows.std(axis=0, ddof=1) / math.sqrt(ensemble.n_traj)
-    else:
-        spread = np.zeros(n_rec)
+    spread = f_rows.std(axis=0, ddof=1) / math.sqrt(ensemble.n_traj)
     f_stderr = np.concatenate(([0.0], spread))
 
     density = None

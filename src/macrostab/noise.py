@@ -93,6 +93,3 @@ class NoiseModel:
         evals, evecs = np.linalg.eigh(g)
         evals = np.clip(evals, 0.0, None)
         return (evecs * np.sqrt(evals)) @ evecs.T
-
-    def max_kernel_eigenvalue(self, lattice):
-        return float(np.linalg.eigvalsh(self.kernel_matrix(lattice))[-1])

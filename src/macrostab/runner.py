@@ -10,14 +10,12 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analyzer import classify_scaling, max_additive_fluctuation
 from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
-from .evolve import TrajectoryEnsemble, evolve_noisy, stability_dt_bound
+from .evolve import TrajectoryEnsemble, evolve_noisy
 from .ground import ground_state, pure_phase_vacuum
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
@@ -28,6 +26,9 @@ from .rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
 from .scenario import _STATEFUL_EXPERIMENTS
 from .stateio import export_state, import_state
+
+# steps of every decohere trajectory: the 5% rate window holds 20 of them
+_TRAJECTORY_STEPS = 400
 
 
 def _state_entries(scenario):
@@ -130,15 +131,12 @@ def run_measure(scenario, entries):
     return {"measure": {"per_state": per_state}}, verdicts
 
 
-def _auto_ensemble(p, noise, lattice, gamma_hint):
+def _auto_ensemble(p, gamma_hint):
+    """_TRAJECTORY_STEPS steps over the horizon, by default 0.5 / gamma_analytic."""
     horizon = p.horizon
     if horizon is None:
         horizon = 0.5 / gamma_hint if gamma_hint > 1e-12 else 1.0
-    bound = stability_dt_bound(noise, lattice)
-    dt = p.dt
-    if dt is None:
-        dt = min(horizon / 400.0, 0.5 * bound) if np.isfinite(bound) else horizon / 400.0
-    return TrajectoryEnsemble(n_traj=p.n_traj, dt=dt, horizon=horizon, seed=p.seed)
+    return TrajectoryEnsemble(n_traj=p.n_traj, dt=horizon / _TRAJECTORY_STEPS, horizon=horizon, seed=p.seed)
 
 
 def run_decohere(scenario, entries):
@@ -153,7 +151,7 @@ def run_decohere(scenario, entries):
         gamma_a = analytic_dephasing_rate(psi, noise)
         row = {"n": n, "gamma_analytic": gamma_a}
         if p.n_traj > 0:
-            ens = _auto_ensemble(p, noise, psi.lattice, gamma_a)
+            ens = _auto_ensemble(p, gamma_a)
             res = evolve_noisy(psi, noise, ens)
             fit = trajectory_rate(res)
             row.update(

@@ -14,11 +14,12 @@ typo can never silently change physics parameters.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .catalog import check_state_params
 from .errors import FormatError, ValidationError
-from .evolve import MIN_TRAJECTORIES, stability_dt_bound
+from .evolve import MIN_TRAJECTORIES
 from .ground import METHODS
 from .hamiltonian import MODELS, TRANSVERSE_ISING, XXZ
 from .lattice import GEOMETRIES, OPEN_CHAIN, LatticeSpec
@@ -50,7 +51,6 @@ class ScenarioParams:
     axis: str = "z"
     xi: float = 2.0
     n_traj: int = 200
-    dt: float = None
     horizon: float = None
     seed: int = 12345
     model: str = TRANSVERSE_ISING
@@ -100,7 +100,8 @@ class Scenario:
             all(a < b for a, b in zip(sizes, sizes[1:])),
             f"sizes must be strictly ascending, got {sizes}",
         )
-        lattices = [LatticeSpec(n, p.geometry) for n in sizes]  # the site cap, before any state
+        for n in sizes:
+            LatticeSpec(n, p.geometry)  # the site cap, before any state
         for e in self.experiments:
             if e in _SCALING_EXPERIMENTS:
                 _require(len(sizes) >= 3, "scaling experiments need at least 3 sizes")
@@ -124,14 +125,18 @@ class Scenario:
         )
         if "decohere" in self.experiments:
             _require(p.kappa > 0, "decohere needs kappa > 0")
-            if p.dt is not None and p.n_traj > 0:
-                noise = p.noise_model()
-                for lattice in lattices:
-                    bound = stability_dt_bound(noise, lattice)
-                    _require(p.dt <= bound, f"dt={p.dt} violates the stability bound {bound} at n={lattice.n_sites}")
+            _require(
+                p.horizon is None or (math.isfinite(p.horizon) and p.horizon > 0),
+                f"params.horizon must be finite and > 0, got {p.horizon!r}",
+            )
+            p.noise_model()  # its kernel and xi, before any state
         if "symmetry-breaking" in self.experiments:
             _require(p.model == TRANSVERSE_ISING, "symmetry-breaking is defined for the transverse-ising model")
             _require(p.B == 0.0, "symmetry-breaking needs B = 0 for the symmetric ground state")
+            _require(
+                math.isfinite(p.nfs_factor) and p.nfs_factor > 0,
+                f"params.nfs_factor must be finite and > 0, got {p.nfs_factor!r}",
+            )
 
     def echo(self):
         """Plain-dict copy embedded into every report."""

@@ -2,6 +2,8 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,12 @@ def test_parse_sizes():
             Scenario("measure", tuple(parse_sizes(text)), ("measure",), StateSource(family="ghz"))
 
 
+def test_readme_lists_every_scenario_param():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"`params` accepts:(.*?)\.\s", readme, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listing) == [f.name for f in fields(ScenarioParams)]
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("state built or imported despite invalid input")
 
@@ -147,7 +155,14 @@ def _refuse(*args, **kwargs):
         ["decohere", "--state", "catalog", "--sizes", "4:8:2", "--n-traj", "0"],
         ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--kappa", "0"],
         ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--n-traj", "50"],
-        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--dt", "100"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--horizon", "-5"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--horizon", "0"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--horizon", "nan"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--horizon", "inf"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--kernel", "exponential", "--xi", "-1"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--kernel", "exponential", "--xi", "nan"],
+        ["symmetry-breaking", "--sizes", "4:8:2", "--nfs-factor", "-1"],
+        ["symmetry-breaking", "--sizes", "4:8:2", "--nfs-factor", "nan"],
         ["symmetry-breaking", "--sizes", "4:8:2", "--b-field", "0.1"],
         ["decohere", "--state", "ghz", "--sizes", "4:12:2", "--seed", "-1"],
         ["cluster", "--state", "ghz", "--sizes", "4:8:2", "--seed", "-5"],
