@@ -8,22 +8,23 @@ from .hamiltonian import TRANSVERSE_ISING, HamiltonianSpec, build_hamiltonian
 from .lattice import OPEN_CHAIN, LatticeSpec
 from .states import make_dicke, make_ghz, make_uniform_product
 
-_NUMBER, _INTEGER = "a number", "an integer"
-_TYPES = {_NUMBER: (int, float), _INTEGER: int}
+# accepted values and description of each param type
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer")}
 
-# The params each family accepts: a type or a tuple of allowed values.
+# The params each family accepts: float (any number), int, or a tuple of
+# allowed values.  Each key is also a command-line flag of that type.
 # "catalog" names the whole correspondence catalog, which takes none.
 FAMILY_PARAMS = {
     "ghz": {},
     "product-up": {},
     "product-plus": {},
-    "product": {"theta": _NUMBER, "phi": _NUMBER},
+    "product": {"theta": float, "phi": float},
     "w": {},
-    "dicke": {"k": _INTEGER},
+    "dicke": {"k": int},
     "dicke-half": {},
-    "tfim-ground": {"J": _NUMBER, "h": _NUMBER, "B": _NUMBER},
-    "tfim-paramagnetic": {"J": _NUMBER},
-    "pure-phase": {"J": _NUMBER, "h": _NUMBER, "method": METHODS},
+    "tfim-ground": {"J": float, "h": float, "B": float},
+    "tfim-paramagnetic": {"J": float},
+    "pure-phase": {"J": float, "h": float, "method": METHODS},
     "catalog": {},
 }
 
@@ -40,7 +41,8 @@ def check_state_params(family, params):
         if isinstance(kind, tuple):
             ok, kind = val in kind, f"one of {list(kind)}"
         else:
-            ok = isinstance(val, _TYPES[kind]) and not isinstance(val, bool)
+            types, kind = _KINDS[kind]
+            ok = isinstance(val, types) and not isinstance(val, bool)
         if not ok:
             raise ArgumentError(f"state parameter {key!r} of family {family!r} must be {kind}, got {val!r}")
     if family == "dicke" and "k" not in params:

@@ -2,8 +2,13 @@
 
 Subcommands: classify, cluster, decohere, measure, ground,
 symmetry-breaking, and run <scenario-file>.  Every subcommand but run
-stands for the one-experiment scenario file its flags spell out: it
-builds that raw scenario, and ``validate_scenario`` checks it and
+stands for the one-experiment scenario file its flags spell out: each
+param flag is one scenario field and defaults to unset, so only the
+flags given enter that raw scenario and ``ScenarioParams`` holds every
+default.  On the state subcommands (classify, cluster, decohere,
+measure) --k/--theta/--phi/--method/--j/--h/--b-field are params of the
+chosen state family; on ground and symmetry-breaking --j/--h/--b-field
+are scenario params.  ``validate_scenario`` checks the raw scenario and
 ``run_scenario`` runs it exactly as for ``run``.  Exit codes: 0 success,
 2 validation error, 3 numerical error, 4 capability (size cap) error.
 """
@@ -12,25 +17,31 @@ import argparse
 import json
 import sys
 
+from .catalog import FAMILY_PARAMS
 from .errors import MacrostabError, ValidationError
-from .hamiltonian import MODELS
-from .lattice import GEOMETRIES
-from .noise import KERNELS
-from .operators import PAULI_AXES
 from .runner import run_scenario, write_report_files
-from .scenario import FORMATS, load_scenario, validate_scenario
+from .scenario import _STATEFUL_EXPERIMENTS, CHOICES, FORMATS, PARAM_TYPES, load_scenario, validate_scenario
 
-_COUPLINGS = ("J", "h", "B")
-
-# the scenario params each subcommand's own flags set, besides seed and geometry
-_COMMAND_PARAMS = {
-    "classify": _COUPLINGS,
-    "cluster": ("epsilon",) + _COUPLINGS,
-    "decohere": ("kappa", "kernel", "axis", "xi", "n_traj", "horizon") + _COUPLINGS,
-    "measure": ("epsilon", "varepsilon", "min_distance") + _COUPLINGS,
-    "ground": ("model", "delta") + _COUPLINGS,
-    "symmetry-breaking": ("model", "kappa", "nfs_factor") + _COUPLINGS,
+# each subcommand's help and the scenario params its own flags set, besides seed and geometry
+_COMMANDS = {
+    "classify": ("AFS/NFS scaling of the maximal additive fluctuation", ()),
+    "cluster": ("normalized correlations and Omega(eps)", ("epsilon",)),
+    "decohere": ("dephasing rates and their size scaling", ("kappa", "kernel", "axis", "xi", "n_traj", "horizon")),
+    "measure": ("stability against local measurements", ("epsilon", "varepsilon", "min_distance")),
+    "ground": ("iterative ground states of a spin-chain model", ("model", "delta", "J", "h", "B")),
+    "symmetry-breaking": (
+        "symmetric ground state versus pure-phase vacuum",
+        ("model", "kappa", "nfs_factor", "J", "h", "B"),
+    ),
 }
+# the params of every state family, by type; the family checks values and choices
+_STATE_TYPES = {
+    key: kind if kind in (int, float) else str for params in FAMILY_PARAMS.values() for key, kind in params.items()
+}
+
+
+def _flag(name):
+    return "--b-field" if name == "B" else "--" + name.lower().replace("_", "-")
 
 
 def parse_sizes(text):
@@ -52,35 +63,6 @@ def parse_sizes(text):
         raise ValidationError(f"cannot parse sizes {text!r}; use a:b:step or a comma list")
 
 
-def _add_common(p):
-    p.add_argument("--sizes", required=True, help="size sweep, a:b:step or comma list")
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--out", default=None, help="output base path (writes <out>.json / CSVs)")
-    p.add_argument("--format", choices=FORMATS, default="both")
-    p.add_argument("--geometry", choices=GEOMETRIES, default="open-chain")
-
-
-def _add_state(p):
-    p.add_argument("--state", default="ghz", help="state family name, or 'catalog'")
-    p.add_argument("--state-file", default=None, help="state file (overrides --state)")
-    p.add_argument("--k", type=int, default=None, help="dicke excitation count")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--method", default=None, help="pure-phase construction method")
-    _add_couplings(p, h_default=0.1, h_help="transverse field of tfim-ground and pure-phase")
-
-
-def _add_couplings(p, h_default, h_help):
-    p.add_argument("--j", dest="J", type=float, default=1.0)
-    p.add_argument("--h", dest="h", type=float, default=h_default, help=h_help)
-    p.add_argument("--b-field", dest="B", type=float, default=0.0)
-
-
-def _add_model(p):
-    p.add_argument("--model", choices=MODELS, default="transverse-ising")
-    _add_couplings(p, h_default=None, h_help="transverse field (default 0.1 for transverse-ising, 0 for xxz)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="macrostab",
@@ -88,62 +70,29 @@ def build_parser():
         "measurement-stability experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="AFS/NFS scaling of the maximal additive fluctuation")
-    _add_common(p)
-    _add_state(p)
-
-    p = sub.add_parser("cluster", help="normalized correlations and Omega(eps)")
-    _add_common(p)
-    _add_state(p)
-    p.add_argument("--epsilon", type=float, default=0.1)
-
-    p = sub.add_parser("decohere", help="dephasing rates and their size scaling")
-    _add_common(p)
-    _add_state(p)
-    p.add_argument("--kappa", type=float, default=0.01)
-    p.add_argument("--kernel", choices=KERNELS, default="collective")
-    p.add_argument("--axis", choices=PAULI_AXES, default="z")
-    p.add_argument("--xi", type=float, default=2.0)
-    p.add_argument("--n-traj", type=int, default=200, help="0 runs analytic rates only")
-    p.add_argument("--horizon", type=float, default=None)
-
-    p = sub.add_parser("measure", help="stability against local measurements")
-    _add_common(p)
-    _add_state(p)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--varepsilon", type=float, default=0.05)
-    p.add_argument("--min-distance", type=int, default=None)
-
-    p = sub.add_parser("ground", help="iterative ground states of a spin-chain model")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--delta", type=float, default=1.0)
-
-    p = sub.add_parser("symmetry-breaking", help="symmetric ground state versus pure-phase vacuum")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--kappa", type=float, default=0.01)
-    p.add_argument("--nfs-factor", type=float, default=3.0)
+    for command, (text, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--sizes", required=True, help="size sweep, a:b:step or comma list")
+        p.add_argument("--out", help="output base path (writes <out>.json / CSVs)")
+        p.add_argument("--format", choices=FORMATS)
+        for name in ("seed", "geometry") + own:
+            p.add_argument(
+                _flag(name), dest=name, type=PARAM_TYPES[name], choices=CHOICES.get(name),
+                help="0 runs analytic rates only" if name == "n_traj" else None,
+            )
+        if command in _STATEFUL_EXPERIMENTS:
+            p.add_argument("--state", default="ghz", help="state family name, or 'catalog'")
+            p.add_argument("--state-file", help="state file (overrides --state, takes no params)")
+            for name, kind in _STATE_TYPES.items():
+                p.add_argument(_flag(name), dest=name, type=kind, help="param of the --state family")
 
     p = sub.add_parser("run", help="execute a scenario file")
     p.add_argument("scenario", help="path to a JSON scenario")
-
     return parser
 
 
-def _state_source(args):
-    if args.state_file:
-        return {"file": args.state_file}
-    params = {}
-    for key in ("k", "theta", "phi", "method"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    if args.state in ("tfim-ground", "pure-phase"):
-        params.update(J=args.J, h=args.h)
-    if args.state == "tfim-ground" and args.B:
-        params["B"] = args.B
-    return {"family": args.state, "params": params}
+def _given(args, names):
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _scenario_from_args(args):
@@ -152,11 +101,12 @@ def _scenario_from_args(args):
         "name": args.command,
         "sizes": parse_sizes(args.sizes),
         "experiments": [args.command],
-        "params": {key: getattr(args, key) for key in ("seed", "geometry") + _COMMAND_PARAMS[args.command]},
+        "params": _given(args, ("seed", "geometry") + _COMMANDS[args.command][1]),
         "output": {"path": args.out, "format": args.format},
     }
-    if hasattr(args, "state"):
-        raw["state"] = _state_source(args)
+    if args.command in _STATEFUL_EXPERIMENTS:
+        source = {"file": args.state_file} if args.state_file else {"family": args.state}
+        raw["state"] = {**source, "params": _given(args, _STATE_TYPES)}
     return validate_scenario(raw)
 
 

@@ -27,6 +27,8 @@ from .operators import _apply_matrix_at_site
 
 DENSITY_CAP_SITES = 8
 MIN_TRAJECTORIES = 100
+# steps of every decohere trajectory: the 5% rate window holds 20 of them
+TRAJECTORY_STEPS = 400
 # phase-matrix elements (record rows x support states) evaluated at once
 _PHASE_BLOCK_ELEMENTS = 1 << 14
 

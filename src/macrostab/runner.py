@@ -15,7 +15,7 @@ from .analyzer import classify_scaling, max_additive_fluctuation
 from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
-from .evolve import TrajectoryEnsemble, evolve_noisy
+from .evolve import TRAJECTORY_STEPS, TrajectoryEnsemble, evolve_noisy
 from .ground import ground_state, pure_phase_vacuum
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
@@ -26,9 +26,6 @@ from .rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
 from .scenario import _STATEFUL_EXPERIMENTS
 from .stateio import export_state, import_state
-
-# steps of every decohere trajectory: the 5% rate window holds 20 of them
-_TRAJECTORY_STEPS = 400
 
 
 def _state_entries(scenario):
@@ -132,11 +129,11 @@ def run_measure(scenario, entries):
 
 
 def _auto_ensemble(p, gamma_hint):
-    """_TRAJECTORY_STEPS steps over the horizon, by default 0.5 / gamma_analytic."""
+    """TRAJECTORY_STEPS steps over the horizon, by default 0.5 / gamma_analytic."""
     horizon = p.horizon
     if horizon is None:
         horizon = 0.5 / gamma_hint if gamma_hint > 1e-12 else 1.0
-    return TrajectoryEnsemble(n_traj=p.n_traj, dt=horizon / _TRAJECTORY_STEPS, horizon=horizon, seed=p.seed)
+    return TrajectoryEnsemble(n_traj=p.n_traj, dt=horizon / TRAJECTORY_STEPS, horizon=horizon, seed=p.seed)
 
 
 def run_decohere(scenario, entries):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .catalog import check_state_params
 from .errors import FormatError, ValidationError
-from .evolve import MIN_TRAJECTORIES
+from .evolve import MIN_TRAJECTORIES, TRAJECTORY_STEPS
 from .ground import METHODS
 from .hamiltonian import MODELS, TRANSVERSE_ISING, XXZ
 from .lattice import GEOMETRIES, OPEN_CHAIN, LatticeSpec
@@ -34,6 +34,9 @@ _STATEFUL_EXPERIMENTS = ("classify", "cluster", "decohere", "measure")
 
 # the transverse field h of each model when a scenario leaves it unset
 MODEL_FIELD = {TRANSVERSE_ISING: 0.1, XXZ: 0.0}
+
+# the allowed values of each string param, read by the command line too
+CHOICES = {"kernel": KERNELS, "axis": PAULI_AXES, "model": MODELS, "method": METHODS, "geometry": GEOMETRIES}
 
 
 def _require(cond, message):
@@ -63,7 +66,8 @@ class ScenarioParams:
     geometry: str = OPEN_CHAIN
 
     def __post_init__(self):
-        _require(self.model in MODELS, f"params.model must be one of {MODELS}")
+        for key, allowed in CHOICES.items():
+            _require(getattr(self, key) in allowed, f"params.{key} must be one of {allowed}")
         if self.h is None:
             object.__setattr__(self, "h", MODEL_FIELD[self.model])
 
@@ -71,6 +75,10 @@ class ScenarioParams:
         """The correlated noise a decohere run couples to."""
         xi = self.xi if self.kernel == "exponential" else None
         return NoiseModel(kappa=self.kappa, kernel=self.kernel, axis=self.axis, xi=xi)
+
+
+# the type of each param, which scenario files and command-line flags must match
+PARAM_TYPES = {f.name: f.type for f in fields(ScenarioParams)}
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,8 @@ class Scenario:
         if "decohere" in self.experiments:
             _require(p.kappa > 0, "decohere needs kappa > 0")
             _require(
-                p.horizon is None or (math.isfinite(p.horizon) and p.horizon > 0),
-                f"params.horizon must be finite and > 0, got {p.horizon!r}",
+                p.horizon is None or (math.isfinite(p.horizon) and p.horizon / TRAJECTORY_STEPS > 0),
+                f"params.horizon must be finite with horizon / {TRAJECTORY_STEPS} > 0, got {p.horizon!r}",
             )
             p.noise_model()  # its kernel and xi, before any state
         if "symmetry-breaking" in self.experiments:
@@ -206,30 +214,28 @@ def validate_scenario(raw):
         )
         sparams = sobj.get("params") or {}
         _require(isinstance(sparams, dict), "scenario.state.params must be an object")
-        if family is not None:
+        if family is None:
+            _require(not sparams, "scenario.state.file takes no params")
+        else:
             check_state_params(family, sparams)
         state = StateSource(family=family, params=dict(sparams), file=file_path)
 
     pobj = raw.get("params") or {}
-    merged = {f.name: f.default for f in fields(ScenarioParams)}
-    _check_keys(pobj, tuple(merged), "scenario.params")
+    _check_keys(pobj, tuple(PARAM_TYPES), "scenario.params")
+    given = {}
     for key, val in pobj.items():
         if val is None:
             continue
-        if key in ("min_distance", "n_traj", "seed"):
-            _require(isinstance(val, int) and not isinstance(val, bool), f"params.{key} must be an integer")
-        elif key in ("kernel", "axis", "model", "method", "geometry"):
+        if PARAM_TYPES[key] is str:
             _require(isinstance(val, str), f"params.{key} must be a string")
+        elif PARAM_TYPES[key] is int:
+            _require(isinstance(val, int) and not isinstance(val, bool), f"params.{key} must be an integer")
         else:
             _require(isinstance(val, (int, float)) and not isinstance(val, bool), f"params.{key} must be a number")
             val = float(val)
-        merged[key] = val
-    _require(merged["kernel"] in KERNELS, f"params.kernel must be one of {KERNELS}")
-    _require(merged["axis"] in PAULI_AXES, "params.axis must be x, y or z")
-    _require(merged["method"] in METHODS, f"params.method must be one of {METHODS}")
-    _require(merged["geometry"] in GEOMETRIES, f"params.geometry must be one of {GEOMETRIES}")
-    _require(0 <= merged["seed"] < 2**64, "params.seed must fit in 64 bits")
-    params = ScenarioParams(**merged)
+        given[key] = val
+    params = ScenarioParams(**given)
+    _require(0 <= params.seed < 2**64, "params.seed must fit in 64 bits")
 
     output_path = None
     output_format = "both"

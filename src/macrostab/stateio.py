@@ -41,8 +41,11 @@ def import_state(source, geometry=OPEN_CHAIN):
     1e-12 so that export/import round-trips are bit-exact.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
-            return _read(fh, geometry)
+        try:
+            with open(source, "r", encoding="ascii") as fh:
+                return _read(fh, geometry)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FormatError(f"cannot read state file: {exc}") from exc
     return _read(source, geometry)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 import macrostab
 from macrostab import LatticeSpec, ValidationError, export_state, make_ghz, runner
-from macrostab.cli import main, parse_sizes
+from macrostab.catalog import FAMILY_PARAMS
+from macrostab.cli import build_parser, main, parse_sizes
 from macrostab.scenario import Scenario, ScenarioParams, StateSource, validate_scenario
 from conftest import subprocess_env
 
@@ -169,6 +171,13 @@ def _refuse(*args, **kwargs):
         ["cluster", "--state", "nosuch", "--sizes", "4:8:2"],
         ["cluster", "--state", "ghz", "--sizes", "4:8:2", "--k", "2"],
         ["measure", "--state", "pure-phase", "--sizes", "4", "--method", "nosuch"],
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--horizon", "1e-322"],
+        # state flags are params of the chosen family, and only of it
+        ["classify", "--state", "ghz", "--sizes", "4:8:2", "--h", "0.7"],
+        ["cluster", "--state", "pure-phase", "--sizes", "4:8:2", "--b-field", "0.5"],
+        ["cluster", "--state", "tfim-paramagnetic", "--sizes", "4:8:2", "--h", "0.3"],
+        ["measure", "--state", "catalog", "--sizes", "4:8:2", "--j", "2"],
+        ["measure", "--state-file", "g.state", "--sizes", "4", "--k", "2"],
     ],
 )
 def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
@@ -189,10 +198,12 @@ def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
         {"family": "product", "params": {"theta": True}},
         {"family": "tfim-ground", "params": {"h": "0.1"}},
         {"family": "pure-phase", "params": {"method": "nosuch"}},
+        {"file": "g.state", "params": {"k": 2}},
     ],
 )
 def test_invalid_state_params_exit_before_any_state(state, tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "build_state", _refuse)
+    monkeypatch.setattr(runner, "import_state", _refuse)
     monkeypatch.setattr(runner, "ground_state", _refuse)
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(
@@ -216,27 +227,43 @@ def test_flags_no_scenario_reads_are_rejected(argv):
     assert exc.value.code == 2
 
 
-# each subcommand next to the scenario file it stands for
-_CLI_FILE_PAIRS = [
-    (["classify", "--state", "ghz", "--sizes", "4:8:2"],
-     {"state": {"family": "ghz"}, "sizes": [4, 6, 8]}),
-    (["cluster", "--state", "tfim-ground", "--h", "0.3", "--sizes", "4:6:2", "--epsilon", "0.2"],
-     {"state": {"family": "tfim-ground", "params": {"J": 1.0, "h": 0.3}}, "sizes": [4, 6],
-      "params": {"h": 0.3, "epsilon": 0.2}}),
-    (["decohere", "--state", "ghz", "--sizes", "4:6", "--kernel", "independent", "--n-traj", "100",
-      "--seed", "7"],
-     {"state": {"family": "ghz"}, "sizes": [4, 5, 6],
-      "params": {"kernel": "independent", "n_traj": 100, "seed": 7}}),
-    (["measure", "--state", "dicke", "--k", "2", "--sizes", "5", "--min-distance", "2"],
-     {"state": {"family": "dicke", "params": {"k": 2}}, "sizes": [5], "params": {"min_distance": 2}}),
-    (["ground", "--model", "xxz", "--delta", "0.5", "--sizes", "4:6:2"],
-     {"sizes": [4, 6], "params": {"model": "xxz", "delta": 0.5}}),
-    (["symmetry-breaking", "--sizes", "4:6:2", "--kappa", "0.02"],
-     {"sizes": [4, 6], "params": {"kappa": 0.02}}),
-]
+# each subcommand next to the scenario file it stands for; state flags set
+# the family's params only
+_CLI_FILE_PAIRS = {
+    "classify": (
+        ["classify", "--state", "ghz", "--sizes", "4:8:2"],
+        {"state": {"family": "ghz"}, "sizes": [4, 6, 8]},
+    ),
+    "classify-j": (
+        ["classify", "--state", "tfim-paramagnetic", "--j", "3", "--sizes", "4:8:2"],
+        {"state": {"family": "tfim-paramagnetic", "params": {"J": 3.0}}, "sizes": [4, 6, 8]},
+    ),
+    "cluster": (
+        ["cluster", "--state", "tfim-ground", "--h", "0.3", "--sizes", "4:6:2", "--epsilon", "0.2"],
+        {"state": {"family": "tfim-ground", "params": {"h": 0.3}}, "sizes": [4, 6], "params": {"epsilon": 0.2}},
+    ),
+    "decohere": (
+        ["decohere", "--state", "ghz", "--sizes", "4:6", "--kernel", "independent", "--n-traj", "100",
+         "--seed", "7"],
+        {"state": {"family": "ghz"}, "sizes": [4, 5, 6],
+         "params": {"kernel": "independent", "n_traj": 100, "seed": 7}},
+    ),
+    "measure": (
+        ["measure", "--state", "dicke", "--k", "2", "--sizes", "5", "--min-distance", "2"],
+        {"state": {"family": "dicke", "params": {"k": 2}}, "sizes": [5], "params": {"min_distance": 2}},
+    ),
+    "ground": (
+        ["ground", "--model", "xxz", "--delta", "0.5", "--sizes", "4:6:2"],
+        {"sizes": [4, 6], "params": {"model": "xxz", "delta": 0.5}},
+    ),
+    "symmetry-breaking": (
+        ["symmetry-breaking", "--sizes", "4:6:2", "--kappa", "0.02"],
+        {"sizes": [4, 6], "params": {"kappa": 0.02}},
+    ),
+}
 
 
-@pytest.mark.parametrize("argv,scenario", _CLI_FILE_PAIRS, ids=[a[0] for a, _ in _CLI_FILE_PAIRS])
+@pytest.mark.parametrize("argv,scenario", list(_CLI_FILE_PAIRS.values()), ids=list(_CLI_FILE_PAIRS))
 def test_subcommand_matches_its_scenario_file(argv, scenario, tmp_path):
     out = tmp_path / "out" / "rep"
 
@@ -252,6 +279,25 @@ def test_subcommand_matches_its_scenario_file(argv, scenario, tmp_path):
     path.write_text(json.dumps(raw))
     assert main(["run", str(path)]) == 0
     assert outputs() == from_cli
+
+
+def _subparsers():
+    [action] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(_subparsers()))
+def test_flags_leave_every_default_to_the_scenario(command):
+    # ScenarioParams and the state family hold the defaults; a flag left out
+    # leaves its field unset in the scenario the subcommand spells out
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    fields_and_state_params = {f.name for f in fields(ScenarioParams)}.union(*FAMILY_PARAMS.values())
+    flags = [a for a in _subparsers()[command]._actions if a.dest in fields_and_state_params]
+    assert command == "run" or flags
+    for action in flags:
+        assert action.default is None, (command, action.option_strings, action.default)
 
 
 def test_invalid_experiment_later_in_scenario_stops_before_any_state(tmp_path, monkeypatch):
@@ -471,6 +517,15 @@ class TestCliEndToEnd:
         export_state(make_ghz(LatticeSpec(3)), path)
         code = main(["measure", "--state-file", str(path), "--sizes", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-ascii"])
+    def test_unreadable_state_file_exit_2(self, kind, tmp_path):
+        path = tmp_path / "g.state"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-ascii":
+            path.write_bytes("macrostab-state v1 n_sites=1\n0 1.0 0.0\n1 0.0 0.0 \u00e9\n".encode("utf-8"))
+        assert main(["measure", "--state-file", str(path), "--sizes", "4"]) == 2
 
     def test_state_file_accepted(self, tmp_path):
         path = tmp_path / "g.state"
