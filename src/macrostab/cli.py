@@ -8,9 +8,11 @@ flags given enter that raw scenario and ``ScenarioParams`` holds every
 default.  On the state subcommands (classify, cluster, decohere,
 measure) --k/--theta/--phi/--method/--j/--h/--b-field are params of the
 chosen state family; on ground and symmetry-breaking --j/--h/--b-field
-are scenario params.  ``validate_scenario`` checks the raw scenario and
-``run_scenario`` runs it exactly as for ``run``.  Exit codes: 0 success,
-2 validation error, 3 numerical error, 4 capability (size cap) error.
+are scenario params, and so is symmetry-breaking's --method (how the
+pure-phase vacuum is made).  ``validate_scenario`` checks the raw
+scenario and ``run_scenario`` runs it exactly as for ``run``.  Exit
+codes: 0 success, 2 validation error, 3 numerical error, 4 capability
+(size cap) error.
 """
 
 import argparse
@@ -31,7 +33,7 @@ _COMMANDS = {
     "ground": ("iterative ground states of a spin-chain model", ("model", "delta", "J", "h", "B")),
     "symmetry-breaking": (
         "symmetric ground state versus pure-phase vacuum",
-        ("model", "kappa", "nfs_factor", "J", "h", "B"),
+        ("model", "kappa", "nfs_factor", "J", "h", "B", "method"),
     ),
 }
 # the params of every state family, by type; the family checks values and choices

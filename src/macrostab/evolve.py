@@ -3,13 +3,15 @@
 Each trajectory applies, per time step, the exact unitary
 exp(-i sum_x W_x a(x)) with Gaussian increments W ~ N(0, kappa g dt).
 The system Hamiltonian is frozen, so every coupling commutes with every
-other at all times and a trajectory is a closed form in the product
-eigenbasis of the site couplings: the state at step k carries the phase
-sum_x Wcum_x(k) lambda_x(i_x) on basis state i, with Wcum the running
-sum of the increments.  One cumsum and one real matrix product per
-trajectory give its whole fidelity series.  The closed form is exact at
-any step, so no stability condition limits the step: it sets only the
-spacing of the recorded times, and every step is recorded.
+other and a trajectory is a closed form in the product eigenbasis of the
+site couplings: basis state i carries the phase sum_x Wcum_x lam_x(i_x),
+Wcum the running sum of the increments.  It is exact at any step, so every
+step is recorded.  The phase is a sum over sites, so with i = h 2^k + l the
+fidelity's weighted sum splits exactly into low-site (l) and high-site (h)
+phase tables joined by the weights P = p.reshape(2^(N-k), 2^k): one small
+product and a row-wise dot.  The support of p fixes k, the split with the
+fewest nonzero rows plus columns of P: GHZ gets k = 0, a full-support state
+k = N/2, whose step costs 2^k + 2^(N-k) cos/sin instead of 2^N.
 
 Noise increments come from a counter-based Philox stream keyed by
 (master seed, trajectory index), so a trajectory's result depends only on
@@ -29,8 +31,6 @@ DENSITY_CAP_SITES = 8
 MIN_TRAJECTORIES = 100
 # steps of every decohere trajectory: the 5% rate window holds 20 of them
 TRAJECTORY_STEPS = 400
-# phase-matrix elements (record rows x support states) evaluated at once
-_PHASE_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,34 +89,50 @@ def _rotate_sites(psi, mats):
     return psi
 
 
-def _closed_form_ensemble(amps0, q, lam, draw_w, f_rows, finals):
+def _split_sites(nonzero):
+    """Low-site count k whose weight matrix has the fewest nonzero rows + columns."""
+    grids = [nonzero.reshape(-1, 1 << k) for k in range(nonzero.size.bit_length())]
+    return int(np.argmin([g.any(axis=0).sum() + g.any(axis=1).sum() for g in grids]))
+
+
+def _closed_form_ensemble(amps0, q, lam, b_scaled, seed, f_rows, finals):
     """Noise-only trajectories from phases in the coupling eigenbasis.
 
-    With c = (prod_x q_x)^dagger psi0 and p = |c|^2, the fidelity at record
-    step k is |sum_i p_i exp(-i phi_i(k))|^2, phi_i(k) = sum_x Wcum_x(k)
-    lam_x(i_x).  Basis states outside the support of p never contribute.
+    With c = (prod_x q_x)^dagger psi0 and p = |c|^2, the fidelity at step t
+    is |sum_{h,l} E_H[t,h] P[h,l] E_L[t,l]|^2 over the nonzero rows h and
+    columns l of P = p.reshape(2^(N-k), 2^k), E = exp(-i phi) per half.
     """
-    n_sites = lam.shape[0]
+    n_steps, n_sites = f_rows.shape[1], lam.shape[0]
     c = _rotate_sites(amps0, q.conj().transpose(0, 2, 1))
     p = c.real**2 + c.imag**2
-    support = np.flatnonzero(p)
-    bits = (support[:, None] >> np.arange(n_sites)) & 1
-    lam_s = lam[np.arange(n_sites), bits]
-    lam_t = np.ascontiguousarray(lam_s.T)
-    p_s = p[support]
-    n_steps = f_rows.shape[1]
-    block = max(1, _PHASE_BLOCK_ELEMENTS // support.size)
+    k = _split_sites(p != 0)
+    grid = p.reshape(-1, 1 << k)
+    rows, cols = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
+    nz = np.ix_(rows, cols)
+    p_nz = grid[nz].T.astype(np.complex128)
+    # eigenvalue of site x in each column l (x < k) and row h (x >= k), else 0
+    sites = np.arange(n_sites)
+    idx = np.concatenate((cols, rows << k))
+    own = (sites < k) == (np.arange(idx.size) < cols.size)[:, None]
+    lam_lh = np.where(own, lam[sites, (idx[:, None] >> sites) & 1], 0.0)
+    m = -(b_scaled.T @ lam_lh.T)  # -phi = cumsum(z) @ m, the kernel root folded in
+    e = np.empty((n_steps, idx.size), dtype=np.complex128)
+    e_l, e_h = e[:, :cols.size], e[:, cols.size:]
+    rng = _traj_rng(seed, 0)
+    state = rng.bit_generator.state
     for traj in range(f_rows.shape[0]):
-        w_cum = np.cumsum(draw_w(traj), axis=0)
-        for lo in range(0, n_steps, block):
-            phi = w_cum[lo:lo + block] @ lam_t
-            re = np.cos(phi) @ p_s
-            im = np.sin(phi) @ p_s
-            f_rows[traj, lo:lo + block] = re * re + im * im
+        # re-keying one Philox from its fresh state gives _traj_rng(seed, traj)'s stream
+        state["state"]["key"][1] = traj
+        rng.bit_generator.state = state
+        phase = np.cumsum(rng.standard_normal((n_steps, n_sites)), axis=0) @ m
+        np.cos(phase, out=e.real)
+        np.sin(phase, out=e.imag)
+        amp = np.einsum("th,th->t", e_h, e_l @ p_nz)
+        f_rows[traj] = amp.real**2 + amp.imag**2
         if finals is not None:
-            c_t = np.zeros_like(c)
-            c_t[support] = c[support] * np.exp(-1j * (lam_s @ w_cum[-1]))
-            finals[traj] = _rotate_sites(c_t, q)
+            c_t = np.zeros(grid.shape, dtype=np.complex128)
+            c_t[nz] = c.reshape(grid.shape)[nz] * np.outer(e_h[-1], e_l[-1])
+            finals[traj] = _rotate_sites(c_t.ravel(), q)
 
 
 def evolve_noisy(psi0, noise, ensemble):
@@ -140,18 +156,10 @@ def evolve_noisy(psi0, noise, ensemble):
     n_steps = ensemble.n_steps
     b_scaled = noise.kernel_sqrt(lattice) * math.sqrt(noise.kappa * ensemble.dt)
 
-    def draw_w(traj):
-        rng = _traj_rng(ensemble.seed, traj)
-        return rng.standard_normal((n_steps, lattice.n_sites)) @ b_scaled.T
-
     amps0 = psi0.amplitudes.astype(np.complex128)
     f_rows = np.empty((ensemble.n_traj, n_steps), dtype=np.float64)
-    finals = (
-        np.empty((ensemble.n_traj, lattice.dim), dtype=np.complex128)
-        if ensemble.collect_density
-        else None
-    )
-    _closed_form_ensemble(amps0, q, lam, draw_w, f_rows, finals)
+    finals = np.empty((ensemble.n_traj, lattice.dim), complex) if ensemble.collect_density else None
+    _closed_form_ensemble(amps0, q, lam, b_scaled, ensemble.seed, f_rows, finals)
 
     times = np.concatenate(([0.0], ensemble.dt * np.arange(1, n_steps + 1)))
     f_mean = np.concatenate(([1.0], f_rows.mean(axis=0)))

@@ -25,6 +25,28 @@ from macrostab.rates import trajectory_rate
 from conftest import dense_site_op, random_state_amps
 
 
+def _dense_expm_oracle(psi, noise, ens):
+    """f_rows and ensemble density from step-by-step dense exp(-i sum_x w[s,x] A_x)."""
+    from scipy.linalg import expm
+
+    lat = psi.lattice
+    n = lat.n_sites
+    dense_ops = [dense_site_op(n, op.site, op.matrix) for op in noise.coupling_operators(lat)]
+    b_scaled = noise.kernel_sqrt(lat) * math.sqrt(noise.kappa * ens.dt)
+    amps0 = psi.amplitudes.astype(complex)
+    f_rows = np.empty((ens.n_traj, ens.n_steps))
+    rho = np.zeros((lat.dim, lat.dim), dtype=complex)
+    for traj in range(ens.n_traj):
+        w = evolve._traj_rng(ens.seed, traj).standard_normal((ens.n_steps, n)) @ b_scaled.T
+        state = amps0.copy()
+        for s in range(ens.n_steps):
+            gen = sum(w[s, x] * dense_ops[x] for x in range(n))
+            state = expm(-1j * gen) @ state
+            f_rows[traj, s] = abs(np.vdot(amps0, state)) ** 2
+        rho += np.outer(state, state.conj())
+    return f_rows, rho / ens.n_traj
+
+
 def trace_distance(a, b):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
@@ -155,7 +177,8 @@ class TestEvolve:
         assert not np.array_equal(a.f_mean, c.f_mean)
 
     def test_trajectory_depends_only_on_seed_and_index(self):
-        # 600 record rows x 128 support states span more than one phase block
+        # dicke-half under x noise fills every row and column of the weight
+        # matrix, so it runs the split product at k = 4 (16 x 16)
         lat = LatticeSpec(8)
         psi = make_dicke(lat, 4)
         noise = NoiseModel(0.01, "exponential", axis="x", xi=2.0)
@@ -163,16 +186,10 @@ class TestEvolve:
         few = evolve_noisy(psi, noise, TrajectoryEnsemble(100, 0.01, 6.0, 42))
         assert np.array_equal(many.f_rows[:100], few.f_rows)
 
-    def test_noise_only_matches_dense_expm_oracle(self, rng, monkeypatch):
+    def test_noise_only_matches_dense_expm_oracle(self, rng):
         # random non-diagonal couplings: at every step the closed form must
-        # equal the step-by-step product of dense exp(-i sum_x w[s,x] A_x),
-        # here at dt = 0.25, nearly 3x the 0.1 / (kappa N lambda_max(g)) =
-        # 0.089 of the Strang integrator's stability condition
-        from scipy.linalg import expm
-
-        # 2-row phase blocks, so the 5 record rows end in a partial block
-        monkeypatch.setattr(evolve, "_PHASE_BLOCK_ELEMENTS", 16)
-
+        # equal the step-by-step product of dense exp(-i sum_x w[s,x] A_x);
+        # the closed form is exact at any step, so dt = 0.25 is as good as any
         n = 3
         lat = LatticeSpec(n)
         mats = []
@@ -184,24 +201,38 @@ class TestEvolve:
         psi = StateVector(lat, random_state_amps(n, rng))
         ens = TrajectoryEnsemble(100, 0.25, 1.25, seed=31, collect_density=True)
         res = evolve_noisy(psi, noise, ens)
-
-        dense_ops = [dense_site_op(n, x, m) for x, m in enumerate(mats)]
-        b_scaled = noise.kernel_sqrt(lat) * math.sqrt(noise.kappa * ens.dt)
-        amps0 = psi.amplitudes
-        f_rows = np.empty_like(res.f_rows)
-        rho = np.zeros((lat.dim, lat.dim), dtype=complex)
-        for traj in range(ens.n_traj):
-            w = evolve._traj_rng(ens.seed, traj).standard_normal((ens.n_steps, n)) @ b_scaled.T
-            state = amps0.copy()
-            for s in range(ens.n_steps):
-                gen = sum(w[s, x] * dense_ops[x] for x in range(n))
-                state = expm(-1j * gen) @ state
-                f_rows[traj, s] = abs(np.vdot(amps0, state)) ** 2
-            rho += np.outer(state, state.conj())
-        rho /= ens.n_traj
+        f_rows, rho = _dense_expm_oracle(psi, noise, ens)
         assert f_rows.shape[1] == ens.n_steps == 5
         assert np.max(np.abs(res.f_rows - f_rows)) <= 1e-12
         assert np.max(np.abs(res.density_matrix - rho)) <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    @pytest.mark.parametrize("kernel,xi", [("collective", None), ("independent", None), ("exponential", 1.5)])
+    @pytest.mark.parametrize("state", ["ghz5", "dicke42", "random5"])
+    def test_split_matches_dense_expm_oracle(self, state, kernel, xi, axis):
+        # GHZ under z noise splits at k = 0 (one column); dicke-half under x
+        # noise and the random state at k = N // 2, where odd N gives more rows
+        # than columns
+        rng = np.random.default_rng(2718)
+        psi = {
+            "ghz5": lambda: make_ghz(LatticeSpec(5)),
+            "dicke42": lambda: make_dicke(LatticeSpec(4), 2),
+            "random5": lambda: StateVector(LatticeSpec(5), random_state_amps(5, rng)),
+        }[state]()
+        noise = NoiseModel(0.3, kernel, axis=axis, xi=xi)
+        ens = TrajectoryEnsemble(100, 0.2, 1.0, seed=5, collect_density=True)
+        res = evolve_noisy(psi, noise, ens)
+        f_rows, rho = _dense_expm_oracle(psi, noise, ens)
+        assert np.max(np.abs(res.f_rows - f_rows)) <= 1e-12
+        assert np.max(np.abs(res.density_matrix - rho)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_split_site_choice(self, n):
+        # the split comes from the support: GHZ is two states, one per high row
+        ghz = np.zeros(1 << n, dtype=bool)
+        ghz[[0, -1]] = True
+        assert evolve._split_sites(ghz) == 0
+        assert evolve._split_sites(np.ones(1 << n, dtype=bool)) == n // 2
 
     def test_norm_preserved_per_trajectory(self):
         lat = LatticeSpec(4)
@@ -255,7 +286,7 @@ class TestEvolve:
         noise = NoiseModel(0.01, "independent", axis="z")
         t_final = 10.0  # kappa * t = 0.1
         exact = dephasing_channel_density(psi, noise, t_final)
-        # dt = 5.0 is twice the Strang stability step 0.1 / (kappa N lambda_max(g)) = 2.5
+        # the closed form is exact at any step: dt = 5.0 is two steps
         for dt in (0.1, 5.0):
             ens = TrajectoryEnsemble(4000, dt, t_final, seed=777, collect_density=True)
             res = evolve_noisy(psi, noise, ens)

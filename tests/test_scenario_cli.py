@@ -260,6 +260,10 @@ _CLI_FILE_PAIRS = {
         ["symmetry-breaking", "--sizes", "4:6:2", "--kappa", "0.02"],
         {"sizes": [4, 6], "params": {"kappa": 0.02}},
     ),
+    "symmetry-breaking-method": (
+        ["symmetry-breaking", "--sizes", "4:6:2", "--method", "sb-field-limit"],
+        {"sizes": [4, 6], "params": {"method": "sb-field-limit"}},
+    ),
 }
 
 
@@ -607,6 +611,29 @@ class TestReproducibility:
                 for p in sorted(cwd.iterdir())
             }
         assert sorted(outputs["1"]) == ["m.json", "m1.json", "m1_measure.csv", "m_measure.csv"]
+        assert outputs["1"] == outputs["2"]
+
+    def test_full_support_trajectories_same_bytes_across_threads(self, tmp_path):
+        # both states fill every row and column of the weight matrix, so the
+        # trajectories run the split-site product at k = N / 2: a BLAS product
+        # with an inner dimension of up to 2^7
+        commands = (
+            ["decohere", "--state", "dicke-half", "--sizes", "8:12:2", "--kernel", "exponential",
+             "--axis", "x", "--n-traj", "100", "--out", "dh"],
+            ["decohere", "--state", "tfim-ground", "--sizes", "10:14:2", "--n-traj", "100", "--out", "tg"],
+        )
+        outputs = {}
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            for args in commands:
+                res = run_cli(args, env_extra={"OPENBLAS_NUM_THREADS": threads}, cwd=cwd)
+                assert res.returncode == 0, res.stderr
+            outputs[threads] = {
+                p.name: _strip_wall_time(p.read_text()) if p.suffix == ".json" else p.read_bytes()
+                for p in sorted(cwd.iterdir())
+            }
+        assert len(outputs["1"]) == 2 * (2 + 3)
         assert outputs["1"] == outputs["2"]
 
     def test_same_seed_same_bytes_across_threads(self, tmp_path):
