@@ -63,8 +63,8 @@ class EvolveResult:
     """Fidelity series (and optional ensemble density matrix) of a run.
 
     ``f_rows`` holds the per-trajectory fidelities at every step after
-    t = 0; resampling them gives error bars that respect the strong
-    temporal correlation along each trajectory.
+    t = 0; an error taken over whole trajectories respects the strong
+    temporal correlation along each one.
     """
 
     times: np.ndarray
@@ -73,7 +73,6 @@ class EvolveResult:
     f_rows: np.ndarray
     n_traj: int
     dt: float
-    seed: int
     density_matrix: np.ndarray = None
 
 
@@ -177,7 +176,6 @@ def evolve_noisy(psi0, noise, ensemble):
         f_rows=f_rows,
         n_traj=ensemble.n_traj,
         dt=ensemble.dt,
-        seed=ensemble.seed,
         density_matrix=density,
     )
 

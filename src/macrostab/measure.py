@@ -298,12 +298,14 @@ def _conditional_closed_form(tables, r_a, r_b, n_a):
     """Outcome +1 of n_a.sigma(a) and the worst probe n_b at the other site.
 
     ``tables`` (P, 3, 3) holds C_ab, ``r_a``, ``r_b`` and ``n_a`` are (P, 3).
-    Returns n_b along C_ab^T n_a (n_a where that vanishes), P(b) for
+    Returns n_b along C_ab^T n_a (n_a where its norm is within the tie
+    tolerance _NEAR_ATOL, so rounding noise picks no direction), P(b) for
     outcome +1 of n_b.sigma(b), and P(b; a) - P(b), the supremum over n_b.
     """
     shift = (n_a[:, None] @ tables)[:, 0]
     num = np.linalg.norm(shift, axis=1)
-    n_b = np.where(num[:, None] > 0, shift / np.where(num > 0, num, 1.0)[:, None], n_a)
+    resolved = num > _NEAR_ATOL
+    n_b = np.where(resolved[:, None], shift / np.where(resolved, num, 1.0)[:, None], n_a)
     gap = num / (2.0 * (1.0 + np.sum(n_a * r_a, axis=1)))
     p_b = 0.5 * (1.0 + np.sum(n_b * r_b, axis=1))
     return n_b, p_b, gap

@@ -7,7 +7,9 @@ The analytic rate is the exact initial fidelity-decay slope
 
 which reduces to kappa times the additive-operator fluctuation for the
 collective kernel.  The trajectory-side estimate fits -ln F(t) over the
-early-time window with inverse-variance weights.  Size scaling is a
+early-time window with inverse-variance weights; its standard error is
+the delete-one jackknife over trajectories, in closed form because the
+slope is linear in -ln F once the weights are fixed.  Size scaling is a
 log-log least-squares fit Gamma ~ K * N^(1+delta); the state counts as
 fragile when the fitted exponent reaches 1.5.
 """
@@ -23,7 +25,6 @@ from .operators import PAULI_AXES, PAULI_MATRICES
 
 FRAGILE_EXPONENT = 1.5
 RATE_WINDOW_FRACTION = 0.05
-JACKKNIFE_BLOCKS = 20
 
 _PAULI_STACK = np.stack([PAULI_MATRICES[a] for a in PAULI_AXES])
 
@@ -78,59 +79,37 @@ class RateFit:
 
     gamma: float
     stderr: float
-    n_points: int
     window: float
-
-
-def _weighted_slope(t, y, w):
-    sw = np.sum(w)
-    st = np.sum(w * t)
-    stt = np.sum(w * t * t)
-    sy = np.sum(w * y)
-    sty = np.sum(w * t * y)
-    denom = sw * stt - st * st
-    if denom <= 0:
-        raise ArgumentError("degenerate rate-fit window")
-    return (sw * sty - st * sy) / denom, sw / denom
 
 
 def trajectory_rate(result):
     """Decay rate from an ensemble run with a jackknife standard error.
 
-    The slope is a weighted line through -ln F over the early-time window.
-    Per-point fidelity errors understate its uncertainty because they are
-    strongly correlated in time along each trajectory, so the standard
-    error is the delete-block jackknife spread of the slope refitted with
-    one block of trajectories left out at a time.
+    The rate is a weighted least-squares slope through -ln F over the
+    early-time window, with inverse-variance weights w held fixed.  It is
+    then one linear functional gamma = c . (-ln F) with
+    c_t = w_t (S_w t - S_t) / (S_w S_tt - S_t^2), so its delete-one
+    jackknife over trajectories has a closed form: trajectory k's influence
+    is a_k = c . (F_k / F) and the standard error is sd(a) / sqrt(n).
+    Per-point fidelity errors would understate the uncertainty because they
+    are strongly correlated in time along each trajectory; each a_k sums
+    its trajectory's whole window instead.
     """
     times = result.times
-    f_rows = result.f_rows
     window = RATE_WINDOW_FRACTION * float(times[-1])
     sel = (times > 0) & (times <= window)
     if int(sel.sum()) < 3:
-        raise ArgumentError(
-            f"rate window holds {int(sel.sum())} points; need >= 3"
-        )
-    t = times[sel]
-    cols = f_rows[:, sel[1:]]  # f_rows excludes the t = 0 column
-    n_traj = cols.shape[0]
-    f_full = cols.mean(axis=0)
-    sigma = cols.std(axis=0, ddof=1) / np.sqrt(n_traj) / f_full
+        raise ArgumentError(f"rate window holds {int(sel.sum())} points; need >= 3")
+    t, f_mean = times[sel], result.f_mean[sel]
+    sigma = result.f_stderr[sel] / f_mean
     w = np.where(sigma > 1e-15, 1.0 / np.maximum(sigma, 1e-15) ** 2, 1e30)
-
-    def slope_of(mean_f):
-        y = -np.log(np.clip(mean_f, 1e-300, None))
-        return _weighted_slope(t, y, w)[0]
-
-    slope = slope_of(f_full)
-    n_blocks = max(2, min(JACKKNIFE_BLOCKS, n_traj))
-    edges = np.linspace(0, n_traj, n_blocks + 1, dtype=int)
-    total = cols.sum(axis=0)
-    replicates = []
-    for b in range(n_blocks):
-        lo, hi = edges[b], edges[b + 1]
-        block_sum = cols[lo:hi].sum(axis=0)
-        replicates.append(slope_of((total - block_sum) / (n_traj - (hi - lo))))
-    replicates = np.asarray(replicates)
-    se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((replicates - replicates.mean()) ** 2)))
-    return RateFit(float(slope), float(se), int(sel.sum()), window)
+    sw, st, stt = np.einsum("t,mt->m", w, [np.ones_like(t), t, t * t])
+    denom = sw * stt - st * st
+    if denom <= 0:
+        raise ArgumentError("degenerate rate-fit window")
+    c = w * (sw * t - st) / denom
+    gamma = np.einsum("t,t->", c, -np.log(np.clip(f_mean, 1e-300, None)))
+    # f_rows excludes the t = 0 column
+    influence = np.einsum("kt,t->k", result.f_rows[:, sel[1:]], c / f_mean)
+    stderr = influence.std(ddof=1) / math.sqrt(influence.size)
+    return RateFit(float(gamma), float(stderr), window)

@@ -206,6 +206,20 @@ class TestStability:
                     assert np.max(np.abs(np.subtract(r1.direction_a, r0.direction_a))) <= bound, where
                     assert np.max(np.abs(np.subtract(r1.direction_b, r0.direction_b))) <= bound, where
 
+    def test_product_probe_direction_survives_a_rounding_perturbation(self):
+        # product-plus has C_xy = 0: |C^T n_a| is rounding noise, so the probe
+        # n_b falls back to n_a instead of following that noise
+        n = 6
+        psi = make_uniform_product(LatticeSpec(n), math.pi / 2)
+        base = stability_test(psi, epsilon=0.1, min_distance=1)
+        rng = np.random.default_rng(2024)
+        for _ in range(3):
+            amps = psi.amplitudes + 1e-15 * random_state_amps(n, rng)
+            moved = StateVector(psi.lattice, amps / np.sqrt(np.sum(np.abs(amps) ** 2)))
+            rep = stability_test(moved, epsilon=0.1, min_distance=1)
+            for r0, r1 in zip(base.pairs, rep.pairs):
+                assert r1.direction_b == r0.direction_b, (r0.x, r0.y)
+
     def test_no_admissible_outcome_reports_zero(self):
         # a maximally mixed site: no outcome reaches P(a) >= 0.6
         lat = LatticeSpec(2)

@@ -21,7 +21,7 @@ from macrostab import (
     make_uniform_product,
 )
 from macrostab import evolve
-from macrostab.rates import trajectory_rate
+from macrostab.rates import RATE_WINDOW_FRACTION, trajectory_rate
 from conftest import dense_site_op, random_state_amps
 
 
@@ -304,6 +304,72 @@ class TestEvolve:
                 d = bin(i ^ j).count("1")
                 expected = amps[i] * np.conj(amps[j]) * math.exp(-2 * 0.05 * d * 2.0)
                 assert rho[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def _window_fit_inputs(res):
+    """Window mask, times, f_mean and the inverse-variance weights of -ln f_mean."""
+    sel = (res.times > 0) & (res.times <= RATE_WINDOW_FRACTION * res.times[-1])
+    f = res.f_mean[sel]
+    return sel, res.times[sel], f, (f / res.f_stderr[sel]) ** 2
+
+
+# the benchmark's two decohere scenarios: kappa = 0.01, 100 trajectories and
+# the automatic horizon 0.5 / gamma_analytic at N = 4, 6, 8
+_DECOHERE_SCENARIOS = {
+    "ghz-collective-z": (make_ghz, NoiseModel(0.01, "collective", axis="z")),
+    "dicke-half-exponential-x": (
+        lambda lat: make_dicke(lat, lat.n_sites // 2),
+        NoiseModel(0.01, "exponential", axis="x", xi=2.0),
+    ),
+}
+
+
+def _scenario_run(name, n, seed):
+    make_state, noise = _DECOHERE_SCENARIOS[name]
+    psi = make_state(LatticeSpec(n))
+    gamma = analytic_dephasing_rate(psi, noise)
+    horizon = 0.5 / gamma
+    ens = TrajectoryEnsemble(100, horizon / evolve.TRAJECTORY_STEPS, horizon, seed)
+    return gamma, evolve_noisy(psi, noise, ens)
+
+
+class TestTrajectoryRate:
+    @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
+    def test_slope_matches_weighted_polyfit(self, name):
+        _, res = _scenario_run(name, 6, 7)
+        _, t, f, w = _window_fit_inputs(res)
+        slope = np.polyfit(t, -np.log(f), 1, w=np.sqrt(w))[0]
+        assert trajectory_rate(res).gamma == pytest.approx(slope, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
+    def test_stderr_matches_explicit_delete_one_jackknife(self, name):
+        # refit the slope with each trajectory left out in turn, weights fixed
+        _, res = _scenario_run(name, 6, 7)
+        sel, t, _, w = _window_fit_inputs(res)
+        cols = res.f_rows[:, sel[1:]]
+        n = cols.shape[0]
+        total = cols.sum(axis=0)
+        reps = np.array([
+            np.polyfit(t, -np.log((total - cols[k]) / (n - 1)), 1, w=np.sqrt(w))[0] for k in range(n)
+        ])
+        jackknife = math.sqrt((n - 1) / n * np.sum((reps - reps.mean()) ** 2))
+        assert trajectory_rate(res).stderr == pytest.approx(jackknife, rel=0.01)
+
+    @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
+    @pytest.mark.parametrize("seed", [
+        44,
+        148,
+        pytest.param(1009, marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP direction 3: the skewed early decay puts seed 1009's rates "
+            "more than 5 errors below the analytic one",
+        )),
+    ])
+    def test_rate_within_five_errors_of_analytic(self, name, seed):
+        for n in (4, 6, 8):
+            gamma, res = _scenario_run(name, n, seed)
+            fit = trajectory_rate(res)
+            assert abs(fit.gamma - gamma) <= 5 * fit.stderr, (n, fit.gamma, fit.stderr, gamma)
 
 
 class TestScalingFit:
