@@ -16,11 +16,11 @@ codes: 0 success, 2 validation error, 3 numerical error, 4 capability
 """
 
 import argparse
-import json
 import sys
 
 from .catalog import FAMILY_PARAMS
 from .errors import MacrostabError, ValidationError
+from .report import dump_structured
 from .runner import run_scenario, write_report_files
 from .scenario import _STATEFUL_EXPERIMENTS, CHOICES, FORMATS, PARAM_TYPES, load_scenario, validate_scenario
 
@@ -112,12 +112,6 @@ def _scenario_from_args(args):
     return validate_scenario(raw)
 
 
-def _summarize(report, stream):
-    verdicts = report.get("verdicts", {})
-    for key in sorted(verdicts):
-        print(f"{key}: {verdicts[key]}", file=stream)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -129,10 +123,10 @@ def main(argv=None):
         report = run_scenario(scenario)
         written = write_report_files(report, scenario)
         if scenario.output_path is None:
-            json.dump(report, sys.stdout, sort_keys=True, indent=2)
-            print()
+            sys.stdout.write(dump_structured(report))
         else:
-            _summarize(report, sys.stdout)
+            for key, verdict in sorted(report["verdicts"].items()):
+                print(f"{key}: {verdict}")
             for path in written:
                 print(f"wrote {path}", file=sys.stderr)
         return 0

@@ -76,6 +76,11 @@ class LatticeSpec:
             pairs.append((n - 1, 0))
         return pairs
 
+    @property
+    def max_distance(self):
+        """Largest separation of two sites: N - 1 on an open chain, N // 2 on a ring."""
+        return self.n_sites // 2 if self.geometry == PERIODIC_CHAIN else self.n_sites - 1
+
     def distance(self, x, y):
         """Separation of two sites; ring distance on periodic chains."""
         self.validate_site(x)

@@ -349,7 +349,10 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
     """Sweep distant site pairs for measurement-induced disturbance.
 
     Verdict: stable iff the worst deviation at the largest admissible
-    separation stays within ``epsilon``.  ``varepsilon`` is the floor on
+    separation stays within ``epsilon``.  Separations are the lattice's
+    (ring distance on a periodic chain); the admissible pairs lie at least
+    ``min_distance`` apart, by default N // 2, which may not exceed the
+    largest separation.  ``varepsilon`` is the floor on
     the conditioning probability P(a); a pair where no outcome reaches it
     reports zero deviation.
     """
@@ -357,14 +360,14 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not 0.0 < varepsilon < 1.0:
         raise ArgumentError(f"varepsilon must lie in (0, 1), got {varepsilon!r}")
-    components = _as_components(state)
-    n = components[0][1].n_sites
+    lattice = _as_components(state)[0][1].lattice
+    n = lattice.n_sites
     if min_distance is None:
         min_distance = max(1, n // 2)
-    if not 1 <= min_distance < n:
-        raise ArgumentError(f"min_distance must lie in [1, {n - 1}], got {min_distance}")
-    # never empty: the end sites are n - 1 >= min_distance apart
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if y - x >= min_distance]
+    if not 1 <= min_distance <= lattice.max_distance:
+        raise ArgumentError(f"min_distance must lie in [1, {lattice.max_distance}], got {min_distance}")
+    # never empty: some pair lies max_distance >= min_distance apart
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if lattice.distance(x, y) >= min_distance]
     bloch, table = _two_point_table(state)
     blocks = table.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
     # orderings: the conditioning observable at the lower site, then at the upper
@@ -378,7 +381,7 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
     m = len(pairs)
     lower = deviation[:m] >= deviation[m:] * (1.0 - _TIE_RTOL) - _TIE_ATOL
     records = [PairStabilityRecord(
-        int(a_sites[k]), int(b_sites[k]), abs(int(b_sites[k]) - int(a_sites[k])),
+        int(a_sites[k]), int(b_sites[k]), lattice.distance(int(a_sites[k]), int(b_sites[k])),
         tuple(float(v) for v in n_a[k]), tuple(float(v) for v in n_b[k]),
         1.0, 1.0, float(p_b[k] + deviation[k]), float(p_b[k]), float(deviation[k]),
     ) for k in np.where(lower, np.arange(m), np.arange(m, 2 * m))]

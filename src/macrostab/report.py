@@ -2,67 +2,43 @@
 
 The structured report is JSON with sorted keys; rerunning a scenario with
 the same seed reproduces it byte for byte except for the
-``provenance.wall_time_s`` field.  NaN values (e.g. the zero-variance
-scaling sentinel) serialize as null.  Each experiment additionally gets a
-plot-ready CSV.
+``provenance.wall_time_s`` field.  The runners hand over plain values
+(str keys; dicts, lists, tuples, str, int, float, bool and None), which
+are written as they are.  Every number in a report is finite: a
+non-finite one is a numerical error, not ``NaN`` in the JSON or a
+``null``.  Each experiment additionally gets a plot-ready CSV, where
+``csv`` writes floats with ``repr`` and ``None`` as an empty cell.
 """
 
 import csv
 import json
-import math
 from pathlib import Path
 
-import numpy as np
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+from .errors import NumericalError
 
 
 def build_report(scenario_echo, results, verdicts, provenance):
-    return _sanitize(
-        {
-            "scenario": scenario_echo,
-            "results": results,
-            "verdicts": verdicts,
-            "provenance": provenance,
-        }
-    )
+    return {"scenario": scenario_echo, "results": results, "verdicts": verdicts, "provenance": provenance}
 
 
 def dump_structured(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"report not written: {exc}") from exc
 
 
 def write_structured(report, path):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dump_structured(report), encoding="utf-8")
     return path
 
 
 def _write_rows(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
     return path
 
 

@@ -81,7 +81,7 @@ def run_classify(scenario, entries):
             "exponent": verdict.exponent,
             "intercept": verdict.intercept,
             "residual": verdict.residual,
-            "points": [list(p) for p in verdict.points],
+            "points": verdict.points,
         },
     }
     return {"classify": results}, {"classification": verdict.verdict}
@@ -99,8 +99,8 @@ def run_cluster(scenario, entries):
                 "n": n,
                 "epsilon": rep.epsilon,
                 "omega": rep.omega,
-                "omega_of_x": [int(v) for v in rep.omega_of_x],
-                "rho": [[float(v) for v in r] for r in rep.field.rho],
+                "omega_of_x": rep.omega_of_x.tolist(),
+                "rho": rep.field.rho.tolist(),
             }
             per_size.append(row)
             points.append((n, rep.omega))
@@ -118,10 +118,12 @@ def run_measure(scenario, entries):
     per_state = []
     verdicts = {}
     for label, states in entries:
-        per_size = [
-            {"n": n, **asdict(stability_test(states[n], p.epsilon, p.varepsilon, p.min_distance))}
-            for n in scenario.sizes
-        ]
+        per_size = []
+        for n in scenario.sizes:
+            rep = stability_test(states[n], p.epsilon, p.varepsilon, p.min_distance)
+            # str keys: json sorts int keys as numbers (6 before 10) before it writes them as text
+            by_distance = {str(d): v for d, v in rep.max_deviation_at_distance.items()}
+            per_size.append({"n": n, **asdict(rep), "max_deviation_at_distance": by_distance})
         stable_at_largest = per_size[-1]["stable"]
         per_state.append({"label": label, "per_size": per_size, "stable": stable_at_largest})
         verdicts[f"measurement-stable/{label}"] = stable_at_largest
@@ -159,9 +161,9 @@ def run_decohere(scenario, entries):
                     "n_traj": res.n_traj,
                     "dt": res.dt,
                     "fidelity": {
-                        "times": [float(t) for t in res.times],
-                        "f_mean": [float(v) for v in res.f_mean],
-                        "f_stderr": [float(v) for v in res.f_stderr],
+                        "times": res.times.tolist(),
+                        "f_mean": res.f_mean.tolist(),
+                        "f_stderr": res.f_stderr.tolist(),
                     },
                 }
             )
@@ -249,8 +251,8 @@ def run_ground(scenario, entries):
         per_size.append(
             {
                 "n": n,
-                "energies": list(res.energies),
-                "residuals": list(res.residuals),
+                "energies": res.energies,
+                "residuals": res.residuals,
                 "magnetization": expectation(m_op, res.states[0]),
                 "max_fluctuation": max_additive_fluctuation(res.states[0]).max_variance,
             }
@@ -322,6 +324,7 @@ def write_report_files(report, scenario):
     written = []
     if scenario.output_path is None:
         return written
+    Path(scenario.output_path).parent.mkdir(parents=True, exist_ok=True)
     if scenario.output_format in ("structured", "both"):
         written.append(write_structured(report, f"{scenario.output_path}.json"))
     if scenario.output_format in ("csv", "both"):

@@ -122,9 +122,10 @@ class Scenario:
             _require(0.0 < val < 1.0, f"params.{key} must lie in (0, 1), got {val!r}")
         if "measure" in self.experiments:
             _require(sizes[0] >= 2, f"measure needs a site pair: sizes must be >= 2, got {sizes[0]}")
+            largest = LatticeSpec(sizes[0], p.geometry).max_distance
             _require(
-                p.min_distance is None or 1 <= p.min_distance <= sizes[0] - 1,
-                f"params.min_distance must lie in [1, {sizes[0] - 1}] for sizes {sizes}, "
+                p.min_distance is None or 1 <= p.min_distance <= largest,
+                f"params.min_distance must lie in [1, {largest}] for sizes {sizes} on a {p.geometry}, "
                 f"got {p.min_distance}",
             )
         _require(

@@ -144,6 +144,19 @@ class TestStability:
         with pytest.raises(ArgumentError):
             stability_test(psi, epsilon=0.1, min_distance=4)
 
+    def test_ring_pairs_take_the_ring_distance(self):
+        # on a ring of 6 the end sites are neighbours and no pair lies more than 3 apart
+        lat = LatticeSpec(6, "periodic-chain")
+        rep = stability_test(make_ghz(lat), epsilon=0.1, min_distance=1)
+        assert len(rep.pairs) == 15
+        assert all(r.distance == lat.distance(r.x, r.y) for r in rep.pairs)
+        assert sorted(rep.max_deviation_at_distance) == [1, 2, 3]
+        antipodal = stability_test(make_ghz(lat), epsilon=0.1)
+        assert sorted((r.x, r.y) for r in antipodal.pairs) == [(0, 3), (1, 4), (2, 5)]
+        with pytest.raises(ArgumentError):
+            stability_test(make_ghz(lat), epsilon=0.1, min_distance=4)
+        assert stability_test(make_ghz(LatticeSpec(6)), epsilon=0.1, min_distance=4).pairs
+
     def test_optimum_on_the_floor_circle(self):
         # paramagnetic N = 3: the worst conditioning outcome of the (0, 1) pair
         # has P(a) exactly at the floor, so only the floor-circle search finds it
