@@ -4,14 +4,15 @@ The structured report is JSON with sorted keys; rerunning a scenario with
 the same seed reproduces it byte for byte except for the
 ``provenance.wall_time_s`` field.  The runners hand over plain values
 (str keys; dicts, lists, tuples, str, int, float, bool and None), which
-are written as they are.  Every number in a report is finite: a
-non-finite one is a numerical error, not ``NaN`` in the JSON or a
-``null``.  Each experiment additionally gets a plot-ready CSV, where
-``csv`` writes floats with ``repr`` and ``None`` as an empty cell.
+are written as they are.  Every number in a report and its CSVs is
+finite: a non-finite one is a numerical error, not ``NaN`` or ``null``.
+Each experiment additionally gets a plot-ready CSV, where ``csv`` writes
+floats with ``repr`` and ``None`` as an empty cell.
 """
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .errors import NumericalError
@@ -35,6 +36,9 @@ def write_structured(report, path):
 
 
 def _write_rows(path, header, rows):
+    bad = [cell for row in rows for cell in row if isinstance(cell, float) and not math.isfinite(cell)]
+    if bad:
+        raise NumericalError(f"{Path(path).name} not written: non-finite number {bad[0]!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -31,8 +31,6 @@ from .stateio import export_state, import_state
 def _state_entries(scenario):
     """Resolve the scenario's state source into (label, {n: state}) entries."""
     src = scenario.state
-    if src is None:
-        raise ValidationError("this experiment set needs a state source")
     p = scenario.params
     if src.file is not None:
         psi = import_state(src.file, geometry=p.geometry)

@@ -1,7 +1,13 @@
-"""Declarative scenario files: schema, strict validation, defaults.
+"""Declarative scenario files: the dataclasses are the schema.
 
-A scenario is a JSON object; unknown keys are rejected everywhere so a
-typo can never silently change physics parameters.
+A scenario file is a JSON object whose keys are the fields of
+``Scenario``, ``StateSource`` (under ``state``) and ``ScenarioParams``
+(under ``params``); ``output`` holds ``Scenario.output_path`` and
+``output_format`` as ``path`` and ``format``.  Unknown keys are rejected
+everywhere so a typo can never silently change physics parameters, and a
+null leaves a field unset.  Every value check lives in the
+``__post_init__`` of the class that owns the field, so a file, the
+command line and a ``Scenario`` built in code are checked alike.
 
     {
       "name": "ghz-fragility",
@@ -15,7 +21,7 @@ typo can never silently change physics parameters.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .catalog import check_state_params
 from .errors import FormatError, ValidationError
@@ -68,6 +74,7 @@ class ScenarioParams:
     def __post_init__(self):
         for key, allowed in CHOICES.items():
             _require(getattr(self, key) in allowed, f"params.{key} must be one of {allowed}")
+        _require(0 <= self.seed < 2**64, "params.seed must fit in 64 bits")
         if self.h is None:
             object.__setattr__(self, "h", MODEL_FIELD[self.model])
 
@@ -87,6 +94,14 @@ class StateSource:
     params: dict = field(default_factory=dict)
     file: str = None
 
+    def __post_init__(self):
+        one = (self.family is None) != (self.file is None)
+        _require(one, "scenario.state needs exactly one of 'family' or 'file'")
+        if self.family is None:
+            _require(not self.params, "scenario.state.file takes no params")
+        else:
+            check_state_params(self.family, self.params)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -95,15 +110,26 @@ class Scenario:
     experiments: tuple
     state: StateSource = None
     params: ScenarioParams = ScenarioParams()
-    output_path: str = None
-    output_format: str = "both"
+    output_path: str = field(default=None, metadata={"key": "output.path"})
+    output_format: str = field(default="both", metadata={"key": "output.format"})
 
     def __post_init__(self):
-        """Checks shared by scenario files and the command line; they run
-        before any state is built."""
+        """Checks shared by scenario files, the command line and scenarios
+        built in code; they run before any state is built."""
+        _require(self.name, "scenario.name must not be empty")
+        _require(self.experiments, "scenario.experiments must not be empty")
+        for e in self.experiments:
+            _require(e in EXPERIMENTS, f"unknown experiment {e!r}; choose from {EXPERIMENTS}")
+        _require(len(set(self.experiments)) == len(self.experiments), "duplicate experiments")
+        _require(
+            self.state is not None or not any(e in _STATEFUL_EXPERIMENTS for e in self.experiments),
+            "scenario.state is required for this experiment set",
+        )
+        _require(self.output_format in FORMATS, f"output.format must be one of {FORMATS}")
         p = self.params
         sizes = list(self.sizes)
         _require(sizes, "sizes must not be empty")
+        _require(all(type(n) is int for n in sizes), "scenario.sizes must be a list of integers")
         _require(
             all(a < b for a, b in zip(sizes, sizes[1:])),
             f"sizes must be strictly ascending, got {sizes}",
@@ -148,114 +174,48 @@ class Scenario:
             )
 
     def echo(self):
-        """Plain-dict copy embedded into every report."""
-        return {
-            "name": self.name,
-            "sizes": list(self.sizes),
-            "experiments": list(self.experiments),
-            "state": None
-            if self.state is None
-            else {
-                "family": self.state.family,
-                "params": dict(self.state.params),
-                "file": self.state.file,
-            },
-            "params": asdict(self.params),
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
+        """Plain-dict copy embedded into every report; it reads back as the
+        same scenario."""
+        echo = asdict(self)
+        echo["output"] = {"path": echo.pop("output_path"), "format": echo.pop("output_format")}
+        return echo
 
 
-def _check_keys(obj, allowed, where):
+def _from_json(cls, obj, where):
+    """Build the dataclass ``cls`` from the JSON object ``obj``, named
+    ``where`` in messages.  Its keys are the fields of ``cls`` (or a field's
+    ``key`` metadata), and a null leaves a field unset.  A value must have
+    its field's type, never a bool: a float field also takes an int, a tuple
+    field a list, and a dataclass field is read in turn.  A field without a
+    default is required."""
     _require(isinstance(obj, dict), f"{where} must be an object")
-    unknown = set(obj) - set(allowed)
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    unknown = set(obj) - set(by_key)
     _require(not unknown, f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _typed(obj, key, types, where, default=None):
-    if key not in obj or obj[key] is None:
-        return default
-    val = obj[key]
-    _require(isinstance(val, types) and not isinstance(val, bool), f"{where}.{key} has the wrong type")
-    return val
+    given = {}
+    for key, f in by_key.items():
+        val = obj.get(key)
+        if val is None:
+            _require(f.default is not MISSING or f.default_factory is not MISSING, f"{where}.{key} is required")
+        elif is_dataclass(f.type):
+            given[f.name] = _from_json(f.type, val, f"{where}.{key}")
+        else:
+            kind = {float: (int, float), tuple: (list, tuple)}.get(f.type, f.type)
+            _require(isinstance(val, kind) and not isinstance(val, bool), f"{where}.{key} has the wrong type")
+            given[f.name] = f.type(val)
+    return cls(**given)
 
 
 def validate_scenario(raw):
     """Turn a parsed JSON object into a Scenario, rejecting anything odd."""
-    _check_keys(raw, ("name", "state", "sizes", "experiments", "params", "output"), "scenario")
-    name = _typed(raw, "name", str, "scenario")
-    _require(name, "scenario.name is required")
-
-    _require("experiments" in raw, "scenario.experiments is required")
-    experiments = raw["experiments"]
-    _require(
-        isinstance(experiments, list) and experiments, "scenario.experiments must be a non-empty list"
-    )
-    for e in experiments:
-        _require(e in EXPERIMENTS, f"unknown experiment {e!r}; choose from {EXPERIMENTS}")
-    _require(len(set(experiments)) == len(experiments), "duplicate experiments")
-
-    _require("sizes" in raw, "scenario.sizes is required")
-    sizes = raw["sizes"]
-    _require(
-        isinstance(sizes, list) and all(isinstance(n, int) and not isinstance(n, bool) for n in sizes),
-        "scenario.sizes must be a list of integers",
-    )
-
-    state = None
-    if any(e in _STATEFUL_EXPERIMENTS for e in experiments):
-        _require("state" in raw and raw["state"] is not None, "scenario.state is required for this experiment set")
-    if raw.get("state") is not None:
-        sobj = raw["state"]
-        _check_keys(sobj, ("family", "params", "file"), "scenario.state")
-        family = _typed(sobj, "family", str, "scenario.state")
-        file_path = _typed(sobj, "file", str, "scenario.state")
-        _require(
-            (family is None) != (file_path is None),
-            "scenario.state needs exactly one of 'family' or 'file'",
-        )
-        sparams = sobj.get("params") or {}
-        _require(isinstance(sparams, dict), "scenario.state.params must be an object")
-        if family is None:
-            _require(not sparams, "scenario.state.file takes no params")
-        else:
-            check_state_params(family, sparams)
-        state = StateSource(family=family, params=dict(sparams), file=file_path)
-
-    pobj = raw.get("params") or {}
-    _check_keys(pobj, tuple(PARAM_TYPES), "scenario.params")
-    given = {}
-    for key, val in pobj.items():
-        if val is None:
-            continue
-        if PARAM_TYPES[key] is str:
-            _require(isinstance(val, str), f"params.{key} must be a string")
-        elif PARAM_TYPES[key] is int:
-            _require(isinstance(val, int) and not isinstance(val, bool), f"params.{key} must be an integer")
-        else:
-            _require(isinstance(val, (int, float)) and not isinstance(val, bool), f"params.{key} must be a number")
-            val = float(val)
-        given[key] = val
-    params = ScenarioParams(**given)
-    _require(0 <= params.seed < 2**64, "params.seed must fit in 64 bits")
-
-    output_path = None
-    output_format = "both"
+    _require(isinstance(raw, dict), "scenario must be an object")
+    dotted = [key for key in raw if "." in key]
+    _require(not dotted, f"unknown key(s) {sorted(dotted)} in scenario")
+    flat = {key: val for key, val in raw.items() if key != "output"}
     if raw.get("output") is not None:
-        oobj = raw["output"]
-        _check_keys(oobj, ("path", "format"), "scenario.output")
-        output_path = _typed(oobj, "path", str, "scenario.output")
-        output_format = _typed(oobj, "format", str, "scenario.output", "both")
-        _require(output_format in FORMATS, f"output.format must be one of {FORMATS}")
-
-    return Scenario(
-        name=name,
-        sizes=tuple(sizes),
-        experiments=tuple(experiments),
-        state=state,
-        params=params,
-        output_path=output_path,
-        output_format=output_format,
-    )
+        _require(isinstance(raw["output"], dict), "scenario.output must be an object")
+        flat.update((f"output.{key}", val) for key, val in raw["output"].items())
+    return _from_json(Scenario, flat, "scenario")
 
 
 def load_scenario(path):

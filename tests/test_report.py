@@ -10,7 +10,7 @@ import pytest
 from macrostab import runner
 from macrostab.cli import main
 from macrostab.errors import NumericalError
-from macrostab.report import dump_structured
+from macrostab.report import dump_structured, write_experiment_csvs
 from macrostab.scenario import validate_scenario
 
 # the plain types a report may hold; exact types, so that numpy scalars
@@ -69,6 +69,15 @@ def test_non_finite_number_is_a_numerical_error():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NumericalError):
             dump_structured({"results": {"x": [1.0, bad]}})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_csv_refuses_a_non_finite_number(bad, tmp_path):
+    # with --format csv no JSON is dumped, so the CSV writer checks its own cells
+    report = {"results": {"classify": {"per_size": [{"n": 4, "max_variance": 1.0, "lambda_max": bad}]}}}
+    with pytest.raises(NumericalError):
+        write_experiment_csvs(report, tmp_path / "rep")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _rows(path):

@@ -138,6 +138,51 @@ def test_parse_sizes():
             Scenario("measure", tuple(parse_sizes(text)), ("measure",), StateSource(family="ghz"))
 
 
+# each input a scenario file rejects, given to a Scenario built in code; a
+# callable defers a nested class that checks itself to the raises block
+_BAD_IN_CODE = {
+    "unknown-experiment": {"experiments": ("classify", "teleport")},
+    "repeated-experiment": {"experiments": ("classify", "classify")},
+    "no-state": {"experiments": ("cluster",), "state": None},
+    "format": {"output_format": "xml"},
+    "empty-name": {"name": ""},
+    "seed": lambda: {"params": ScenarioParams(seed=-1)},
+    "family-and-file": lambda: {"state": StateSource(family="ghz", file="g.state")},
+    "ghz-with-k": lambda: {"state": StateSource(family="ghz", params={"k": 2})},
+    "bool-size": {"sizes": (True, 4, 6)},
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_IN_CODE.values()), ids=list(_BAD_IN_CODE))
+def test_scenario_built_in_code_is_checked_like_a_file(bad):
+    good = {"name": "t", "sizes": (4, 6, 8), "experiments": ("classify",), "state": StateSource(family="ghz")}
+    assert Scenario(**good).experiments == ("classify",)
+    with pytest.raises(ValidationError):
+        Scenario(**{**good, **(bad() if callable(bad) else bad)})
+
+
+def test_report_echo_is_a_scenario_file(tmp_path):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({
+        "name": "echo", "state": {"family": "tfim-ground", "params": {"h": 0.3}}, "sizes": [4, 6],
+        "experiments": ["cluster"], "params": {"epsilon": 0.2, "kappa": 1, "seed": 7},
+        "output": {"path": str(tmp_path / "rep"), "format": "structured"},
+    }))
+    assert main(["run", str(path)]) == 0
+    echo = json.loads((tmp_path / "rep.json").read_text())["scenario"]
+    again = validate_scenario(echo).echo()
+    assert json.loads(json.dumps(again)) == echo
+    assert validate_scenario(again).echo() == again
+    # the output fields are read from the output object only
+    for key in ("output_path", "output.path"):
+        with pytest.raises(ValidationError, match=re.escape(f"['{key}']")):
+            validate_scenario({**echo, key: "elsewhere"})
+    # a wrong type names the file's key
+    for section, key in (("output", "path"), ("state", "family"), ("params", "kappa")):
+        with pytest.raises(ValidationError, match=re.escape(f"scenario.{section}.{key} ")):
+            validate_scenario({**echo, section: {**echo[section], key: ["x"]}})
+
+
 def test_readme_lists_every_scenario_param():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listing = re.search(r"`params` accepts:(.*?)\.\s", readme, re.S).group(1)
