@@ -11,6 +11,7 @@ from .analyzer import (
     ScalingVerdict,
     classify_scaling,
     covariance_matrix,
+    magnetization,
     max_additive_fluctuation,
 )
 from .cluster import (
@@ -70,12 +71,9 @@ from .noise import (
     NoiseModel,
 )
 from .operators import (
-    AdditiveOperator,
     LocalOperator,
     additive_variance,
-    apply_additive,
     apply_local,
-    expectation,
     pauli,
 )
 from .rates import (

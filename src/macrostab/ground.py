@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analyzer import magnetization
 from .errors import ArgumentError, NumericalError
 from .hamiltonian import Hamiltonian, build_hamiltonian
-from .operators import AdditiveOperator, expectation
 from .states import StateVector, _cdot
 
 RESIDUAL_TOL = 1e-9
@@ -144,19 +144,18 @@ def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
     if pair is not None and (len(pair.states) != 2 or pair.states[0].lattice != spec.lattice):
         raise ArgumentError("pair must be the ground-state result of spec")
     warning = not (abs(spec.h) < abs(spec.J))
-    m_op = AdditiveOperator.from_axis(spec.lattice, "z")
     if method == METHOD_DOUBLET:
         if pair is None:
             pair = ground_state(build_hamiltonian(spec))
         v0, v1 = (state.amplitudes for state in pair.states)
         r = 1.0 / math.sqrt(2.0)
         cands = [StateVector(spec.lattice, r * (v0 + sign * v1), _take=True) for sign in (1.0, -1.0)]
-        best_m, best_state = max(((expectation(m_op, c), c) for c in cands), key=lambda mc: mc[0])
+        best_m, best_state = max(((magnetization(c), c) for c in cands), key=lambda mc: mc[0])
         energy = 0.5 * (pair.energies[0] + pair.energies[1])
         return PurePhaseVacuum(best_state, energy, best_m, method, warning)
     ham = build_hamiltonian(spec)
     biased = build_hamiltonian(replace(spec, B=0.05 * spec.J))
     state = ground_state(biased).states[0]
-    m_val = expectation(m_op, state)
+    m_val = magnetization(state)
     energy = float(np.real(_cdot(state.amplitudes, ham.matvec(state.amplitudes))))
     return PurePhaseVacuum(state, energy, m_val, method, warning)

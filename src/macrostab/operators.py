@@ -1,17 +1,15 @@
-"""Single-site Hermitian operators and their lattice sums.
+"""Single-site Hermitian operators and the variance of their lattice sums.
 
-A ``LocalOperator`` is a 2x2 Hermitian matrix at one site; an
-``AdditiveOperator`` holds one term per site (terms may be zero).  For
-spin-1/2 sites the identity plus the three Pauli matrices span every
-single-site Hermitian operator, so additive observables are parametrized
-by 3N real Pauli coefficients (identity components drop out of every
-fluctuation quantity).
+A ``LocalOperator`` is a 2x2 Hermitian matrix at one site.  For spin-1/2
+sites the identity plus the three Pauli matrices span every single-site
+Hermitian operator, so an additive observable
+A = sum_x sum_a c[3x+a] sigma_a(x) is its real (3N,) coefficient vector c
+(identity components drop out of every fluctuation quantity).
 """
 
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .lattice import LatticeSpec
 from .states import _cdot
 
 HERMITICITY_TOL = 1e-12
@@ -25,7 +23,7 @@ PAULI_MATRICES = {
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
 }
 
-_ZERO2 = np.zeros((2, 2), dtype=np.complex128)
+_PAULI_STACK = np.stack([PAULI_MATRICES[a] for a in PAULI_AXES])
 
 
 class LocalOperator:
@@ -58,54 +56,6 @@ def pauli(lattice, site, axis):
     return LocalOperator(site, PAULI_MATRICES[axis])
 
 
-class AdditiveOperator:
-    """Sum of one local operator per lattice site."""
-
-    __slots__ = ("lattice", "terms")
-
-    def __init__(self, lattice, terms):
-        if not isinstance(lattice, LatticeSpec):
-            raise ArgumentError("lattice must be a LatticeSpec")
-        terms = tuple(terms)
-        if len(terms) != lattice.n_sites:
-            raise ArgumentError(
-                f"need exactly one term per site ({lattice.n_sites}), got {len(terms)}"
-            )
-        for x, op in enumerate(terms):
-            if not isinstance(op, LocalOperator):
-                raise ArgumentError("terms must be LocalOperator instances")
-            if op.site != x:
-                raise ArgumentError(
-                    f"term {x} carries site index {op.site}; terms must be site-ordered"
-                )
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AdditiveOperator is immutable")
-
-    @classmethod
-    def from_axis(cls, lattice, axis):
-        """Sum of sigma_axis over all sites, e.g. the order parameter for axis z."""
-        return cls(lattice, [pauli(lattice, x, axis) for x in lattice.sites])
-
-    @classmethod
-    def from_coefficients(cls, lattice, coefficients):
-        """Build sum_x sum_a c[3x+a] sigma_a(x) from a real 3N-vector."""
-        c = np.asarray(coefficients, dtype=np.float64)
-        if c.shape != (3 * lattice.n_sites,):
-            raise ArgumentError(
-                f"need {3 * lattice.n_sites} coefficients, got shape {c.shape}"
-            )
-        terms = []
-        for x in lattice.sites:
-            m = np.zeros((2, 2), dtype=np.complex128)
-            for a, axis in enumerate(PAULI_AXES):
-                m += c[3 * x + a] * PAULI_MATRICES[axis]
-            terms.append(LocalOperator(x, m))
-        return cls(lattice, terms)
-
-
 def _apply_matrix_at_site(amps, site, matrix):
     """(matrix on `site`, identity elsewhere) applied to an amplitude array."""
     low = 1 << site
@@ -120,17 +70,6 @@ def apply_local(op, psi):
     return _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix)
 
 
-def apply_additive(additive, psi):
-    """Amplitudes of A|psi> for a site-summed A, as a plain array (not a state)."""
-    if additive.lattice.n_sites != psi.n_sites:
-        raise ArgumentError("operator and state live on different lattices")
-    acc = np.zeros(psi.dim, dtype=np.complex128)
-    for op in additive.terms:
-        if np.any(op.matrix):
-            acc += _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix)
-    return acc
-
-
 def _real_expectation(value):
     if abs(value.imag) > IMAG_TOL:
         raise NumericalError(
@@ -139,20 +78,17 @@ def _real_expectation(value):
     return float(value.real)
 
 
-def expectation(op, psi):
-    """<psi|O|psi> for a local or additive Hermitian operator."""
-    if isinstance(op, LocalOperator):
-        phi = apply_local(op, psi)
-    elif isinstance(op, AdditiveOperator):
-        phi = apply_additive(op, psi)
-    else:
-        raise ArgumentError("op must be a LocalOperator or AdditiveOperator")
-    return _real_expectation(_cdot(psi.amplitudes, phi))
-
-
-def additive_variance(additive, psi):
-    """<A^2> - <A>^2, clamped at zero against round-off near eigenstates."""
-    phi = apply_additive(additive, psi)
+def additive_variance(coefficients, psi):
+    """<A^2> - <A>^2 of A = sum_x c_x . sigma(x) for the real (3N,) vector
+    ``coefficients``, by applying A to ``psi`` site by site; clamped at zero
+    against round-off near eigenstates."""
+    c = np.asarray(coefficients, dtype=np.float64)
+    if c.shape != (3 * psi.n_sites,):
+        raise ArgumentError(f"need {3 * psi.n_sites} coefficients, got shape {c.shape}")
+    phi = np.zeros(psi.dim, dtype=np.complex128)
+    for x, m in enumerate(np.einsum("xk,kij->xij", c.reshape(-1, 3), _PAULI_STACK)):
+        if np.any(m):
+            phi += _apply_matrix_at_site(psi.amplitudes, x, m)
     second = float(np.sum(phi.real**2 + phi.imag**2))
     first = _real_expectation(_cdot(psi.amplitudes, phi))
     var = second - first * first

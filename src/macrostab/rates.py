@@ -21,12 +21,10 @@ import numpy as np
 
 from .analyzer import covariance_matrix, log_log_fit
 from .errors import ArgumentError
-from .operators import PAULI_AXES, PAULI_MATRICES
+from .operators import _PAULI_STACK
 
 FRAGILE_EXPONENT = 1.5
 RATE_WINDOW_FRACTION = 0.05
-
-_PAULI_STACK = np.stack([PAULI_MATRICES[a] for a in PAULI_AXES])
 
 
 def analytic_dephasing_rate(psi, noise):

@@ -11,7 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .analyzer import classify_scaling, max_additive_fluctuation
+from .analyzer import classify_scaling, magnetization, max_additive_fluctuation
 from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
@@ -21,7 +21,6 @@ from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
 from .measure import measurement_cascade, stability_test
 from .noise import NoiseModel
-from .operators import AdditiveOperator, expectation
 from .rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
 from .scenario import _STATEFUL_EXPERIMENTS
@@ -196,7 +195,6 @@ def run_symmetry_breaking(scenario, entries):
         ham = build_hamiltonian(spec)
         res = ground_state(ham)
         sym = res.states[0]
-        m_op = AdditiveOperator.from_axis(lattice, "z")
         pp = pure_phase_vacuum(spec, p.method, pair=res)
         fluct_sym = max_additive_fluctuation(sym)
         cascade = measurement_cascade(sym, nfs_factor=p.nfs_factor, fluctuation=fluct_sym)
@@ -205,7 +203,7 @@ def run_symmetry_breaking(scenario, entries):
                 "n": n,
                 "e_symmetric": res.energies[0],
                 "e_pure_phase": pp.energy,
-                "m_symmetric": expectation(m_op, sym),
+                "m_symmetric": magnetization(sym),
                 "m_pure_phase": pp.magnetization,
                 "fluct_symmetric": fluct_sym.max_variance,
                 "fluct_pure_phase": max_additive_fluctuation(pp.state).max_variance,
@@ -245,13 +243,12 @@ def run_ground(scenario, entries):
         spec = HamiltonianSpec(p.model, lattice, J=p.J, h=p.h, delta=p.delta, B=p.B)
         ham = build_hamiltonian(spec)
         res = ground_state(ham)
-        m_op = AdditiveOperator.from_axis(lattice, "z")
         per_size.append(
             {
                 "n": n,
                 "energies": res.energies,
                 "residuals": res.residuals,
-                "magnetization": expectation(m_op, res.states[0]),
+                "magnetization": magnetization(res.states[0]),
                 "max_fluctuation": max_additive_fluctuation(res.states[0]).max_variance,
             }
         )

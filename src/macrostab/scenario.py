@@ -75,6 +75,9 @@ class ScenarioParams:
         for key, allowed in CHOICES.items():
             _require(getattr(self, key) in allowed, f"params.{key} must be one of {allowed}")
         _require(0 <= self.seed < 2**64, "params.seed must fit in 64 bits")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            _require(f.type is not float or val is None or math.isfinite(val), f"params.{f.name} must be finite, got {val!r}")
         if self.h is None:
             object.__setattr__(self, "h", MODEL_FIELD[self.model])
 
@@ -160,18 +163,13 @@ class Scenario:
         )
         if "decohere" in self.experiments:
             _require(p.kappa > 0, "decohere needs kappa > 0")
-            _require(
-                p.horizon is None or (math.isfinite(p.horizon) and p.horizon / TRAJECTORY_STEPS > 0),
-                f"params.horizon must be finite with horizon / {TRAJECTORY_STEPS} > 0, got {p.horizon!r}",
-            )
+            good = p.horizon is None or p.horizon / TRAJECTORY_STEPS > 0
+            _require(good, f"params.horizon must have horizon / {TRAJECTORY_STEPS} > 0, got {p.horizon!r}")
             p.noise_model()  # its kernel and xi, before any state
         if "symmetry-breaking" in self.experiments:
             _require(p.model == TRANSVERSE_ISING, "symmetry-breaking is defined for the transverse-ising model")
             _require(p.B == 0.0, "symmetry-breaking needs B = 0 for the symmetric ground state")
-            _require(
-                math.isfinite(p.nfs_factor) and p.nfs_factor > 0,
-                f"params.nfs_factor must be finite and > 0, got {p.nfs_factor!r}",
-            )
+            _require(p.nfs_factor > 0, f"params.nfs_factor must be > 0, got {p.nfs_factor!r}")
 
     def echo(self):
         """Plain-dict copy embedded into every report; it reads back as the
@@ -202,7 +200,10 @@ def _from_json(cls, obj, where):
         else:
             kind = {float: (int, float), tuple: (list, tuple)}.get(f.type, f.type)
             _require(isinstance(val, kind) and not isinstance(val, bool), f"{where}.{key} has the wrong type")
-            given[f.name] = f.type(val)
+            try:
+                given[f.name] = f.type(val)
+            except OverflowError:
+                raise ValidationError(f"{where}.{key} is too large for a float") from None
     return cls(**given)
 
 

@@ -35,6 +35,18 @@ def dense_additive(n, axis):
     return sum(dense_site_op(n, x, PAULI[axis]) for x in range(n))
 
 
+def dense_from_coefficients(n, coeffs):
+    """sum_x sum_a coeffs[3x+a] sigma_a(x) as a dense matrix."""
+    return sum(coeffs[3 * x + a] * dense_site_op(n, x, PAULI["xyz"[a]]) for x in range(n) for a in range(3))
+
+
+def axis_coefficients(n, axis):
+    """Coefficient vector of sum_x sigma_axis(x), the order parameter for axis z."""
+    c = np.zeros(3 * n)
+    c["xyz".index(axis) :: 3] = 1.0
+    return c
+
+
 def dense_tfim(n, J, h, B=0.0, periodic=False):
     dim = 2**n
     H = np.zeros((dim, dim), dtype=complex)
@@ -67,6 +79,11 @@ def dense_xxz(n, J, delta, h=0.0, B=0.0, periodic=False):
     if B:
         H -= B * dense_additive(n, "z")
     return H
+
+
+def dense_mean(op, amps):
+    """<O> by direct dense multiplication."""
+    return np.vdot(amps, op @ amps).real
 
 
 def dense_variance(op, amps):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from macrostab import (
-    AdditiveOperator,
     HamiltonianSpec,
     LatticeSpec,
     NoiseModel,
@@ -28,9 +27,9 @@ from macrostab import (
     correlation_field,
     dephasing_channel_density,
     evolve_noisy,
-    expectation,
     fit_gamma_scaling,
     ground_state,
+    magnetization,
     make_dicke,
     make_ghz,
     make_uniform_product,
@@ -42,7 +41,7 @@ from macrostab import (
 )
 from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.rates import trajectory_rate
-from conftest import dense_tfim, subprocess_env
+from conftest import axis_coefficients, dense_tfim, subprocess_env
 
 
 def _finish(name, failures, elapsed, budget):
@@ -63,7 +62,7 @@ def test_criterion_1_ghz_fluctuation_law():
     failures = []
     for n in range(3, 13):
         lat = LatticeSpec(n)
-        a_z = AdditiveOperator.from_axis(lat, "z")
+        a_z = axis_coefficients(n, "z")
         var_ghz = additive_variance(a_z, make_ghz(lat))
         _check(failures, abs(var_ghz - n * n) <= 1e-9 * n * n,
                f"GHZ({n}) variance {var_ghz!r} != N^2")
@@ -242,9 +241,8 @@ def test_criterion_8_symmetry_breaking():
         _check(failures, abs(res.energies[0] - dense_evals[0]) <= 1e-8,
                f"N={n}: iterative E0 {res.energies[0]!r} vs dense {dense_evals[0]!r}")
 
-        m_op = AdditiveOperator.from_axis(lat, "z")
         sym = res.states[0]
-        m_sym = expectation(m_op, sym)
+        m_sym = magnetization(sym)
         _check(failures, abs(m_sym) <= 1e-6, f"N={n}: <M> symmetric {m_sym!r}")
 
         pp = pure_phase_vacuum(spec)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from macrostab import (
-    AdditiveOperator,
     ArgumentError,
     GroundStateResult,
     HamiltonianSpec,
     LatticeSpec,
+    StateVector,
     basis_state,
     build_hamiltonian,
-    expectation,
     ground_state,
+    magnetization,
     max_additive_fluctuation,
     pure_phase_vacuum,
 )
@@ -42,11 +42,9 @@ class TestGroundState:
         assert all(r <= 1e-9 for r in res.residuals)
 
     def test_symmetric_ground_zero_magnetization(self):
-        lat = LatticeSpec(8)
         res = ground_state(tfim(8, 0.1))
-        m = AdditiveOperator.from_axis(lat, "z")
-        assert abs(expectation(m, res.states[0])) < 1e-6
-        assert abs(expectation(m, res.states[1])) < 1e-6
+        assert abs(magnetization(res.states[0])) < 1e-6
+        assert abs(magnetization(res.states[1])) < 1e-6
 
     def test_ferromagnetic_doublet_is_afs_like(self):
         res = ground_state(tfim(8, 0.1))
@@ -130,6 +128,24 @@ class TestPurePhaseVacuum:
         assert pp.magnetization >= 0.9 * 8
         assert not pp.paramagnetic_warning
         assert max_additive_fluctuation(pp.state).max_variance <= 2 * 8
+
+    def test_doublet_candidates_magnetization_matches_dense(self):
+        # both signs of (|E0> +- |E1>)/sqrt(2) against the dense order parameter;
+        # the vacuum is the candidate with the larger one, and no table is built
+        n = 8
+        spec = HamiltonianSpec("transverse-ising", LatticeSpec(n), J=1.0, h=0.1)
+        pair = ground_state(build_hamiltonian(spec))
+        v0, v1 = (state.amplitudes for state in pair.states)
+        m_dense = dense_additive(n, "z").real
+        ms = []
+        for sign in (1.0, -1.0):
+            cand = StateVector(spec.lattice, (v0 + sign * v1) / np.sqrt(2.0))
+            ms.append(magnetization(cand))
+            assert ms[-1] == pytest.approx(np.vdot(cand.amplitudes, m_dense @ cand.amplitudes).real, abs=1e-12)
+            assert cand._table is None
+        pp = pure_phase_vacuum(spec, METHOD_DOUBLET, pair=pair)
+        assert pp.magnetization == pytest.approx(max(ms), abs=1e-12)
+        assert pp.state._table is None
 
     def test_doublet_energy_is_midpoint(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(6), J=1.0, h=0.1)

@@ -4,22 +4,30 @@ import numpy as np
 import pytest
 
 from macrostab import (
-    AdditiveOperator,
     ArgumentError,
     LatticeSpec,
     LocalOperator,
     StateError,
     StateVector,
     additive_variance,
-    apply_additive,
     apply_local,
     basis_state,
-    expectation,
+    covariance_matrix,
+    magnetization,
     make_ghz,
+    make_product_state,
     make_uniform_product,
     pauli,
 )
-from conftest import PAULI, dense_additive, dense_site_op, dense_variance, random_state_amps
+from conftest import (
+    PAULI,
+    axis_coefficients,
+    dense_additive,
+    dense_from_coefficients,
+    dense_site_op,
+    dense_variance,
+    random_state_amps,
+)
 
 
 class TestPauli:
@@ -89,32 +97,34 @@ class TestApplyLocal:
 class TestExpectation:
     def test_all_up_magnetization(self):
         lat = LatticeSpec(4)
-        A = AdditiveOperator.from_axis(lat, "z")
-        assert expectation(A, basis_state(lat, 0)) == pytest.approx(4.0, abs=1e-12)
+        assert magnetization(basis_state(lat, 0)) == pytest.approx(4.0, abs=1e-12)
 
     def test_ghz_magnetization_vanishes(self):
         lat = LatticeSpec(4)
-        A = AdditiveOperator.from_axis(lat, "z")
-        assert expectation(A, make_ghz(lat)) == pytest.approx(0.0, abs=1e-12)
+        assert magnetization(make_ghz(lat)) == pytest.approx(0.0, abs=1e-12)
 
     def test_plus_transverse(self):
         lat = LatticeSpec(5)
-        A = AdditiveOperator.from_axis(lat, "x")
         plus = make_uniform_product(lat, math.pi / 2)
-        assert expectation(A, plus) == pytest.approx(5.0, abs=1e-10)
+        mean = covariance_matrix(plus).means @ axis_coefficients(5, "x")
+        assert mean == pytest.approx(5.0, abs=1e-10)
 
     def test_additivity(self, rng):
         lat = LatticeSpec(4)
         psi = StateVector(lat, random_state_amps(4, rng))
-        A = AdditiveOperator.from_axis(lat, "y")
-        total = sum(expectation(pauli(lat, x, "y"), psi) for x in lat.sites)
-        assert expectation(A, psi) == pytest.approx(total, abs=1e-10)
+        per_site = {
+            axis: [np.vdot(psi.amplitudes, apply_local(pauli(lat, x, axis), psi)).real for x in lat.sites]
+            for axis in "yz"
+        }
+        assert magnetization(psi) == pytest.approx(sum(per_site["z"]), abs=1e-10)
+        mean_y = covariance_matrix(psi).means @ axis_coefficients(4, "y")
+        assert mean_y == pytest.approx(sum(per_site["y"]), abs=1e-10)
 
     def test_unnormalized_rejected(self):
-        # an unnormalized state never reaches expectation: building it fails
+        # an unnormalized state never reaches magnetization: building it fails
         lat = LatticeSpec(2)
         with pytest.raises(StateError):
-            expectation(pauli(lat, 0, "z"), StateVector(lat, [0.5, 0.5, 0.5, 0.5 + 0.3j]))
+            magnetization(StateVector(lat, [0.5, 0.5, 0.5, 0.5 + 0.3j]))
 
     def test_imaginary_part_guard(self):
         # a manufactured non-Hermitian path cannot arise through the public
@@ -125,64 +135,63 @@ class TestExpectation:
 
 class TestAdditiveVariance:
     def test_ghz_maximal(self):
-        lat = LatticeSpec(3)
-        A = AdditiveOperator.from_axis(lat, "z")
-        ghz = make_ghz(lat)
-        assert additive_variance(A, ghz) == pytest.approx(9.0, rel=1e-12)
+        c = axis_coefficients(3, "z")
+        ghz = make_ghz(LatticeSpec(3))
+        assert additive_variance(c, ghz) == pytest.approx(9.0, rel=1e-12)
         dense = dense_variance(dense_additive(3, "z"), ghz.amplitudes)
-        assert additive_variance(A, ghz) == pytest.approx(dense, rel=1e-12)
+        assert additive_variance(c, ghz) == pytest.approx(dense, rel=1e-12)
 
     def test_eigenstate_exactly_zero(self):
         lat = LatticeSpec(6)
-        A = AdditiveOperator.from_axis(lat, "z")
-        assert additive_variance(A, basis_state(lat, 0)) == 0.0
-        assert additive_variance(A, basis_state(lat, 33)) == 0.0
+        c = axis_coefficients(6, "z")
+        assert additive_variance(c, basis_state(lat, 0)) == 0.0
+        assert additive_variance(c, basis_state(lat, 33)) == 0.0
 
     def test_independent_sites(self):
-        lat = LatticeSpec(5)
-        A = AdditiveOperator.from_axis(lat, "x")
-        up = basis_state(lat, 0)
-        assert additive_variance(A, up) == pytest.approx(5.0, rel=1e-12)
+        up = basis_state(LatticeSpec(5), 0)
+        assert additive_variance(axis_coefficients(5, "x"), up) == pytest.approx(5.0, rel=1e-12)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_against_dense_oracle(self, axis, rng):
         n = 4
         lat = LatticeSpec(n)
         psi = StateVector(lat, random_state_amps(n, rng))
-        A = AdditiveOperator.from_axis(lat, axis)
         dense = dense_variance(dense_additive(n, axis), psi.amplitudes)
-        assert additive_variance(A, psi) == pytest.approx(dense, abs=1e-10)
+        assert additive_variance(axis_coefficients(n, axis), psi) == pytest.approx(dense, abs=1e-10)
 
     def test_never_negative(self, rng):
         lat = LatticeSpec(3)
         for _ in range(20):
             psi = StateVector(lat, random_state_amps(3, rng))
             for axis in "xyz":
-                assert additive_variance(AdditiveOperator.from_axis(lat, axis), psi) >= 0.0
+                assert additive_variance(axis_coefficients(3, axis), psi) >= 0.0
 
 
 class TestAdditiveOperator:
+    """An additive operator is its real coefficient vector c, with
+    c[3x+a] the weight of sigma_a(x)."""
+
     def test_requires_one_term_per_site(self):
-        lat = LatticeSpec(3)
-        with pytest.raises(ArgumentError):
-            AdditiveOperator(lat, [pauli(lat, 0, "z")])
+        psi = make_ghz(LatticeSpec(3))
+        for shape in [(3,), (12,), (3, 3), (9, 1)]:
+            with pytest.raises(ArgumentError):
+                additive_variance(np.ones(shape), psi)
 
     def test_site_order_enforced(self):
-        lat = LatticeSpec(2)
-        with pytest.raises(ArgumentError):
-            AdditiveOperator(lat, [pauli(lat, 1, "z"), pauli(lat, 0, "z")])
+        # site 0 along +x, site 1 along +z: sigma_x(0) is sharp, sigma_x(1) is not
+        psi = make_product_state(LatticeSpec(2), [(math.pi / 2, 0.0), (0.0, 0.0)])
+        c = np.zeros(6)
+        c[0] = 1.0
+        assert additive_variance(c, psi) == pytest.approx(0.0, abs=1e-12)
+        assert additive_variance(np.roll(c, 3), psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_from_coefficients_roundtrip(self, rng):
-        n = 3
-        lat = LatticeSpec(n)
-        coeffs = rng.standard_normal(3 * n)
-        A = AdditiveOperator.from_coefficients(lat, coeffs)
-        psi = StateVector(lat, random_state_amps(n, rng))
-        dense = sum(
-            coeffs[3 * x + a] * dense_site_op(n, x, PAULI["xyz"[a]])
-            for x in range(n)
-            for a in range(3)
-        )
-        out = apply_additive(A, psi)
-        assert isinstance(out, np.ndarray)
-        assert np.allclose(out, dense @ psi.amplitudes, atol=1e-12)
+        for n in (3, 4, 5):
+            lat = LatticeSpec(n)
+            for _ in range(5):
+                coeffs = rng.standard_normal(3 * n)
+                psi = StateVector(lat, random_state_amps(n, rng))
+                dense = dense_variance(dense_from_coefficients(n, coeffs), psi.amplitudes)
+                assert additive_variance(coeffs, psi) == pytest.approx(dense, abs=1e-10)
+                # the direct path is independent of the two-point table
+                assert psi._table is None

@@ -6,13 +6,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from macrostab import (
-    AdditiveOperator,
     LatticeSpec,
     LocalOperator,
     StateMixture,
     StateVector,
     additive_variance,
-    expectation,
+    apply_local,
+    covariance_matrix,
+    magnetization,
     make_product_state,
     correlation_field,
     max_additive_fluctuation,
@@ -20,6 +21,7 @@ from macrostab import (
 )
 from macrostab.measure import _conditional_closed_form, _two_point_table, conditional_distribution
 from macrostab.operators import PAULI_MATRICES
+from conftest import axis_coefficients
 
 
 angle_pairs = st.tuples(
@@ -65,17 +67,20 @@ def test_constructors_normalize(psi):
 @given(random_states())
 def test_variance_never_negative(psi):
     for axis in "xyz":
-        assert additive_variance(AdditiveOperator.from_axis(psi.lattice, axis), psi) >= 0.0
+        assert additive_variance(axis_coefficients(psi.n_sites, axis), psi) >= 0.0
 
 
 @settings(max_examples=30, deadline=None)
 @given(random_states())
 def test_expectation_is_additive(psi):
     lat = psi.lattice
+    means = covariance_matrix(psi).means
     for axis in "xz":
-        total = sum(expectation(pauli(lat, x, axis), psi) for x in lat.sites)
-        whole = expectation(AdditiveOperator.from_axis(lat, axis), psi)
+        total = sum(np.vdot(psi.amplitudes, apply_local(pauli(lat, x, axis), psi)).real for x in lat.sites)
+        whole = means @ axis_coefficients(lat.n_sites, axis)
         assert abs(whole - total) <= 1e-10
+        if axis == "z":
+            assert abs(magnetization(psi) - total) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -93,7 +98,7 @@ def test_normalized_correlation_obeys_cauchy_schwarz(psi):
 def test_axis_variances_never_beat_maximum(psi):
     rep = max_additive_fluctuation(psi)
     for axis in "xyz":
-        var = additive_variance(AdditiveOperator.from_axis(psi.lattice, axis), psi)
+        var = additive_variance(axis_coefficients(psi.n_sites, axis), psi)
         assert var <= rep.max_variance + 1e-8
 
 

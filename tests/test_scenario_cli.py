@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -231,6 +232,8 @@ def _refuse(*args, **kwargs):
         ["measure", "--state-file", "g.state", "--sizes", "4", "--k", "2"],
         # no pair of a 4-site ring lies more than 2 apart
         ["measure", "--state", "ghz", "--geometry", "periodic-chain", "--sizes", "4:8:2", "--min-distance", "3"],
+        # every float param must be finite, also one the run would not read
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--xi", "inf"],
     ],
 )
 def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
@@ -263,6 +266,21 @@ def test_invalid_state_params_exit_before_any_state(state, tmp_path, monkeypatch
         {"name": "p", "state": state, "sizes": [4, 5, 6], "experiments": ["cluster"]}
     ))
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"J": math.inf}, {"xi": math.nan}, {"kappa": 10**400}],
+    ids=["infinite-J", "nan-xi", "400-digit-kappa"],
+)
+def test_non_finite_or_oversized_float_param_exits_before_any_state(params, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "build_state", _refuse)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(
+        {"name": "f", "state": {"family": "ghz"}, "sizes": [4, 6, 8], "experiments": ["decohere"], "params": params}
+    ))
+    assert main(["run", str(path)]) == 2
+    assert f"params.{next(iter(params))} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
