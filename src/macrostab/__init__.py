@@ -58,7 +58,6 @@ from .measure import (
     ConditionalTable,
     MeasurementOutcome,
     MeasurementStabilityReport,
-    StateMixture,
     conditional_distribution,
     measure_local,
     measurement_cascade,

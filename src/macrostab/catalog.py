@@ -30,8 +30,8 @@ FAMILY_PARAMS = {
 
 
 def check_state_params(family, params):
-    """Reject an unknown family, unknown or mistyped params and a Dicke
-    state without k."""
+    """Reject an unknown family, unknown or mistyped params, a float param
+    that is not finite or too large for a float, and a Dicke state without k."""
     if family not in FAMILY_PARAMS:
         raise ArgumentError(f"unknown state family {family!r}")
     for key, val in params.items():
@@ -39,12 +39,19 @@ def check_state_params(family, params):
         if kind is None:
             raise ArgumentError(f"unknown parameter {key!r} for state family {family!r}")
         if isinstance(kind, tuple):
-            ok, kind = val in kind, f"one of {list(kind)}"
+            ok, want = val in kind, f"one of {list(kind)}"
         else:
-            types, kind = _KINDS[kind]
+            types, want = _KINDS[kind]
             ok = isinstance(val, types) and not isinstance(val, bool)
         if not ok:
-            raise ArgumentError(f"state parameter {key!r} of family {family!r} must be {kind}, got {val!r}")
+            raise ArgumentError(f"state parameter {key!r} of family {family!r} must be {want}, got {val!r}")
+        if kind is float:
+            try:
+                ok = math.isfinite(val)
+            except OverflowError:
+                raise ArgumentError(f"state parameter {key!r} of family {family!r} is too large for a float") from None
+            if not ok:
+                raise ArgumentError(f"state parameter {key!r} of family {family!r} must be finite, got {val!r}")
     if family == "dicke" and "k" not in params:
         raise ArgumentError("dicke family needs parameter k")
 

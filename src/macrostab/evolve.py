@@ -1,11 +1,12 @@
 """Stochastic trajectory ensembles under correlated dephasing noise.
 
 Each trajectory applies, per time step, the exact unitary
-exp(-i sum_x W_x a(x)) with Gaussian increments W ~ N(0, kappa g dt).
-The system Hamiltonian is frozen, so every coupling commutes with every
-other and a trajectory is a closed form in the product eigenbasis of the
-site couplings: basis state i carries the phase sum_x Wcum_x lam_x(i_x),
-Wcum the running sum of the increments.  It is exact at any step, so every
+exp(-i sum_x W_x sigma_axis(x)) with Gaussian increments
+W ~ N(0, kappa g dt).  The system Hamiltonian is frozen, so every coupling
+commutes with every other and a trajectory is a closed form in the product
+eigenbasis of sigma_axis: basis state i carries the phase
+sum_x Wcum_x lam(i_x), Wcum the running sum of the increments and lam the
+eigenvalues of sigma_axis.  It is exact at any step, so every
 step is recorded.  The phase is a sum over sites, so with i = h 2^k + l the
 fidelity's weighted sum splits exactly into low-site (l) and high-site (h)
 phase tables joined by the weights P = p.reshape(2^(N-k), 2^k): one small
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, CapabilityError
-from .operators import _apply_matrix_at_site
+from .operators import PAULI_MATRICES, _apply_matrix_at_site
 
 DENSITY_CAP_SITES = 8
 MIN_TRAJECTORIES = 100
@@ -150,8 +151,8 @@ def evolve_noisy(psi0, noise, ensemble):
             f"requested {lattice.n_sites}"
         )
 
-    ops = noise.coupling_operators(lattice)
-    lam, q = np.linalg.eigh(np.stack([op.matrix for op in ops]))
+    lam, q = np.linalg.eigh(PAULI_MATRICES[noise.axis])
+    lam, q = np.broadcast_to(lam, (lattice.n_sites, 2)), np.broadcast_to(q, (lattice.n_sites, 2, 2))
     n_steps = ensemble.n_steps
     b_scaled = noise.kernel_sqrt(lattice) * math.sqrt(noise.kappa * ensemble.dt)
 
@@ -181,26 +182,17 @@ def evolve_noisy(psi0, noise, ensemble):
 
 
 def dephasing_channel_density(psi0, noise, t):
-    """Closed-form ensemble density matrix for commuting diagonal couplings.
+    """Closed-form ensemble density matrix under z-axis noise.
 
-    Valid when every coupling operator is diagonal in the computational
-    basis (z-axis noise): rho_ij(t) = rho_ij(0) exp(-t R_ij) with
-    R_ij = (kappa/2) d^T g d and d the difference of the diagonal
-    eigenvalue patterns of basis states i and j.
+    sigma_z(x) has eigenvalue 1 - 2 b on bit b of site x, so
+    rho_ij(t) = rho_ij(0) exp(-t R_ij) with R_ij = (kappa/2) d^T g d and d
+    the difference of the eigenvalue patterns of basis states i and j.
     """
+    if noise.axis != "z":
+        raise ArgumentError(f"closed-form channel needs z-axis noise, got axis {noise.axis!r}")
     lattice = psi0.lattice
-    ops = noise.coupling_operators(lattice)
-    n = lattice.n_sites
-    dim = lattice.dim
-    diag_vals = np.empty((n, 2))
-    for x, op in enumerate(ops):
-        if abs(op.matrix[0, 1]) > 1e-14 or abs(op.matrix[1, 0]) > 1e-14:
-            raise ArgumentError("closed-form channel needs diagonal couplings")
-        diag_vals[x, 0] = op.matrix[0, 0].real
-        diag_vals[x, 1] = op.matrix[1, 1].real
-    idx = np.arange(dim)
-    bits = (idx[:, None] >> np.arange(n)) & 1
-    site_vals = np.where(bits == 0, diag_vals[None, :, 0], diag_vals[None, :, 1])
+    bits = (np.arange(lattice.dim)[:, None] >> np.arange(lattice.n_sites)) & 1
+    site_vals = 1.0 - 2.0 * bits
     g = noise.kernel_matrix(lattice)
     amps = psi0.amplitudes
     rho0 = np.outer(amps, amps.conj())

@@ -6,7 +6,8 @@ ideal local measurement at x returned a, against the undisturbed P(b).
 Only conditioning outcomes with P(a) above a floor count.
 
 Both follow from the two-point Pauli table of the cluster diagnostic, the
-Bloch vectors r_x and connected blocks C_xy = <sigma(x) sigma(y)^T> - r_x r_y^T:
+Bloch vectors r_x (its means) and connected blocks
+C_xy = <sigma(x) sigma(y)^T> - r_x r_y^T (its entries):
 for outcome s of n_a.sigma(x) and outcome t of n_b.sigma(y),
 
     P(t; s) - P(t) = s t n_a^T C_xy n_b / (2 (1 + s r_x.n_a)).
@@ -19,9 +20,8 @@ then both refined by one shrinking-patch loop (grid version v2).  Near-ties go
 to the earlier candidate, so the reported maximum, a lower bound on the true
 supremum, and its directions are reproducible.
 
-Mixed states enter as explicit convex mixtures of pure states; their
-outcome distributions are probability-weighted averages per the
-projection postulate.
+States are pure.  The projection-postulate oracle (``measure_local`` and
+``conditional_distribution``) checks the closed form independently.
 """
 
 import functools
@@ -46,47 +46,6 @@ _FLOOR_MARGIN = 1e-14     # searched P(a) clear varepsilon by this much, beyond 
 _TIE_RTOL, _TIE_ATOL = 1e-9, 1e-12  # orientations of a pair this close tie: the lower site conditions
 _NEAR_RTOL, _NEAR_ATOL = 1e-13, 1e-14  # search candidates this close in |C^T n| / (1 + r.n) tie
 _BLOCK_ELEMENTS = 1 << 17  # cap on orderings x grid points x 2 in one product
-
-
-@dataclass(frozen=True)
-class StateMixture:
-    """Convex mixture of pure states on one lattice."""
-
-    components: tuple  # ((weight, StateVector), ...)
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ArgumentError("mixture needs at least one component")
-        lattice = comps[0][1].lattice
-        total = 0.0
-        for w, psi in comps:
-            if not isinstance(psi, StateVector):
-                raise ArgumentError("mixture components must be StateVectors")
-            if psi.lattice.n_sites != lattice.n_sites:
-                raise ArgumentError("mixture components live on different lattices")
-            if w < 0:
-                raise ArgumentError("mixture weights must be non-negative")
-            total += w
-        if abs(total - 1.0) > 1e-10:
-            raise ArgumentError(f"mixture weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def lattice(self):
-        return self.components[0][1].lattice
-
-    @property
-    def n_sites(self):
-        return self.lattice.n_sites
-
-
-def _as_components(state):
-    if isinstance(state, StateVector):
-        return ((1.0, state),)
-    if isinstance(state, StateMixture):
-        return state.components
-    raise ArgumentError("state must be a StateVector or StateMixture")
 
 
 @dataclass(frozen=True)
@@ -140,8 +99,9 @@ class ConditionalTable:
     joint: np.ndarray        # (2, 2) P(a and b)
 
 
-def conditional_distribution(state, a_obs, b_obs):
-    """Conditional and marginal distributions for measurements at two sites.
+def conditional_distribution(psi, a_obs, b_obs):
+    """Conditional and marginal distributions for measurements at two sites of
+    the pure state ``psi``.
 
     Computed through the projection postulate: the conditional row for
     outcome a uses the post-measurement state of that outcome, with no
@@ -149,21 +109,16 @@ def conditional_distribution(state, a_obs, b_obs):
     """
     if a_obs.site == b_obs.site:
         raise ArgumentError("conditional distribution needs two distinct sites")
-    a_vals, _ = _eigendecompose_observable(a_obs)
-    b_vals, _ = _eigendecompose_observable(b_obs)
-    joint, p_a, p_b = np.zeros((2, 2)), np.zeros(2), np.zeros(2)
-    for weight, psi in _as_components(state):
-        out_a = measure_local(psi, a_obs)
-        out_b = measure_local(psi, b_obs)
-        for jb, b in enumerate(b_vals):
-            p_b[jb] += weight * out_b.probabilities[b]
-        for ia, a in enumerate(a_vals):
-            pa = out_a.probabilities[a]
-            p_a[ia] += weight * pa
-            if a in out_a.post_states:
-                cond = measure_local(out_a.post_states[a], b_obs)
-                for jb, b in enumerate(b_vals):
-                    joint[ia, jb] += weight * pa * cond.probabilities[b]
+    out_a = measure_local(psi, a_obs)
+    out_b = measure_local(psi, b_obs)
+    a_vals, b_vals = out_a.eigenvalues, out_b.eigenvalues
+    p_a = np.array([out_a.probabilities[a] for a in a_vals])
+    p_b = np.array([out_b.probabilities[b] for b in b_vals])
+    joint = np.zeros((2, 2))
+    for ia, a in enumerate(a_vals):
+        if a in out_a.post_states:
+            cond = measure_local(out_a.post_states[a], b_obs)
+            joint[ia] = [p_a[ia] * cond.probabilities[b] for b in b_vals]
     with np.errstate(invalid="ignore", divide="ignore"):
         p_b_given_a = joint / p_a[:, None]
     for ia in range(2):
@@ -179,21 +134,6 @@ def conditional_distribution(state, a_obs, b_obs):
 # ---------------------------------------------------------------------------
 # Measurement-stability sweep from the two-point Pauli table
 # ---------------------------------------------------------------------------
-
-
-def _two_point_table(state):
-    """Bloch vectors (N, 3) and connected Pauli table (3N, 3N) of a state.
-
-    Off the diagonal site blocks, entry (3x+a, 3y+b) is
-    <sigma_a(x) sigma_b(y)> - r_xa r_yb.  A mixture averages the second
-    moments C_k + r_k r_k^T of its components before centering.
-    """
-    second = means = 0.0
-    for weight, psi in _as_components(state):
-        cov = covariance_matrix(psi)
-        second = second + weight * (cov.entries + np.outer(cov.means, cov.means))
-        means = means + weight * cov.means
-    return means.reshape(-1, 3), second - np.outer(means, means)
 
 
 @functools.cache
@@ -345,8 +285,9 @@ class MeasurementStabilityReport:
     grid_version: str = GRID_VERSION
 
 
-def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_distance=None):
-    """Sweep distant site pairs for measurement-induced disturbance.
+def stability_test(psi, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_distance=None):
+    """Sweep distant site pairs of the pure state ``psi`` for
+    measurement-induced disturbance.
 
     Verdict: stable iff the worst deviation at the largest admissible
     separation stays within ``epsilon``.  Separations are the lattice's
@@ -360,7 +301,7 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not 0.0 < varepsilon < 1.0:
         raise ArgumentError(f"varepsilon must lie in (0, 1), got {varepsilon!r}")
-    lattice = _as_components(state)[0][1].lattice
+    lattice = psi.lattice
     n = lattice.n_sites
     if min_distance is None:
         min_distance = max(1, n // 2)
@@ -368,8 +309,9 @@ def stability_test(state, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_di
         raise ArgumentError(f"min_distance must lie in [1, {lattice.max_distance}], got {min_distance}")
     # never empty: some pair lies max_distance >= min_distance apart
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if lattice.distance(x, y) >= min_distance]
-    bloch, table = _two_point_table(state)
-    blocks = table.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
+    cov = covariance_matrix(psi)
+    bloch = cov.means.reshape(n, 3)
+    blocks = cov.entries.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
     # orderings: the conditioning observable at the lower site, then at the upper
     a_sites = np.array([x for x, _ in pairs] + [y for _, y in pairs])
     b_sites = np.array([y for _, y in pairs] + [x for x, _ in pairs])

@@ -1,15 +1,17 @@
-"""Spatially correlated white-noise models coupling to local operators.
+"""Spatially correlated white noise coupling along one Pauli axis.
 
-Convention: the noise field f(x, t) multiplying the coupling operator
-a(x) is Gaussian and white in time with
+Convention: the noise field f(x, t) multiplying the coupling
+sigma_axis(x) is Gaussian and white in time with
 
     E[f(x,t) f(y,t')] = kappa * g(x - y) * delta(t - t'),
 
-so the ensemble obeys drho/dt = -(kappa/2) sum_{xy} g(x-y) [a(x),[a(y),rho]]
+so the ensemble obeys
+drho/dt = -(kappa/2) sum_{xy} g(x-y) [sigma_axis(x),[sigma_axis(y),rho]]
 and the initial fidelity-decay rate of a pure state is
-kappa * sum_{xy} g(x-y) Re<da(x) da(y)>.  For the collective kernel
-(g identically 1) that rate is exactly kappa times the fluctuation of
-the additive operator sum_x a(x).
+kappa * sum_{xy} g(x-y) C_xy, with C_xy the connected correlation of
+sigma_axis(x) and sigma_axis(y).  For the collective kernel (g
+identically 1) that rate is exactly kappa times the fluctuation of the
+additive operator sum_x sigma_axis(x).
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ModelError
-from .operators import LocalOperator, PAULI_MATRICES
+from .operators import PAULI_MATRICES
 
 KERNEL_COLLECTIVE = "collective"
 KERNEL_INDEPENDENT = "independent"
@@ -29,16 +31,12 @@ _PSD_TOL = 1e-8
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """White noise of intensity kappa with a spatial correlation kernel.
-
-    The coupling is either a Pauli ``axis`` replicated on every site or an
-    explicit per-site operator list.
-    """
+    """White noise of intensity kappa with a spatial correlation kernel,
+    coupling to the Pauli ``axis`` on every site."""
 
     kappa: float
     kernel: str = KERNEL_COLLECTIVE
     axis: str = "z"
-    site_operators: tuple = None
     xi: float = None
 
     def __post_init__(self):
@@ -49,24 +47,8 @@ class NoiseModel:
         if self.kernel == KERNEL_EXPONENTIAL:
             if self.xi is None or not np.isfinite(self.xi) or self.xi <= 0:
                 raise ArgumentError("exponential kernel needs a correlation length xi > 0")
-        if self.site_operators is None and self.axis not in PAULI_MATRICES:
+        if self.axis not in PAULI_MATRICES:
             raise ArgumentError(f"axis must be one of ('x','y','z'), got {self.axis!r}")
-        if self.site_operators is not None:
-            object.__setattr__(self, "site_operators", tuple(self.site_operators))
-
-    def coupling_operators(self, lattice):
-        """One Hermitian coupling operator per lattice site."""
-        if self.site_operators is not None:
-            ops = self.site_operators
-            if len(ops) != lattice.n_sites:
-                raise ArgumentError(
-                    f"need {lattice.n_sites} site operators, got {len(ops)}"
-                )
-            for x, op in enumerate(ops):
-                if not isinstance(op, LocalOperator) or op.site != x:
-                    raise ArgumentError("site_operators must be site-ordered LocalOperators")
-            return list(ops)
-        return [LocalOperator(x, PAULI_MATRICES[self.axis]) for x in lattice.sites]
 
     def kernel_matrix(self, lattice):
         """Spatial correlation matrix g, validated positive semidefinite."""

@@ -3,13 +3,15 @@
 The analytic rate is the exact initial fidelity-decay slope
 -dF/dt at t = 0 under white noise,
 
-    Gamma = kappa * sum_{xy} g(x-y) Re <da(x) da(y)>,
+    Gamma = kappa * sum_{xy} g(x-y) C_xy,
 
-which reduces to kappa times the additive-operator fluctuation for the
-collective kernel.  The trajectory-side estimate fits -ln F(t) over the
-early-time window with inverse-variance weights; its standard error is
-the delete-one jackknife over trajectories, in closed form because the
-slope is linear in -ln F once the weights are fixed.  Size scaling is a
+with C_xy the connected correlation of sigma_axis(x) and sigma_axis(y):
+the (axis, axis) block of the two-point Pauli table.  It reduces to kappa
+times the fluctuation of sum_x sigma_axis(x) for the collective kernel.
+The trajectory-side estimate fits -ln F(t) over the early-time window
+with inverse-variance weights; its standard error is the delete-one
+jackknife over trajectories, in closed form because the slope is linear
+in -ln F once the weights are fixed.  Size scaling is a
 log-log least-squares fit Gamma ~ K * N^(1+delta); the state counts as
 fragile when the fitted exponent reaches 1.5.
 """
@@ -21,28 +23,19 @@ import numpy as np
 
 from .analyzer import covariance_matrix, log_log_fit
 from .errors import ArgumentError
-from .operators import _PAULI_STACK
 
 FRAGILE_EXPONENT = 1.5
 RATE_WINDOW_FRACTION = 0.05
 
 
 def analytic_dephasing_rate(psi, noise):
-    """Initial fidelity-decay rate of ``psi`` under ``noise``.
-
-    Each coupling decomposes as a(x) = c_x0 + sum_k c_xk sigma_k(x) with
-    c_xk = (1/2) Re tr(sigma_k a(x)).  The identity part c_x0 drops out of
-    the fluctuation, so Re<da(x) da(y)> = c_x^T C_xy c_y on the two-point
-    Pauli table C of ``psi``, computed on the state's first use and kept
-    with it.
-    """
-    lattice = psi.lattice
-    n = lattice.n_sites
-    ops = noise.coupling_operators(lattice)
-    g = noise.kernel_matrix(lattice)
-    coeffs = 0.5 * np.einsum("kij,xji->xk", _PAULI_STACK, [op.matrix for op in ops]).real
-    table = covariance_matrix(psi).entries.reshape(n, 3, n, 3)
-    rate = noise.kappa * float(np.einsum("xy,xk,xkyl,yl->", g, coeffs, table, coeffs))
+    """Initial fidelity-decay rate of ``psi`` under ``noise``: kappa times
+    the kernel g summed against the (axis, axis) block of the two-point
+    Pauli table of ``psi``, computed on the state's first use and kept
+    with it."""
+    g = noise.kernel_matrix(psi.lattice)
+    block = covariance_matrix(psi).axis_block(noise.axis, noise.axis)
+    rate = noise.kappa * float(np.sum(g * block))
     return rate if rate > 0.0 else 0.0
 
 

@@ -227,4 +227,6 @@ def load_scenario(path):
         raise FormatError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"scenario file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise FormatError(f"scenario file holds an unreadable number: {exc}") from exc
     return validate_scenario(raw)

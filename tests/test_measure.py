@@ -7,10 +7,10 @@ from macrostab import (
     ArgumentError,
     LatticeSpec,
     LocalOperator,
-    StateMixture,
     basis_state,
     build_hamiltonian,
     conditional_distribution,
+    covariance_matrix,
     ground_state,
     make_dicke,
     make_ghz,
@@ -24,7 +24,6 @@ from macrostab import (
 )
 from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.operators import PAULI_MATRICES
-from macrostab.measure import _two_point_table
 from macrostab.states import StateVector
 
 from conftest import random_state_amps
@@ -128,13 +127,6 @@ class TestStability:
         rep = stability_test(tfim_ground(10, 2.0), epsilon=0.1, varepsilon=0.1, min_distance=5)
         assert rep.stable
 
-    def test_classical_mixture_unstable(self):
-        lat = LatticeSpec(4)
-        mix = StateMixture(((0.5, basis_state(lat, 0)), (0.5, basis_state(lat, 15))))
-        rep = stability_test(mix, epsilon=0.1, varepsilon=0.1, min_distance=2)
-        assert rep.max_deviation == pytest.approx(0.5, abs=1e-9)
-        assert not rep.stable
-
     def test_parameter_validation(self):
         psi = make_ghz(LatticeSpec(4))
         with pytest.raises(ArgumentError):
@@ -164,7 +156,7 @@ class TestStability:
         rep = stability_test(psi, epsilon=0.1, varepsilon=0.05, min_distance=1)
         (rec,) = [r for r in rep.pairs if {r.x, r.y} == {0, 1}]
         assert rec.deviation >= 0.5335392129
-        bloch, _ = _two_point_table(psi)
+        bloch = covariance_matrix(psi).means.reshape(-1, 3)
         p_a = (1.0 + float(np.dot(bloch[rec.x], rec.direction_a))) / 2.0
         assert p_a >= 0.05
         assert p_a == pytest.approx(0.05, abs=1e-12)
@@ -241,18 +233,6 @@ class TestStability:
         assert rep.stable
 
 
-class TestMixtureValidation:
-    def test_weights_must_sum_to_one(self):
-        lat = LatticeSpec(2)
-        with pytest.raises(ArgumentError):
-            StateMixture(((0.7, basis_state(lat, 0)), (0.7, basis_state(lat, 3))))
-
-    def test_negative_weight(self):
-        lat = LatticeSpec(2)
-        with pytest.raises(ArgumentError):
-            StateMixture(((-0.5, basis_state(lat, 0)), (1.5, basis_state(lat, 3))))
-
-
 class TestCascade:
     def test_ghz_collapses_to_product_after_one(self):
         for n in (4, 6):
@@ -321,8 +301,8 @@ def test_search_never_falls_below_a_brute_force_reference(varepsilon):
     # the reference scans every ordering of every pair on a grid about 40 times
     # denser than the sweep's and on the floor circle
     for name, psi in _oracle_states():
-        bloch, table = _two_point_table(psi)
-        ref = _brute_force_deviations(table, bloch, varepsilon)
+        cov = covariance_matrix(psi)
+        ref = _brute_force_deviations(cov.entries, cov.means.reshape(-1, 3), varepsilon)
         rep = stability_test(psi, epsilon=0.1, varepsilon=varepsilon, min_distance=1)
         for rec in rep.pairs:
             best = max(ref[rec.x, rec.y], ref[rec.y, rec.x])

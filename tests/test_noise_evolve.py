@@ -7,7 +7,6 @@ from macrostab import (
     ArgumentError,
     CapabilityError,
     LatticeSpec,
-    LocalOperator,
     NoiseModel,
     StateVector,
     TrajectoryEnsemble,
@@ -22,16 +21,16 @@ from macrostab import (
 )
 from macrostab import evolve
 from macrostab.rates import RATE_WINDOW_FRACTION, trajectory_rate
-from conftest import dense_site_op, random_state_amps
+from conftest import PAULI, dense_site_op, random_state_amps
 
 
 def _dense_expm_oracle(psi, noise, ens):
-    """f_rows and ensemble density from step-by-step dense exp(-i sum_x w[s,x] A_x)."""
+    """f_rows and ensemble density from step-by-step dense exp(-i sum_x w[s,x] sigma_axis(x))."""
     from scipy.linalg import expm
 
     lat = psi.lattice
     n = lat.n_sites
-    dense_ops = [dense_site_op(n, op.site, op.matrix) for op in noise.coupling_operators(lat)]
+    dense_ops = [dense_site_op(n, x, PAULI[noise.axis]) for x in range(n)]
     b_scaled = noise.kernel_sqrt(lat) * math.sqrt(noise.kappa * ens.dt)
     amps0 = psi.amplitudes.astype(complex)
     f_rows = np.empty((ens.n_traj, ens.n_steps))
@@ -112,22 +111,18 @@ class TestAnalyticRate:
         )
         assert analytic_dephasing_rate(psi, noise) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
     @pytest.mark.parametrize("n", [3, 4])
-    def test_general_couplings_match_dense_oracle(self, n, rng):
-        # random Hermitian couplings with an identity component, which drops
-        # out of the rate; the oracle centers each dense coupling directly
+    def test_axis_couplings_match_dense_oracle(self, n, axis, rng):
+        # a random state under exponentially correlated noise; the oracle
+        # centers each dense coupling directly
         lat = LatticeSpec(n)
-        mats = []
-        for _ in range(n):
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            mats.append(m + m.conj().T + 3.0 * rng.standard_normal() * np.eye(2))
-        ops = [LocalOperator(x, m) for x, m in enumerate(mats)]
         xi = 1.5
-        noise = NoiseModel(0.03, "exponential", site_operators=ops, xi=xi)
+        noise = NoiseModel(0.03, "exponential", axis=axis, xi=xi)
         amps = random_state_amps(n, rng)
         d = []
-        for x, m in enumerate(mats):
-            applied = dense_site_op(n, x, m) @ amps
+        for x in range(n):
+            applied = dense_site_op(n, x, PAULI[axis]) @ amps
             d.append(applied - np.vdot(amps, applied).real * amps)
         expected = 0.03 * sum(
             math.exp(-abs(x - y) / xi) * np.vdot(d[x], d[y]).real
@@ -186,33 +181,14 @@ class TestEvolve:
         few = evolve_noisy(psi, noise, TrajectoryEnsemble(100, 0.01, 6.0, 42))
         assert np.array_equal(many.f_rows[:100], few.f_rows)
 
-    def test_noise_only_matches_dense_expm_oracle(self, rng):
-        # random non-diagonal couplings: at every step the closed form must
-        # equal the step-by-step product of dense exp(-i sum_x w[s,x] A_x);
-        # the closed form is exact at any step, so dt = 0.25 is as good as any
-        n = 3
-        lat = LatticeSpec(n)
-        mats = []
-        for _ in range(n):
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            mats.append(m + m.conj().T)
-        ops = [LocalOperator(x, m) for x, m in enumerate(mats)]
-        noise = NoiseModel(0.2, "exponential", site_operators=ops, xi=1.5)
-        psi = StateVector(lat, random_state_amps(n, rng))
-        ens = TrajectoryEnsemble(100, 0.25, 1.25, seed=31, collect_density=True)
-        res = evolve_noisy(psi, noise, ens)
-        f_rows, rho = _dense_expm_oracle(psi, noise, ens)
-        assert f_rows.shape[1] == ens.n_steps == 5
-        assert np.max(np.abs(res.f_rows - f_rows)) <= 1e-12
-        assert np.max(np.abs(res.density_matrix - rho)) <= 1e-12
-
-    @pytest.mark.parametrize("axis", ["x", "z"])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
     @pytest.mark.parametrize("kernel,xi", [("collective", None), ("independent", None), ("exponential", 1.5)])
     @pytest.mark.parametrize("state", ["ghz5", "dicke42", "random5"])
     def test_split_matches_dense_expm_oracle(self, state, kernel, xi, axis):
         # GHZ under z noise splits at k = 0 (one column); dicke-half under x
         # noise and the random state at k = N // 2, where odd N gives more rows
-        # than columns
+        # than columns.  y is the only axis with a complex eigenbasis; the
+        # closed form is exact at any step, so dt = 0.2 is as good as any
         rng = np.random.default_rng(2718)
         psi = {
             "ghz5": lambda: make_ghz(LatticeSpec(5)),
@@ -291,6 +267,12 @@ class TestEvolve:
             ens = TrajectoryEnsemble(4000, dt, t_final, seed=777, collect_density=True)
             res = evolve_noisy(psi, noise, ens)
             assert trace_distance(res.density_matrix, exact) <= 0.02, dt
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_channel_needs_z_noise(self, axis):
+        # the closed form reads the sigma_z eigenvalue pattern 1 - 2 bit
+        with pytest.raises(ArgumentError):
+            dephasing_channel_density(make_ghz(LatticeSpec(3)), NoiseModel(0.05, "independent", axis=axis), 1.0)
 
     def test_channel_formula_against_dense_generator(self):
         # independent z-noise: off-diagonals decay at 2 kappa Hamming(i, j)

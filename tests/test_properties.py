@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from macrostab import (
     LatticeSpec,
     LocalOperator,
-    StateMixture,
     StateVector,
     additive_variance,
     apply_local,
@@ -19,7 +18,7 @@ from macrostab import (
     max_additive_fluctuation,
     pauli,
 )
-from macrostab.measure import _conditional_closed_form, _two_point_table, conditional_distribution
+from macrostab.measure import _conditional_closed_form, conditional_distribution
 from macrostab.operators import PAULI_MATRICES
 from conftest import axis_coefficients
 
@@ -116,16 +115,6 @@ def test_total_probability_identity(psi):
         assert abs(recombined - table.p_b[jb]) <= 1e-10
 
 
-@st.composite
-def pure_or_mixed(draw):
-    n = draw(st.integers(2, 4))
-    psi = draw(states_on(n))
-    if not draw(st.booleans()):
-        return psi
-    w = draw(st.floats(0.1, 0.9))
-    return StateMixture(((w, psi), (1.0 - w, draw(states_on(n)))))
-
-
 def _unit(angles):
     theta, phi = angles
     return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
@@ -135,23 +124,23 @@ def _spin(site, n_vec):
     return LocalOperator(site, sum(c * PAULI_MATRICES[a] for c, a in zip(n_vec, "xyz")))
 
 
-def _closed_form(state, x, y, n_a):
+def _closed_form(psi, x, y, n_a):
     """Worst n_b, P(b; a), P(b) and their gap for outcome +1 of n_a at x."""
-    bloch, table = _two_point_table(state)
-    block = table[3 * x : 3 * x + 3, 3 * y : 3 * y + 3]
+    cov = covariance_matrix(psi)
+    bloch, block = cov.means.reshape(-1, 3), cov.site_block(x, y)
     n_b, p_b, gap = _conditional_closed_form(block[None], bloch[x][None], bloch[y][None], n_a[None])
     return n_b[0], p_b[0] + gap[0], p_b[0], gap[0]
 
 
 @settings(max_examples=40, deadline=None)
-@given(pure_or_mixed(), angle_pairs, st.sampled_from((1, -1)), st.data())
-def test_closed_form_matches_projection_postulate(state, angles, s, data):
-    n = state.lattice.n_sites
+@given(random_states(), angle_pairs, st.sampled_from((1, -1)), st.data())
+def test_closed_form_matches_projection_postulate(psi, angles, s, data):
+    n = psi.n_sites
     x, y = data.draw(st.permutations(range(n)))[:2]
     n_a = _unit(angles)
     # outcome s of n_a.sigma is outcome +1 of (s n_a).sigma
-    n_b, p_cond, p_b, _ = _closed_form(state, x, y, s * n_a)
-    table = conditional_distribution(state, _spin(x, n_a), _spin(y, n_b))
+    n_b, p_cond, p_b, _ = _closed_form(psi, x, y, s * n_a)
+    table = conditional_distribution(psi, _spin(x, n_a), _spin(y, n_b))
     ia = 0 if s > 0 else 1
     if table.p_a[ia] < 1e-6:  # keeps the rounding of joint / P(a) below 1e-9
         return
@@ -160,16 +149,16 @@ def test_closed_form_matches_projection_postulate(state, angles, s, data):
 
 
 @settings(max_examples=15, deadline=None)
-@given(pure_or_mixed(), angle_pairs, st.sampled_from((1, -1)), st.data())
-def test_no_probe_direction_beats_the_closed_form_supremum(state, angles, s, data):
-    n = state.lattice.n_sites
+@given(random_states(), angle_pairs, st.sampled_from((1, -1)), st.data())
+def test_no_probe_direction_beats_the_closed_form_supremum(psi, angles, s, data):
+    n = psi.n_sites
     x, y = data.draw(st.permutations(range(n)))[:2]
     n_a = _unit(angles)
-    _, _, _, sup = _closed_form(state, x, y, s * n_a)
+    _, _, _, sup = _closed_form(psi, x, y, s * n_a)
     ia = 0 if s > 0 else 1
     for theta in np.linspace(0.0, math.pi, 9):
         for phi in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
-            table = conditional_distribution(state, _spin(x, n_a), _spin(y, _unit((theta, phi))))
+            table = conditional_distribution(psi, _spin(x, n_a), _spin(y, _unit((theta, phi))))
             if table.p_a[ia] < 1e-2:  # keeps the rounding of joint / P(a) below 1e-12
                 return
             dev = np.max(np.abs(table.p_b_given_a[ia] - table.p_b))

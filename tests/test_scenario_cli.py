@@ -255,6 +255,9 @@ def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
         {"family": "tfim-ground", "params": {"h": "0.1"}},
         {"family": "pure-phase", "params": {"method": "nosuch"}},
         {"file": "g.state", "params": {"k": 2}},
+        # a float param must be finite and fit a float
+        {"family": "product", "params": {"theta": math.inf}},
+        {"family": "product", "params": {"theta": 10**400}},
     ],
 )
 def test_invalid_state_params_exit_before_any_state(state, tmp_path, monkeypatch):
@@ -281,6 +284,17 @@ def test_non_finite_or_oversized_float_param_exits_before_any_state(params, tmp_
     ))
     assert main(["run", str(path)]) == 2
     assert f"params.{next(iter(params))} " in capsys.readouterr().err
+
+
+def test_integer_literal_beyond_the_digit_limit_exits_before_any_state(tmp_path, monkeypatch):
+    # json.load raises ValueError past Python's 4,300-digit int conversion limit
+    monkeypatch.setattr(runner, "build_state", _refuse)
+    path = tmp_path / "scen.json"
+    path.write_text(
+        '{"name": "s", "state": {"family": "ghz"}, "sizes": [4, 6, 8], '
+        '"experiments": ["classify"], "params": {"seed": ' + "9" * 5001 + "}}"
+    )
+    assert main(["run", str(path)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -487,6 +501,19 @@ def test_catalog_cluster_measure_builds_one_table_per_state(monkeypatch):
     runner.run_scenario(scenario)
     assert len(built) == 3 * len(correspondence_catalog()) == 24
     assert len({id(psi) for psi in asked}) == len(built)
+
+
+def test_decohere_and_catalog_measure_build_no_operator_objects(tmp_path, monkeypatch):
+    # noise couples along one Pauli axis and the sweep reads the two-point
+    # table, so neither run path constructs a LocalOperator
+    def refuse(self, *args):
+        raise AssertionError("LocalOperator built")
+
+    monkeypatch.setattr(macrostab.operators.LocalOperator, "__init__", refuse)
+    argv = ["decohere", "--state", "dicke-half", "--sizes", "4:8:2", "--axis", "y", "--n-traj", "100"]
+    assert main(argv + ["--out", str(tmp_path / "dec")]) == 0
+    scenario = Scenario("cm", (4, 5, 6), ("cluster", "measure"), StateSource(family="catalog"))
+    assert runner.run_scenario(scenario)["verdicts"]
 
 
 @pytest.mark.parametrize(
