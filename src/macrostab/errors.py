@@ -40,6 +40,6 @@ class NumericalError(MacrostabError):
 
 
 class CapabilityError(MacrostabError):
-    """Request exceeds a configured size cap."""
+    """Request exceeds a size cap fixed in the code."""
 
     exit_code = 4

@@ -82,9 +82,9 @@ def _traj_rng(seed, traj):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rotate_sites(psi, mats):
-    """Apply the product of single-site 2x2 matrices; site x acts on bit x."""
-    for x, u in enumerate(mats):
+def _rotate_sites(psi, u, n_sites):
+    """Apply the 2x2 matrix ``u`` at every one of the ``n_sites`` sites."""
+    for x in range(n_sites):
         psi = _apply_matrix_at_site(psi, x, u)
     return psi
 
@@ -98,12 +98,12 @@ def _split_sites(nonzero):
 def _closed_form_ensemble(amps0, q, lam, b_scaled, seed, f_rows, finals):
     """Noise-only trajectories from phases in the coupling eigenbasis.
 
-    With c = (prod_x q_x)^dagger psi0 and p = |c|^2, the fidelity at step t
+    With c = (q^dagger at every site) psi0 and p = |c|^2, the fidelity at step t
     is |sum_{h,l} E_H[t,h] P[h,l] E_L[t,l]|^2 over the nonzero rows h and
     columns l of P = p.reshape(2^(N-k), 2^k), E = exp(-i phi) per half.
     """
-    n_steps, n_sites = f_rows.shape[1], lam.shape[0]
-    c = _rotate_sites(amps0, q.conj().transpose(0, 2, 1))
+    n_steps, n_sites = f_rows.shape[1], b_scaled.shape[0]
+    c = _rotate_sites(amps0, q.conj().T, n_sites)
     p = c.real**2 + c.imag**2
     k = _split_sites(p != 0)
     grid = p.reshape(-1, 1 << k)
@@ -114,7 +114,7 @@ def _closed_form_ensemble(amps0, q, lam, b_scaled, seed, f_rows, finals):
     sites = np.arange(n_sites)
     idx = np.concatenate((cols, rows << k))
     own = (sites < k) == (np.arange(idx.size) < cols.size)[:, None]
-    lam_lh = np.where(own, lam[sites, (idx[:, None] >> sites) & 1], 0.0)
+    lam_lh = np.where(own, lam[(idx[:, None] >> sites) & 1], 0.0)
     m = -(b_scaled.T @ lam_lh.T)  # -phi = cumsum(z) @ m, the kernel root folded in
     e = np.empty((n_steps, idx.size), dtype=np.complex128)
     e_l, e_h = e[:, :cols.size], e[:, cols.size:]
@@ -132,7 +132,7 @@ def _closed_form_ensemble(amps0, q, lam, b_scaled, seed, f_rows, finals):
         if finals is not None:
             c_t = np.zeros(grid.shape, dtype=np.complex128)
             c_t[nz] = c.reshape(grid.shape)[nz] * np.outer(e_h[-1], e_l[-1])
-            finals[traj] = _rotate_sites(c_t.ravel(), q)
+            finals[traj] = _rotate_sites(c_t.ravel(), q, n_sites)
 
 
 def evolve_noisy(psi0, noise, ensemble):
@@ -152,7 +152,6 @@ def evolve_noisy(psi0, noise, ensemble):
         )
 
     lam, q = np.linalg.eigh(PAULI_MATRICES[noise.axis])
-    lam, q = np.broadcast_to(lam, (lattice.n_sites, 2)), np.broadcast_to(q, (lattice.n_sites, 2, 2))
     n_steps = ensemble.n_steps
     b_scaled = noise.kernel_sqrt(lattice) * math.sqrt(noise.kappa * ensemble.dt)
 

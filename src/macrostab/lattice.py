@@ -1,12 +1,11 @@
 """1-D lattice of spin-1/2 sites.
 
 Site ``x`` lives on bit ``x`` of the basis index, bit value 0 meaning the
-sigma_z eigenvalue +1 ("up") and 1 meaning -1 ("down").  The default site
-cap keeps dense state vectors at 2^14 amplitudes; override it with the
-``MACROSTAB_MAX_SITES`` environment variable.
+sigma_z eigenvalue +1 ("up") and 1 meaning -1 ("down").  ``SITE_CAP``
+keeps dense state vectors at 2^18 amplitudes: the two-point table holds
+6N 2^N doubles, and a larger N needs a blocked table build first.
 """
 
-import os
 from dataclasses import dataclass
 
 from .errors import ArgumentError, CapabilityError
@@ -15,18 +14,7 @@ OPEN_CHAIN = "open-chain"
 PERIODIC_CHAIN = "periodic-chain"
 GEOMETRIES = (OPEN_CHAIN, PERIODIC_CHAIN)
 
-DEFAULT_SITE_CAP = 14
-
-
-def site_cap():
-    """Configured maximum number of sites."""
-    raw = os.environ.get("MACROSTAB_MAX_SITES", "")
-    if raw.strip():
-        try:
-            return int(raw)
-        except ValueError:
-            raise ArgumentError(f"MACROSTAB_MAX_SITES is not an integer: {raw!r}")
-    return DEFAULT_SITE_CAP
+SITE_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -41,12 +29,8 @@ class LatticeSpec:
             raise ArgumentError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 1:
             raise ArgumentError(f"n_sites must be >= 1, got {self.n_sites}")
-        cap = site_cap()
-        if self.n_sites > cap:
-            raise CapabilityError(
-                f"n_sites={self.n_sites} exceeds the site cap {cap} "
-                "(set MACROSTAB_MAX_SITES to raise it)"
-            )
+        if self.n_sites > SITE_CAP:
+            raise CapabilityError(f"n_sites={self.n_sites} exceeds the site cap {SITE_CAP}")
         if self.geometry not in GEOMETRIES:
             raise ArgumentError(
                 f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}"

@@ -137,6 +137,15 @@ class TestOmega:
         rep = omega(make_ghz(LatticeSpec(4)), 0.999)
         assert rep.omega == 3
 
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_w_state_margin(self, n):
+        # every off-diagonal rho of W is 2/N, above epsilon = 0.1 until N = 20,
+        # so Omega(0.1) = N - 1 at every size the site cap allows
+        rep = omega(make_dicke(LatticeSpec(n), 1), 0.1)
+        off_diag = rep.field.rho[~np.eye(n, dtype=bool)]
+        assert np.max(np.abs(off_diag - 2 / n)) < 1e-12
+        assert rep.omega == n - 1
+
     def test_monotonic_in_epsilon(self):
         psi = make_dicke(LatticeSpec(5), 2)
         values = [omega(psi, e).omega for e in (0.05, 0.2, 0.5, 0.9)]

@@ -519,12 +519,11 @@ def test_decohere_and_catalog_measure_build_no_operator_objects(tmp_path, monkey
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ground", "--sizes", "4,6,8"],
-        ["cluster", "--state", "catalog", "--sizes", "4,6,8"],
+        ["ground", "--sizes", "4,6,20"],
+        ["cluster", "--state", "catalog", "--sizes", "4,6,20"],
     ],
 )
 def test_every_size_meets_the_site_cap_before_any_state(argv, tmp_path, monkeypatch):
-    monkeypatch.setenv("MACROSTAB_MAX_SITES", "6")
     monkeypatch.setattr(runner, "build_state", _refuse)
     monkeypatch.setattr(runner, "ground_state", _refuse)
     assert main(argv + ["--out", str(tmp_path / "rep")]) == 4
@@ -645,7 +644,7 @@ class TestCliEndToEnd:
         assert main(["classify", "--state", "ghz", "--sizes", "4:6:2"]) == 2  # two sizes only
 
     def test_capability_exit_4(self):
-        assert main(["classify", "--state", "ghz", "--sizes", "12:16:2"]) == 4
+        assert main(["classify", "--state", "ghz", "--sizes", "16:20:2"]) == 4
 
     def test_state_file_mismatch_exit_2(self, tmp_path):
         path = tmp_path / "g.state"
@@ -698,11 +697,11 @@ def _strip_wall_time(text):
 
 class TestReproducibility:
     def test_large_ground_states_same_bytes_across_threads(self, tmp_path):
-        # N = 14 is the default site cap; the ground-state solver makes no
-        # BLAS reduction over the 2^N axis, so its bits ignore the thread count
+        # from 2^14 entries up BLAS reductions change their last bits with the
+        # thread count; the ground-state solver makes none over the 2^N axis
         commands = (
-            ["symmetry-breaking", "--sizes", "12:14:2", "--out", "sb"],
-            ["ground", "--model", "xxz", "--j", "1", "--delta", "1", "--sizes", "12:14:2", "--out", "gr"],
+            ["symmetry-breaking", "--sizes", "12:16:2", "--out", "sb"],
+            ["ground", "--model", "xxz", "--j", "1", "--delta", "1", "--sizes", "12:16:2", "--out", "gr"],
         )
         outputs = {}
         for threads in ("1", "2"):
@@ -718,7 +717,7 @@ class TestReproducibility:
             }
         assert sorted(outputs["1"]) == [
             "gr.json", "gr_ground.csv", "gr_ground_N12.state", "gr_ground_N14.state",
-            "sb.json", "sb_symmetry_breaking.csv",
+            "gr_ground_N16.state", "sb.json", "sb_symmetry_breaking.csv",
         ]
         assert outputs["1"] == outputs["2"]
 

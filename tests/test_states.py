@@ -49,8 +49,9 @@ class TestLattice:
         assert LatticeSpec(2, "periodic-chain").bonds() == [(0, 1)]
 
     def test_cap(self):
+        assert LatticeSpec(18).dim == 1 << 18
         with pytest.raises(CapabilityError):
-            LatticeSpec(15)
+            LatticeSpec(19)
 
     def test_bad_args(self):
         with pytest.raises(ArgumentError):
