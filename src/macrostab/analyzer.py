@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .operators import PAULI_AXES, _real_expectation, additive_variance
-from .states import _cdot
+from .operators import PAULI_AXES, additive_variance
 
 AFS = "AFS"
 NFS = "NFS"
@@ -49,38 +48,73 @@ class CovarianceMatrix:
         return self.entries[a::3, b::3]
 
 
+_BLOCK_BITS = 12  # one block's rows take 3.4 MiB at N = 18, where a whole-state V takes 216 MiB
+_BIT_SIGN = np.array([[1.0], [-1.0]])  # sigma_z on the (bit 0, bit 1) halves of a block
+
+
+def _site_view(u, x, hb, bits):
+    """Block ``hb`` of the 2^bits entries of ``u``, its partner across the bit of
+    site x and the sign of that bit: the swapped halves of the block itself for a
+    site below ``bits``, block ``hb ^ 2^(x - bits)`` and one sign for a site above."""
+    size = 1 << bits
+    own = u[hb * size : (hb + 1) * size]
+    if x < bits:
+        own = own.reshape(-1, 2, 1 << x)
+        return own, own[:, ::-1], _BIT_SIGN
+    hp = hb ^ (1 << (x - bits))
+    return own, u[hp * size : (hp + 1) * size], -1.0 if hb >> (x - bits) & 1 else 1.0
+
+
 def covariance_matrix(psi):
     """Two-point Pauli table: covariances of all 3N single-site Pauli
     fluctuations of ``psi``.  It is computed on the state's first use and
     kept with the state, so every later call returns the same read-only
     table and all diagnostics of one state share it.
 
-    Row 3x+a of V is (sigma_a(x) - <sigma_a(x)>)|psi> as real (re, im) pairs,
-    filled by slicing the amplitudes along the bit of site x: sigma_x swaps
-    the halves, sigma_y swaps them with re/im exchanged and signs, sigma_z
-    negates the bit-1 half.  C = V V^T is one BLAS rank-k update, exactly
-    symmetric and positive semidefinite by construction.
+    With psi = a + ib, row 3x+a of A and of B is the real and the imaginary part
+    of (sigma_a(x) - <sigma_a(x)>)|psi>, and C = A A^T + B B^T.  As sigma_y = -iJ
+    with the real J = i sigma_y, sigma_x and sigma_z give (sigma a, sigma b) and
+    sigma_y gives (J b, -J a).  The means come first, each one pairwise sum; then
+    blocks of 2^12 amplitudes are filled by slicing along the bit of site x (a site
+    above the block bits reads a partner block), centered and added to C by BLAS
+    rank-k updates, exactly symmetric and positive semidefinite.  A real state has
+    real sigma_x/sigma_z rows, imaginary sigma_y rows and zero sigma_y means: its
+    x/z-y blocks are exact zeros and its zero halves are never built.
     """
     if psi._table is not None:
         return psi._table
-    amps = psi.amplitudes
-    flat = amps.view(np.float64)
-    v = np.empty((3 * psi.n_sites, flat.size))
+    n, amps = psi.n_sites, psi.amplitudes
+    a, b = amps.real, amps.imag
+    real = not b.any()
+    mean = np.zeros((3, n))  # rows below: sigma_x for every site, then sigma_z, then sigma_y
+    prob = a**2 + b**2
     for x in psi.lattice.sites:
-        src = flat.reshape(-1, 2, 1 << x, 2)  # (high bits, bit x, low bits, re/im)
-        sx, sy, sz = (v[3 * x + a].reshape(src.shape) for a in range(3))
-        sx[:, 0] = src[:, 1]
-        sx[:, 1] = src[:, 0]
-        sy[:, 0, :, 0] = src[:, 1, :, 1]  # -i psi_1
-        np.negative(src[:, 1, :, 0], out=sy[:, 0, :, 1])
-        np.negative(src[:, 0, :, 1], out=sy[:, 1, :, 0])  # i psi_0
-        sy[:, 1, :, 1] = src[:, 0, :, 0]
-        sz[:, 0] = src[:, 0]
-        np.negative(src[:, 1], out=sz[:, 1])
-    means = np.array([_real_expectation(_cdot(amps, row)) for row in v.view(np.complex128)])
-    for k in range(len(v)):
-        v[k] -= means[k] * flat
-    entries = v @ v.T
+        v, p = amps.reshape(-1, 2, 1 << x), prob.reshape(-1, 2, 1 << x)
+        mean[1, x] = (p[:, 0] - p[:, 1]).sum()
+        c = (v[:, 0].real * v[:, 1].real if real else v[:, 0].conj() * v[:, 1]).sum()  # <sigma_x + i sigma_y> / 2
+        mean[0, x], mean[2, x] = 2.0 * c.real, 2.0 * c.imag
+    # (part, the part its sigma_y rows read, sign of J): one part for a real state,
+    # whose sigma_y rows hold -J a, their imaginary part
+    parts = ((a, a, -1.0),) if real else ((a, b, 1.0), (b, a, -1.0))
+    groups = ((0, 2 * n), (2 * n, 3 * n)) if real else ((0, 3 * n),)
+    bits = min(_BLOCK_BITS, n)
+    rows = np.empty((3 * n, len(parts), 1 << bits))
+    gram = np.zeros((3 * n, 3 * n))
+    for hb in range(1 << (n - bits)):
+        for q, (u, w, sign) in enumerate(parts):
+            for x in psi.lattice.sites:
+                own, partner, s = _site_view(u, x, hb, bits)
+                sx, sz, sy = (rows[k + x, q].reshape(own.shape) for k in (0, n, 2 * n))
+                np.copyto(sx, partner)
+                np.multiply(own, s, out=sz)
+                np.multiply(_site_view(w, x, hb, bits)[1], sign * s, out=sy)
+            rows[:, q] -= mean.reshape(-1, 1) * u[hb << bits : (hb + 1) << bits]
+        for r0, r1 in groups:
+            block = rows[r0:r1].reshape(r1 - r0, -1)
+            gram[r0:r1, r0:r1] += block @ block.T
+    order = (np.array([0, 2, 1]) * n + np.arange(n)[:, None]).reshape(-1)  # row 3x+a
+    entries = gram[order][:, order]
+    means = mean.reshape(-1)[order]
     entries.flags.writeable = False
     means.flags.writeable = False
     table = CovarianceMatrix(psi.lattice, entries, means)

@@ -3,7 +3,8 @@
 One thick-restarted Lanczos solver serves every size; every reduction over the
 2^N axis is an ``np.einsum`` (no BLAS, so no thread-count dependence).  At B = 0
 the pair is the lowest state of each sector of the global spin flip P (index
-i -> dim-1-i), pinning the symmetric member of a ferromagnetic doublet.
+i -> dim-1-i), the flip-even one first unless the odd one is lower by more than
+their residual norms: an unresolved ferromagnetic doublet leads with its symmetric member.
 """
 
 import math
@@ -96,13 +97,16 @@ def ground_state(ham):
         for s in (1.0, -1.0):
             e, u = _lowest(ham.operator(s), start[:half] + s * start[: half - 1 : -1])
             pairs.append((e, np.concatenate((u, s * u[::-1])) / math.sqrt(2.0)))
-        pairs.sort(key=lambda pair: pair[0])
     else:
         e0, v0 = _lowest(ham.operator(0), start)
         pairs = [(e0, v0), _lowest(ham.operator(0), _start_vector(ham.dim, 1), locked=(v0,))]
-    energies = tuple(e for e, _ in pairs)
+    residuals = [_norm(ham.matvec(v) - e * v) for e, v in pairs]
+    # a Ritz value lies within its residual of an eigenvalue: the second state goes first
+    # only when it is lower by more than both residuals
+    if pairs[1][0] < pairs[0][0] - sum(residuals):
+        pairs, residuals = pairs[::-1], residuals[::-1]
+    energies, residuals = tuple(e for e, _ in pairs), tuple(residuals)
     vecs = [v if v[np.argmax(np.abs(v))] > 0 else -v for _, v in pairs]
-    residuals = tuple(_norm(ham.matvec(v) - e * v) for e, v in zip(energies, vecs))
     overlap = abs(float(np.einsum("i,i->", *vecs)))
     if max(residuals) > RESIDUAL_TOL or overlap > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residuals {residuals} or overlap {overlap:.1e} over {RESIDUAL_TOL}")

@@ -2,8 +2,8 @@
 
 Site ``x`` lives on bit ``x`` of the basis index, bit value 0 meaning the
 sigma_z eigenvalue +1 ("up") and 1 meaning -1 ("down").  ``SITE_CAP``
-keeps dense state vectors at 2^18 amplitudes: the two-point table holds
-6N 2^N doubles, and a larger N needs a blocked table build first.
+keeps dense state vectors at 2^18 amplitudes; what bounds N is the Lanczos
+basis (32 x 2^(N-1) doubles) and the solve time, as the table is built in blocks.
 """
 
 from dataclasses import dataclass

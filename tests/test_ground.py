@@ -51,6 +51,17 @@ class TestGroundState:
         fluct = max_additive_fluctuation(res.states[0]).max_variance
         assert fluct >= 0.8 * 64
 
+    def test_unresolved_doublet_keeps_the_flip_even_state_first(self):
+        # E1 - E0 ~ h^N lies below the energies' rounding here (it reads ~1e-15),
+        # so the order comes from the spin-flip sector, not from the energies
+        res = ground_state(tfim(10, 0.02))
+        assert abs(res.energies[1] - res.energies[0]) <= sum(res.residuals)
+        amps = res.states[0].amplitudes.real
+        assert np.array_equal(amps, amps[::-1])
+        assert np.all(amps > 0.0)
+        odd = res.states[1].amplitudes.real
+        assert np.array_equal(odd, -odd[::-1])
+
     def test_deterministic(self):
         a = ground_state(tfim(6, 0.3))
         b = ground_state(tfim(6, 0.3))
