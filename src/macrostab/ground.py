@@ -1,10 +1,12 @@
 """Iterative ground states and pure-phase vacuum construction.
 
 One thick-restarted Lanczos solver serves every size; every reduction over the
-2^N axis is an ``np.einsum`` (no BLAS, so no thread-count dependence).  At B = 0
-the pair is the lowest state of each sector of the global spin flip P (index
-i -> dim-1-i), the flip-even one first unless the odd one is lower by more than
-their residual norms: an unresolved ferromagnetic doublet leads with its symmetric member.
+2^N axis is an ``np.einsum`` (no BLAS, so no thread-count dependence), and a
+solve starts from a counter hash (``hamiltonian._hash_vector``), not a random
+draw.  At B = 0 the pair is the lowest state of each sector of the global spin
+flip P (index i -> dim-1-i), the flip-even one first unless the odd one is lower
+by more than their residual norms: an unresolved ferromagnetic doublet leads
+with its symmetric member.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from .analyzer import magnetization
 from .errors import ArgumentError, NumericalError
-from .hamiltonian import Hamiltonian, build_hamiltonian
+from .hamiltonian import Hamiltonian, _hash_vector, build_hamiltonian
 from .states import StateVector, _cdot
 
 RESIDUAL_TOL = 1e-9
@@ -36,8 +38,8 @@ def _norm(v):
 
 
 def _start_vector(dim, index=0):
-    key = np.array([0x475244, dim], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key).jumped(index)).standard_normal(dim)
+    """Start vector ``index`` of a solve: 0 for the first, 1 for the second start at B != 0."""
+    return _hash_vector(0x47524400 + index, dim)
 
 
 def _lowest(apply, start, locked=()):

@@ -13,6 +13,10 @@ XXZ hopping, which acts only where the two bits differ.  A vector is viewed
 as a (2,)*N tensor, so a flip mask is a reversal of its axes.  Both models
 commute with the global spin flip P = prod_x sx when B = 0; in a P sector
 a mask that flips the top bit folds onto the partner state.
+
+The solver's start vectors and the Hermiticity probes of ``build_hamiltonian``
+are counter hashes (``_hash_vector``), not random draws: only the trajectory
+noise of ``evolve`` comes from a Philox stream.
 """
 
 from dataclasses import dataclass
@@ -25,6 +29,28 @@ from .lattice import LatticeSpec
 TRANSVERSE_ISING = "transverse-ising"
 XXZ = "xxz"
 MODELS = (TRANSVERSE_ISING, XXZ)
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z):
+    """The splitmix64 finalizer (Steele, Lea and Flood, OOPSLA 2014) of a Python
+    integer or, elementwise, of a ``uint64`` array."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def _hash_vector(key, dim):
+    """``dim`` floats in [-1, 1): entry i is the splitmix64 finalizer of (key, i).
+
+    The key is mixed in Python integers mod 2^64, since a numpy ``uint64`` scalar
+    warns on overflow where an array wraps; the top 53 bits of each hash map
+    exactly to a float.  No BLAS, so no thread-count dependence.
+    """
+    z = _splitmix64(np.arange(dim, dtype=np.uint64) * _GOLDEN + _splitmix64(key))
+    return (z >> 11).astype(np.float64) * 2.0**-52 - 1.0
 
 
 @dataclass(frozen=True)
@@ -130,12 +156,12 @@ class Hamiltonian:
 
 
 def build_hamiltonian(spec):
-    """Construct the operator handle and self-check, on real vectors, that it is symmetric."""
+    """Construct the operator handle and self-check, on two pairs of hashed real
+    vectors, that it is symmetric."""
     ham = Hamiltonian(spec)
-    rng = np.random.Generator(np.random.Philox(key=np.array([0x48414D, spec.lattice.dim], dtype=np.uint64)))
     scale = ham.energy_scale()
-    for _ in range(2):
-        u, w = rng.standard_normal(ham.dim), rng.standard_normal(ham.dim)
+    for pair in range(2):
+        u, w = (_hash_vector(0x48414D00 + 2 * pair + k, ham.dim) for k in range(2))
         lhs = np.sum(u * ham.matvec(w))
         rhs = np.sum(ham.matvec(u) * w)
         if abs(lhs - rhs) > 1e-12 * scale * ham.dim:

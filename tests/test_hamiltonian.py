@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from macrostab import (
     LatticeSpec,
     build_hamiltonian,
 )
+from macrostab.ground import _start_vector
+from macrostab.hamiltonian import _hash_vector
 from conftest import dense_tfim, dense_xxz, random_state_amps
 
 
@@ -117,3 +121,47 @@ def test_operator_matches_the_dense_oracle(model, periodic, n, B):
         proj[ham.dim - 1 - np.arange(half), np.arange(half)] = s / np.sqrt(2.0)
         expected = proj.T @ oracle @ proj
         assert np.allclose(_columns(ham.operator(s), half), expected, rtol=0, atol=1e-12), s
+
+
+def _splitmix64_py(z):
+    mask = (1 << 64) - 1
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
+class TestHashVector:
+    # start and probe vectors are a counter hash: entry i of key k is the
+    # splitmix64 finalizer of splitmix64(k) + i * golden, top 53 bits over [-1, 1)
+    def test_pinned_values(self):
+        assert _hash_vector(0x47524400, 4).tolist() == [
+            -0.5594671921542436, 0.6194715149989838, 0.4698632545488104, -0.21777133718556319,
+        ]
+
+    @pytest.mark.parametrize("key", [0, 1, 0x47524401, 0x48414D03, (1 << 64) - 1])
+    def test_matches_python_integer_oracle(self, key):
+        mask, base = (1 << 64) - 1, _splitmix64_py(key)
+        expected = [(_splitmix64_py((base + i * 0x9E3779B97F4A7C15) & mask) >> 11) * 2.0**-52 - 1.0 for i in range(64)]
+        assert _hash_vector(key, 64).tolist() == expected
+
+    @pytest.mark.parametrize("key", [0, 0x47524400, (1 << 64) - 1])
+    def test_entries_lie_in_half_open_unit_interval(self, key):
+        v = _hash_vector(key, 1 << 14)
+        assert v.dtype == np.float64
+        assert v.min() >= -1.0 and v.max() < 1.0
+
+    def test_distinct_keys_and_indices_give_distinct_vectors(self):
+        dim = 1 << 12
+        vectors = [_start_vector(dim, 0), _start_vector(dim, 1)]
+        vectors += [_hash_vector(0x48414D00 + k, dim) for k in range(4)]
+        flat = np.concatenate(vectors)
+        assert np.unique(flat).size == flat.size
+        assert np.array_equal(_hash_vector(7, 16)[:8], _hash_vector(7, 8))  # a counter: prefixes agree
+
+    def test_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for key in (0, (1 << 63) + 5, (1 << 64) - 1):
+                for dim in (1, 2, 1 << 10):
+                    _hash_vector(key, dim)
+            _start_vector(1 << 10, 1)

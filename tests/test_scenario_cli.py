@@ -817,3 +817,32 @@ def test_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_only_trajectories_load_numpy_random():
+    # start and probe vectors are counter hashes, so a run that solves for
+    # ground states but draws no trajectory noise never imports numpy.random
+    probe = (
+        "import sys\n"
+        "from macrostab.runner import run_scenario\n"
+        "from macrostab.scenario import Scenario, ScenarioParams, StateSource\n"
+        "def run(sizes, experiments, state=None, **params):\n"
+        "    run_scenario(Scenario('probe', sizes, experiments, state, ScenarioParams(**params)))\n"
+        "run((6, 8, 10), ('symmetry-breaking',))\n"
+        "run((4, 6), ('ground',), model='xxz', B=0.2)\n"
+        "run((4, 6), ('cluster', 'measure'), StateSource(family='catalog'))\n"
+        "run((4, 6, 8), ('classify',), StateSource(family='tfim-ground', params={'B': 0.1}))\n"
+        "run((4, 6, 8), ('classify',), StateSource(family='pure-phase'))\n"
+        "print('numpy.random' in sys.modules)\n"
+        "run((4, 6, 8), ('decohere',), StateSource(family='ghz'), n_traj=100)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False", "True"]
+
+
+def test_numpy_random_appears_only_in_evolve():
+    src = Path(macrostab.__file__).resolve().parent
+    users = sorted(p.name for p in src.glob("*.py") if re.search(r"\b(np|numpy)\.random\b", p.read_text(encoding="utf-8")))
+    assert users == ["evolve.py"]
