@@ -56,10 +56,8 @@ from .hamiltonian import (
 from .lattice import OPEN_CHAIN, PERIODIC_CHAIN, LatticeSpec
 from .measure import (
     ConditionalTable,
-    MeasurementOutcome,
     MeasurementStabilityReport,
     conditional_distribution,
-    measure_local,
     measurement_cascade,
     stability_test,
 )
@@ -69,12 +67,7 @@ from .noise import (
     KERNEL_INDEPENDENT,
     NoiseModel,
 )
-from .operators import (
-    LocalOperator,
-    additive_variance,
-    apply_local,
-    pauli,
-)
+from .operators import LocalOperator, additive_variance
 from .rates import (
     DecoherenceFit,
     RateFit,

@@ -20,8 +20,8 @@ then both refined by one shrinking-patch loop (grid version v2).  Near-ties go
 to the earlier candidate, so the reported maximum, a lower bound on the true
 supremum, and its directions are reproducible.
 
-States are pure.  The projection-postulate oracle (``measure_local`` and
-``conditional_distribution``) checks the closed form independently.
+States are pure.  The projection-postulate oracle ``conditional_distribution``
+checks the closed form independently; the sweep and the cascade never call it.
 """
 
 import functools
@@ -32,7 +32,7 @@ import numpy as np
 
 from .analyzer import covariance_matrix, max_additive_fluctuation
 from .errors import ArgumentError, NumericalError
-from .operators import LocalOperator, PAULI_MATRICES, apply_local
+from .operators import _apply_matrix_at_site
 from .states import StateVector
 
 OUTCOME_FLOOR = 1e-12
@@ -49,45 +49,6 @@ _BLOCK_ELEMENTS = 1 << 17  # cap on orderings x grid points x 2 in one product
 
 
 @dataclass(frozen=True)
-class MeasurementOutcome:
-    """Probabilities and post-measurement states of one local measurement."""
-
-    observable: LocalOperator
-    eigenvalues: tuple     # (a_plus, a_minus), descending
-    probabilities: dict    # eigenvalue -> P(a)
-    post_states: dict      # eigenvalue -> StateVector, only for P(a) >= floor
-
-
-def _eigendecompose_observable(obs):
-    evals, evecs = np.linalg.eigh(obs.matrix)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    if abs(evals[1] - evals[0]) <= 1e-12 * scale:
-        raise ArgumentError(
-            "observable is degenerate (proportional to the identity); "
-            "its measurement reveals nothing"
-        )
-    # descending order: a_plus first
-    return (float(evals[1]), float(evals[0])), tuple(np.outer(evecs[:, i], evecs[:, i].conj()) for i in (1, 0))
-
-
-def measure_local(psi, obs):
-    """Ideal projective measurement of a local observable on a pure state."""
-    psi.lattice.validate_site(obs.site)
-    vals, projs = _eigendecompose_observable(obs)
-    probabilities, post_states = {}, {}
-    for a, proj in zip(vals, projs):
-        branch = apply_local(LocalOperator(obs.site, proj), psi)
-        p = float(np.sum(branch.real**2 + branch.imag**2))
-        probabilities[a] = p
-        if p >= OUTCOME_FLOOR:
-            post_states[a] = StateVector(psi.lattice, branch / math.sqrt(p), _take=True)
-    total = sum(probabilities.values())
-    if abs(total - 1.0) > 1e-10:
-        raise NumericalError(f"outcome probabilities sum to {total!r}")
-    return MeasurementOutcome(obs, vals, probabilities, post_states)
-
-
-@dataclass(frozen=True)
 class ConditionalTable:
     """P(b; a) versus P(b) for one ordered pair of local observables."""
 
@@ -99,30 +60,39 @@ class ConditionalTable:
     joint: np.ndarray        # (2, 2) P(a and b)
 
 
+def _norm2(amps):
+    return float(np.sum(amps.real**2 + amps.imag**2))
+
+
 def conditional_distribution(psi, a_obs, b_obs):
     """Conditional and marginal distributions for measurements at two sites of
-    the pure state ``psi``.
+    the pure state ``psi``; ``a_obs`` and ``b_obs`` are ``LocalOperator``s.
 
-    Computed through the projection postulate: the conditional row for
-    outcome a uses the post-measurement state of that outcome, with no
-    evolution between the two measurements.
+    Computed through the projection postulate: with Pi_a the spectral
+    projectors of each observable (eigenvalues descending),
+    P(a and b) = |Pi_b Pi_a psi|^2, with no evolution between the two
+    measurements.
     """
     if a_obs.site == b_obs.site:
         raise ArgumentError("conditional distribution needs two distinct sites")
-    out_a = measure_local(psi, a_obs)
-    out_b = measure_local(psi, b_obs)
-    a_vals, b_vals = out_a.eigenvalues, out_b.eigenvalues
-    p_a = np.array([out_a.probabilities[a] for a in a_vals])
-    p_b = np.array([out_b.probabilities[b] for b in b_vals])
-    joint = np.zeros((2, 2))
-    for ia, a in enumerate(a_vals):
-        if a in out_a.post_states:
-            cond = measure_local(out_a.post_states[a], b_obs)
-            joint[ia] = [p_a[ia] * cond.probabilities[b] for b in b_vals]
+    values, projectors = [], []
+    for obs in (a_obs, b_obs):
+        psi.lattice.validate_site(obs.site)
+        evals, evecs = np.linalg.eigh(obs.matrix)
+        if abs(evals[1] - evals[0]) <= 1e-12 * max(1.0, float(np.max(np.abs(evals)))):
+            raise ArgumentError("observable is degenerate (proportional to the identity); it reveals nothing")
+        values.append((float(evals[1]), float(evals[0])))  # descending, with their projectors
+        projectors.append([np.outer(evecs[:, i], evecs[:, i].conj()) for i in (1, 0)])
+    (a_vals, b_vals), (a_projs, b_projs) = values, projectors
+    a_branches = [_apply_matrix_at_site(psi.amplitudes, a_obs.site, proj) for proj in a_projs]
+    p_a = np.array([_norm2(branch) for branch in a_branches])
+    p_b = np.array([_norm2(_apply_matrix_at_site(psi.amplitudes, b_obs.site, proj)) for proj in b_projs])
+    joint = np.array([[_norm2(_apply_matrix_at_site(v, b_obs.site, proj)) for proj in b_projs] for v in a_branches])
     with np.errstate(invalid="ignore", divide="ignore"):
         p_b_given_a = joint / p_a[:, None]
     for ia in range(2):
         if p_a[ia] < OUTCOME_FLOOR:
+            joint[ia] = 0.0
             p_b_given_a[ia, :] = np.nan
         elif abs(p_b_given_a[ia].sum() - 1.0) > 1e-10:
             raise NumericalError(f"conditional row sums to {p_b_given_a[ia].sum()!r}")
@@ -360,10 +330,13 @@ class CascadeResult:
 def measurement_cascade(psi, nfs_factor=3.0, fluctuation=None):
     """Measure sigma_z at one site after another until fluctuations look normal.
 
-    Deterministic outcome policy: take the more probable branch (ties go
-    to the larger eigenvalue).  A state counts as NFS here once its
-    maximal additive fluctuation drops to ``nfs_factor * N``, an O(N)
-    proxy consistent with every product-like exemplar.  ``fluctuation``
+    Measuring sigma_z at site x projects by zeroing, in a copy of the
+    amplitudes, the half whose bit x disagrees with the outcome; P(+-1) is
+    the squared norm of that copy.  Deterministic outcome policy: take the
+    more probable branch (ties within 1e-12 go to +1).  A state counts as
+    NFS here once its maximal additive fluctuation drops to
+    ``nfs_factor * N``, an O(N) proxy consistent with every product-like
+    exemplar.  ``fluctuation``
     is the ``FluctuationReport`` of ``psi`` when the caller holds it.
     """
     n = psi.n_sites
@@ -376,14 +349,16 @@ def measurement_cascade(psi, nfs_factor=3.0, fluctuation=None):
     for site in range(n):
         if reached:
             break
-        obs = LocalOperator(site, PAULI_MATRICES["z"])
-        out = measure_local(current, obs)
-        a_plus, a_minus = out.eigenvalues
-        p_plus = out.probabilities[a_plus]
-        p_minus = out.probabilities[a_minus]
-        outcome = a_plus if p_plus >= p_minus - 1e-12 else a_minus
-        current = out.post_states[outcome]
+        # outcome +1 keeps the amplitudes whose bit `site` is 0, outcome -1 those where it is 1
+        plus, minus = current.amplitudes.copy(), current.amplitudes.copy()
+        plus.reshape(-1, 2, 1 << site)[:, 1] = 0.0
+        minus.reshape(-1, 2, 1 << site)[:, 0] = 0.0
+        p_plus, p_minus = _norm2(plus), _norm2(minus)
+        if abs(p_plus + p_minus - 1.0) > 1e-10:
+            raise NumericalError(f"outcome probabilities sum to {p_plus + p_minus!r}")
+        outcome, branch, p = (1.0, plus, p_plus) if p_plus >= p_minus - 1e-12 else (-1.0, minus, p_minus)
+        current = StateVector(psi.lattice, branch / math.sqrt(p), _take=True)
         fluct = max_additive_fluctuation(current).max_variance
         reached = fluct <= threshold
-        steps.append(CascadeStep(site, float(outcome), float(out.probabilities[outcome]), float(fluct), reached))
+        steps.append(CascadeStep(site, outcome, p, float(fluct), reached))
     return CascadeResult(tuple(steps), reached, current)

@@ -1,6 +1,7 @@
 """Single-site Hermitian operators and the variance of their lattice sums.
 
-A ``LocalOperator`` is a 2x2 Hermitian matrix at one site.  For spin-1/2
+A ``LocalOperator`` is a 2x2 Hermitian matrix at one site, the input of the
+projection-postulate oracle ``measure.conditional_distribution``.  For spin-1/2
 sites the identity plus the three Pauli matrices span every single-site
 Hermitian operator, so an additive observable
 A = sum_x sum_a c[3x+a] sigma_a(x) is its real (3N,) coefficient vector c
@@ -48,26 +49,12 @@ class LocalOperator:
         raise AttributeError("LocalOperator is immutable")
 
 
-def pauli(lattice, site, axis):
-    """Pauli operator sigma_axis at ``site`` on ``lattice``."""
-    lattice.validate_site(site)
-    if axis not in PAULI_MATRICES:
-        raise ArgumentError(f"axis must be one of {PAULI_AXES}, got {axis!r}")
-    return LocalOperator(site, PAULI_MATRICES[axis])
-
-
 def _apply_matrix_at_site(amps, site, matrix):
     """(matrix on `site`, identity elsewhere) applied to an amplitude array."""
     low = 1 << site
     block = amps.reshape(-1, 2, low)
     out = np.einsum("ab,hbl->hal", matrix, block)
     return np.ascontiguousarray(out).reshape(amps.size)
-
-
-def apply_local(op, psi):
-    """Amplitudes of O|psi> as a plain array: an operator image, not a state."""
-    psi.lattice.validate_site(op.site)
-    return _apply_matrix_at_site(psi.amplitudes, op.site, op.matrix)
 
 
 def _real_expectation(value):

@@ -44,6 +44,9 @@ MODEL_FIELD = {TRANSVERSE_ISING: 0.1, XXZ: 0.0}
 # the allowed values of each string param, read by the command line too
 CHOICES = {"kernel": KERNELS, "axis": PAULI_AXES, "model": MODELS, "method": METHODS, "geometry": GEOMETRIES}
 
+# the values a field of each type takes besides its own type's (never a bool)
+_ACCEPTS = {float: (int, float), tuple: (list, tuple)}
+
 
 def _require(cond, message):
     if not cond:
@@ -74,10 +77,13 @@ class ScenarioParams:
     def __post_init__(self):
         for key, allowed in CHOICES.items():
             _require(getattr(self, key) in allowed, f"params.{key} must be one of {allowed}")
-        _require(0 <= self.seed < 2**64, "params.seed must fit in 64 bits")
         for f in fields(self):
             val = getattr(self, f.name)
+            kind = _ACCEPTS.get(f.type, f.type)
+            good = (val is None and f.default is None) or (isinstance(val, kind) and not isinstance(val, bool))
+            _require(good, f"params.{f.name} must be {f.type.__name__}, got {val!r}")
             _require(f.type is not float or val is None or math.isfinite(val), f"params.{f.name} must be finite, got {val!r}")
+        _require(0 <= self.seed < 2**64, "params.seed must fit in 64 bits")
         if self.h is None:
             object.__setattr__(self, "h", MODEL_FIELD[self.model])
 
@@ -198,7 +204,7 @@ def _from_json(cls, obj, where):
         elif is_dataclass(f.type):
             given[f.name] = _from_json(f.type, val, f"{where}.{key}")
         else:
-            kind = {float: (int, float), tuple: (list, tuple)}.get(f.type, f.type)
+            kind = _ACCEPTS.get(f.type, f.type)
             _require(isinstance(val, kind) and not isinstance(val, bool), f"{where}.{key} has the wrong type")
             try:
                 given[f.name] = f.type(val)

@@ -16,9 +16,7 @@ from macrostab import (
     make_ghz,
     make_uniform_product,
     max_additive_fluctuation,
-    measure_local,
     measurement_cascade,
-    pauli,
     stability_test,
     HamiltonianSpec,
 )
@@ -26,7 +24,7 @@ from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.operators import PAULI_MATRICES
 from macrostab.states import StateVector
 
-from conftest import random_state_amps
+from conftest import ID2, SZ, dense_site_op, random_state_amps
 
 
 def tfim_ground(n, h):
@@ -34,39 +32,40 @@ def tfim_ground(n, h):
     return ground_state(build_hamiltonian(spec)).states[0]
 
 
+def sigma(site, axis):
+    return LocalOperator(site, PAULI_MATRICES[axis])
+
+
 class TestMeasureLocal:
-    def test_ghz_collapse(self):
-        lat = LatticeSpec(4)
-        out = measure_local(make_ghz(lat), pauli(lat, 0, "z"))
-        assert out.eigenvalues == (1.0, -1.0)
-        assert out.probabilities[1.0] == pytest.approx(0.5, abs=1e-12)
-        assert out.probabilities[-1.0] == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(out.post_states[1.0].amplitudes, basis_state(lat, 0).amplitudes)
-        assert np.allclose(out.post_states[-1.0].amplitudes, basis_state(lat, 15).amplitudes)
+    """The single-site outcome distributions of the projection-postulate oracle."""
 
     def test_eigenstate_unchanged(self):
         lat = LatticeSpec(3)
-        up = basis_state(lat, 0)
-        out = measure_local(up, pauli(lat, 2, "z"))
-        assert out.probabilities[1.0] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(out.post_states[1.0].amplitudes, up.amplitudes)
-        assert -1.0 not in out.post_states
+        table = conditional_distribution(basis_state(lat, 0), sigma(2, "z"), sigma(0, "z"))
+        assert table.a_values == (1.0, -1.0)
+        assert table.p_a[0] == pytest.approx(1.0, abs=1e-12)
+        assert table.p_b_given_a[0, 0] == pytest.approx(1.0, abs=1e-12)
+        # outcome -1 never occurs: no conditional row, no joint weight
+        assert np.all(np.isnan(table.p_b_given_a[1]))
+        assert np.array_equal(table.joint[1], [0.0, 0.0])
 
     def test_single_plus_site(self):
-        lat = LatticeSpec(1)
-        out = measure_local(make_uniform_product(lat, math.pi / 2), pauli(lat, 0, "z"))
-        assert out.probabilities[1.0] == pytest.approx(0.5, abs=1e-12)
+        lat = LatticeSpec(2)
+        table = conditional_distribution(make_uniform_product(lat, math.pi / 2), sigma(0, "z"), sigma(1, "x"))
+        assert table.p_a[0] == pytest.approx(0.5, abs=1e-12)
+        assert table.p_b[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_observable_rejected(self):
         lat = LatticeSpec(2)
-        with pytest.raises(ArgumentError):
-            measure_local(make_ghz(lat), LocalOperator(0, np.eye(2)))
+        for a_obs, b_obs in ((LocalOperator(0, np.eye(2)), sigma(1, "z")), (sigma(1, "z"), LocalOperator(0, np.eye(2)))):
+            with pytest.raises(ArgumentError):
+                conditional_distribution(make_ghz(lat), a_obs, b_obs)
 
 
 class TestConditionalDistribution:
     def test_ghz_perfect_correlation(self):
         lat = LatticeSpec(4)
-        table = conditional_distribution(make_ghz(lat), pauli(lat, 0, "z"), pauli(lat, 3, "z"))
+        table = conditional_distribution(make_ghz(lat), sigma(0, "z"), sigma(3, "z"))
         ia = table.a_values.index(1.0)
         jb = table.b_values.index(1.0)
         assert table.p_b_given_a[ia, jb] == pytest.approx(1.0, abs=1e-12)
@@ -75,7 +74,7 @@ class TestConditionalDistribution:
     def test_product_factorizes(self):
         lat = LatticeSpec(4)
         psi = make_uniform_product(lat, 0.9, 0.4)
-        table = conditional_distribution(psi, pauli(lat, 0, "x"), pauli(lat, 3, "y"))
+        table = conditional_distribution(psi, sigma(0, "x"), sigma(3, "y"))
         for ia in range(2):
             for jb in range(2):
                 assert table.p_b_given_a[ia, jb] == pytest.approx(table.p_b[jb], abs=1e-12)
@@ -88,7 +87,7 @@ class TestConditionalDistribution:
     def test_total_probability(self, make):
         lat = LatticeSpec(4)
         psi = make()
-        table = conditional_distribution(psi, pauli(lat, 1, "z"), pauli(lat, 3, "x"))
+        table = conditional_distribution(psi, sigma(1, "z"), sigma(3, "x"))
         for jb in range(2):
             total = sum(table.p_a[ia] * table.p_b_given_a[ia, jb] for ia in range(2))
             assert total == pytest.approx(table.p_b[jb], abs=1e-10)
@@ -97,7 +96,7 @@ class TestConditionalDistribution:
         # commuting projectors: P(a and b) must not depend on measurement order
         lat = LatticeSpec(4)
         psi = make_dicke(lat, 1)
-        a_obs, b_obs = pauli(lat, 0, "z"), pauli(lat, 3, "x")
+        a_obs, b_obs = sigma(0, "z"), sigma(3, "x")
         fwd = conditional_distribution(psi, a_obs, b_obs)
         rev = conditional_distribution(psi, b_obs, a_obs)
         assert np.allclose(fwd.joint, rev.joint.T, atol=1e-10)
@@ -105,7 +104,7 @@ class TestConditionalDistribution:
     def test_same_site_rejected(self):
         lat = LatticeSpec(3)
         with pytest.raises(ArgumentError):
-            conditional_distribution(make_ghz(lat), pauli(lat, 1, "z"), pauli(lat, 1, "x"))
+            conditional_distribution(make_ghz(lat), sigma(1, "z"), sigma(1, "x"))
 
 
 class TestStability:
@@ -254,6 +253,34 @@ class TestCascade:
         result = measurement_cascade(psi)
         assert result.reached_nfs
         assert len(result.steps) == 0
+
+    def test_ghz_tie_goes_to_plus_one(self):
+        lat = LatticeSpec(4)
+        result = measurement_cascade(make_ghz(lat))
+        (step,) = result.steps
+        assert (step.site, step.outcome) == (0, 1.0)
+        assert step.probability == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(result.final_state.amplitudes, basis_state(lat, 0).amplitudes, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("state", ["random-5", "tfim-6"])
+    def test_every_step_matches_dense_projectors(self, state):
+        # nfs_factor = 1e-3 is below any state's fluctuation, so every site is measured
+        if state == "random-5":
+            psi = StateVector(LatticeSpec(5), random_state_amps(5, np.random.default_rng(5)))
+        else:
+            psi = tfim_ground(6, 0.5)
+        n = psi.n_sites
+        result = measurement_cascade(psi, nfs_factor=1e-3)
+        assert [s.site for s in result.steps] == list(range(n))
+        assert not result.reached_nfs
+        phi = psi.amplitudes
+        for step in result.steps:
+            branches = {s: dense_site_op(n, step.site, (ID2 + s * SZ) / 2) @ phi for s in (1.0, -1.0)}
+            probs = {s: np.vdot(v, v).real for s, v in branches.items()}
+            assert step.outcome == (1.0 if probs[1.0] >= probs[-1.0] - 1e-12 else -1.0)
+            assert step.probability == pytest.approx(probs[step.outcome], abs=1e-12)
+            phi = branches[step.outcome] / math.sqrt(probs[step.outcome])
+        assert np.allclose(result.final_state.amplitudes, phi, rtol=0.0, atol=1e-12)
 
 
 _THETA, _PHI = np.meshgrid((np.arange(300) + 0.5) * (math.pi / 300), np.arange(600) * (math.pi / 300), indexing="ij")

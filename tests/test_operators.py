@@ -10,15 +10,15 @@ from macrostab import (
     StateError,
     StateVector,
     additive_variance,
-    apply_local,
     basis_state,
+    conditional_distribution,
     covariance_matrix,
     magnetization,
     make_ghz,
     make_product_state,
     make_uniform_product,
-    pauli,
 )
+from macrostab.operators import PAULI_MATRICES, _apply_matrix_at_site
 from conftest import (
     PAULI,
     axis_coefficients,
@@ -32,18 +32,16 @@ from conftest import (
 
 class TestPauli:
     def test_matrices(self):
-        lat = LatticeSpec(3)
-        assert np.array_equal(pauli(lat, 0, "z").matrix, np.diag([1.0, -1.0]))
-        assert np.array_equal(pauli(lat, 1, "x").matrix, np.array([[0, 1], [1, 0]]))
-        assert np.array_equal(pauli(lat, 2, "y").matrix, np.array([[0, -1j], [1j, 0]]))
+        assert np.array_equal(PAULI_MATRICES["z"], np.diag([1.0, -1.0]))
+        assert np.array_equal(PAULI_MATRICES["x"], np.array([[0, 1], [1, 0]]))
+        assert np.array_equal(PAULI_MATRICES["y"], np.array([[0, -1j], [1j, 0]]))
 
     def test_site_out_of_range(self):
+        # the projection-postulate oracle checks each operator's site against the lattice
         with pytest.raises(ArgumentError):
-            pauli(LatticeSpec(2), 2, "x")
-
-    def test_bad_axis(self):
-        with pytest.raises(ArgumentError):
-            pauli(LatticeSpec(2), 0, "w")
+            conditional_distribution(
+                make_ghz(LatticeSpec(2)), LocalOperator(2, PAULI["x"]), LocalOperator(0, PAULI["z"])
+            )
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ArgumentError):
@@ -51,22 +49,24 @@ class TestPauli:
 
 
 class TestApplyLocal:
+    """The operator image O|psi>, site by site: a plain array, not a state."""
+
     def test_bit_flip(self):
         lat = LatticeSpec(2)
-        out = apply_local(pauli(lat, 0, "x"), basis_state(lat, 0))
+        out = _apply_matrix_at_site(basis_state(lat, 0).amplitudes, 0, PAULI["x"])
         assert isinstance(out, np.ndarray)
         assert np.allclose(out, basis_state(lat, 1).amplitudes)
 
     def test_sign_flip_single_site(self):
         lat = LatticeSpec(1)
         plus = make_uniform_product(lat, math.pi / 2)
-        out = apply_local(pauli(lat, 0, "z"), plus)
+        out = _apply_matrix_at_site(plus.amplitudes, 0, PAULI["z"])
         r = 1 / math.sqrt(2)
         assert np.allclose(out, [r, -r])
 
     def test_ghz_phase(self):
         lat = LatticeSpec(3)
-        out = apply_local(pauli(lat, 1, "z"), make_ghz(lat))
+        out = _apply_matrix_at_site(make_ghz(lat).amplitudes, 1, PAULI["z"])
         expected = np.zeros(8, dtype=complex)
         expected[0] = 1 / math.sqrt(2)
         expected[7] = -1 / math.sqrt(2)
@@ -76,21 +76,20 @@ class TestApplyLocal:
         lat = LatticeSpec(2)
         psi = make_ghz(lat)
         before = psi.amplitudes.copy()
-        apply_local(pauli(lat, 0, "x"), psi)
+        _apply_matrix_at_site(psi.amplitudes, 0, PAULI["x"])
         assert np.array_equal(psi.amplitudes, before)
 
     def test_site_mismatch(self):
+        # an operator beyond the lattice is rejected at the second site too
         lat = LatticeSpec(2)
-        op = LocalOperator(3, PAULI["x"])
         with pytest.raises(ArgumentError):
-            apply_local(op, make_ghz(lat))
+            conditional_distribution(make_ghz(lat), LocalOperator(0, PAULI["z"]), LocalOperator(3, PAULI["x"]))
 
     @pytest.mark.parametrize("n,site,axis", [(3, 0, "x"), (3, 1, "y"), (4, 3, "z")])
     def test_matches_dense_oracle(self, n, site, axis, rng):
-        lat = LatticeSpec(n)
-        psi = StateVector(lat, random_state_amps(n, rng))
-        out = apply_local(pauli(lat, site, axis), psi)
-        expected = dense_site_op(n, site, PAULI[axis]) @ psi.amplitudes
+        amps = random_state_amps(n, rng)
+        out = _apply_matrix_at_site(amps, site, PAULI_MATRICES[axis])
+        expected = dense_site_op(n, site, PAULI[axis]) @ amps
         assert np.allclose(out, expected, atol=1e-13)
 
 
@@ -113,7 +112,7 @@ class TestExpectation:
         lat = LatticeSpec(4)
         psi = StateVector(lat, random_state_amps(4, rng))
         per_site = {
-            axis: [np.vdot(psi.amplitudes, apply_local(pauli(lat, x, axis), psi)).real for x in lat.sites]
+            axis: [np.vdot(psi.amplitudes, _apply_matrix_at_site(psi.amplitudes, x, PAULI[axis])).real for x in lat.sites]
             for axis in "yz"
         }
         assert magnetization(psi) == pytest.approx(sum(per_site["z"]), abs=1e-10)

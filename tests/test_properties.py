@@ -10,16 +10,14 @@ from macrostab import (
     LocalOperator,
     StateVector,
     additive_variance,
-    apply_local,
     covariance_matrix,
     magnetization,
     make_product_state,
     correlation_field,
     max_additive_fluctuation,
-    pauli,
 )
 from macrostab.measure import _conditional_closed_form, conditional_distribution
-from macrostab.operators import PAULI_MATRICES
+from macrostab.operators import PAULI_MATRICES, _apply_matrix_at_site
 from conftest import axis_coefficients
 
 
@@ -75,7 +73,7 @@ def test_expectation_is_additive(psi):
     lat = psi.lattice
     means = covariance_matrix(psi).means
     for axis in "xz":
-        total = sum(np.vdot(psi.amplitudes, apply_local(pauli(lat, x, axis), psi)).real for x in lat.sites)
+        total = sum(np.vdot(psi.amplitudes, _apply_matrix_at_site(psi.amplitudes, x, PAULI_MATRICES[axis])).real for x in lat.sites)
         whole = means @ axis_coefficients(lat.n_sites, axis)
         assert abs(whole - total) <= 1e-10
         if axis == "z":
@@ -105,7 +103,9 @@ def test_axis_variances_never_beat_maximum(psi):
 @given(random_states(min_sites=3, max_sites=4))
 def test_total_probability_identity(psi):
     lat = psi.lattice
-    table = conditional_distribution(psi, pauli(lat, 0, "z"), pauli(lat, lat.n_sites - 1, "x"))
+    table = conditional_distribution(
+        psi, LocalOperator(0, PAULI_MATRICES["z"]), LocalOperator(lat.n_sites - 1, PAULI_MATRICES["x"])
+    )
     for jb in range(2):
         recombined = sum(
             table.p_a[ia] * table.p_b_given_a[ia, jb]

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import re
@@ -192,6 +193,20 @@ def test_readme_lists_every_scenario_param():
 
 def _refuse(*args, **kwargs):
     raise AssertionError("state built or imported despite invalid input")
+
+
+@pytest.mark.parametrize(
+    "experiment,param",
+    [("decohere", {"n_traj": 150.5}), ("decohere", {"seed": 1.5}), ("decohere", {"seed": True}),
+     ("measure", {"min_distance": 1.5})],
+    ids=["float-n_traj", "float-seed", "bool-seed", "float-min_distance"],
+)
+def test_params_built_in_code_are_type_checked_before_any_state(experiment, param, monkeypatch):
+    # an int field takes no float or bool, as in a scenario file; a float field takes an int
+    monkeypatch.setattr(runner, "build_state", _refuse)
+    with pytest.raises(ValidationError, match=f"params.{next(iter(param))} must be int"):
+        runner.run_scenario(Scenario("t", (4, 6, 8), (experiment,), StateSource(family="ghz"), ScenarioParams(**param)))
+    assert ScenarioParams(kappa=1, horizon=None).kappa == 1
 
 
 @pytest.mark.parametrize(
@@ -504,8 +519,9 @@ def test_catalog_cluster_measure_builds_one_table_per_state(monkeypatch):
 
 
 def test_decohere_and_catalog_measure_build_no_operator_objects(tmp_path, monkeypatch):
-    # noise couples along one Pauli axis and the sweep reads the two-point
-    # table, so neither run path constructs a LocalOperator
+    # noise couples along one Pauli axis, the sweep reads the two-point table
+    # and the cascade zeroes half the amplitudes, so no run path constructs a
+    # LocalOperator
     def refuse(self, *args):
         raise AssertionError("LocalOperator built")
 
@@ -514,6 +530,8 @@ def test_decohere_and_catalog_measure_build_no_operator_objects(tmp_path, monkey
     assert main(argv + ["--out", str(tmp_path / "dec")]) == 0
     scenario = Scenario("cm", (4, 5, 6), ("cluster", "measure"), StateSource(family="catalog"))
     assert runner.run_scenario(scenario)["verdicts"]
+    assert main(["symmetry-breaking", "--sizes", "6:10:2", "--out", str(tmp_path / "sb")]) == 0
+    assert json.loads((tmp_path / "sb.json").read_text())["results"]["symmetry-breaking"]["per_size"][0]["cascade"]
 
 
 @pytest.mark.parametrize(
@@ -846,3 +864,13 @@ def test_numpy_random_appears_only_in_evolve():
     src = Path(macrostab.__file__).resolve().parent
     users = sorted(p.name for p in src.glob("*.py") if re.search(r"\b(np|numpy)\.random\b", p.read_text(encoding="utf-8")))
     assert users == ["evolve.py"]
+
+
+def test_projection_postulate_oracle_stays_out_of_every_run_path():
+    # only the oracle's own modules and the package exports name it; the
+    # benchmark's pair check imports it from the package
+    src = Path(macrostab.__file__).resolve().parent
+    for name in ("LocalOperator", "conditional_distribution"):
+        users = sorted(p.name for p in src.glob("*.py") if re.search(rf"\b{name}\b", p.read_text(encoding="utf-8")))
+        assert set(users) <= {"__init__.py", "measure.py", "operators.py"}, name
+        assert not re.search(rf"\b{name}\b", inspect.getsource(macrostab.measure.measurement_cascade)), name
