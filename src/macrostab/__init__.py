@@ -35,7 +35,6 @@ from .errors import (
 from .evolve import (
     EvolveResult,
     TrajectoryEnsemble,
-    dephasing_channel_density,
     evolve_noisy,
 )
 from .ground import (
@@ -76,7 +75,6 @@ from .rates import (
 )
 from .states import (
     StateVector,
-    basis_state,
     make_dicke,
     make_ghz,
     make_product_state,

@@ -8,8 +8,8 @@ from .hamiltonian import TRANSVERSE_ISING, HamiltonianSpec, build_hamiltonian
 from .lattice import OPEN_CHAIN, LatticeSpec
 from .states import make_dicke, make_ghz, make_uniform_product
 
-# accepted values and description of each param type
-_KINDS = {float: ((int, float), "a number"), int: (int, "an integer")}
+# the values a field of each type takes besides its own type's (never a bool)
+_ACCEPTS = {float: (int, float), tuple: (list, tuple)}
 
 # The params each family accepts: float (any number), int, or a tuple of
 # allowed values.  Each key is also a command-line flag of that type.
@@ -29,35 +29,44 @@ FAMILY_PARAMS = {
 }
 
 
+def checked_value(kind, val, where):
+    """``val`` as a value of ``kind``, a type or a tuple of allowed values;
+    ``where`` names it in messages.  A type takes no bool.  A float also
+    takes an int, which it stores as a float, and must be finite and fit a
+    float; a tuple also takes a list, stored as a tuple."""
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise ArgumentError(f"{where} must be one of {list(kind)}, got {val!r}")
+        return val
+    if not isinstance(val, _ACCEPTS.get(kind, kind)) or isinstance(val, bool):
+        raise ArgumentError(f"{where} must be {kind.__name__}, got {val!r}")
+    try:
+        val = val if type(val) is kind else kind(val)
+    except OverflowError:
+        raise ArgumentError(f"{where} is too large for a float") from None
+    if kind is float and not math.isfinite(val):
+        raise ArgumentError(f"{where} must be finite, got {val!r}")
+    return val
+
+
 def check_state_params(family, params):
-    """Reject an unknown family, unknown or mistyped params, a float param
-    that is not finite or too large for a float, and a Dicke state without k."""
+    """The params of ``family``, each checked and converted to its type.
+    Rejects an unknown family or param and a Dicke state without k."""
     if family not in FAMILY_PARAMS:
         raise ArgumentError(f"unknown state family {family!r}")
+    checked = {}
     for key, val in params.items():
         kind = FAMILY_PARAMS[family].get(key)
         if kind is None:
             raise ArgumentError(f"unknown parameter {key!r} for state family {family!r}")
-        if isinstance(kind, tuple):
-            ok, want = val in kind, f"one of {list(kind)}"
-        else:
-            types, want = _KINDS[kind]
-            ok = isinstance(val, types) and not isinstance(val, bool)
-        if not ok:
-            raise ArgumentError(f"state parameter {key!r} of family {family!r} must be {want}, got {val!r}")
-        if kind is float:
-            try:
-                ok = math.isfinite(val)
-            except OverflowError:
-                raise ArgumentError(f"state parameter {key!r} of family {family!r} is too large for a float") from None
-            if not ok:
-                raise ArgumentError(f"state parameter {key!r} of family {family!r} must be finite, got {val!r}")
+        checked[key] = checked_value(kind, val, f"state parameter {key!r} of family {family!r}")
     if family == "dicke" and "k" not in params:
         raise ArgumentError("dicke family needs parameter k")
+    return checked
 
 
 def _tfim_spec(lattice, params, default_h):
-    J, h, B = (float(params.get(k, d)) for k, d in (("J", 1.0), ("h", default_h), ("B", 0.0)))
+    J, h, B = (params.get(k, d) for k, d in (("J", 1.0), ("h", default_h), ("B", 0.0)))
     return HamiltonianSpec(TRANSVERSE_ISING, lattice, J=J, h=h, B=B)
 
 
@@ -71,8 +80,7 @@ def _solved(spec, solved):
 def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None, solved=None):
     """Construct a catalog state by family name.  States that share one ``solved``
     dict (HamiltonianSpec -> ground_state result) solve each Hamiltonian once."""
-    params = dict(params or {})
-    check_state_params(family, params)
+    params = check_state_params(family, params or {})
     solved = {} if solved is None else solved
     lattice = LatticeSpec(n_sites, geometry)
     if family == "ghz":
@@ -82,9 +90,7 @@ def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None, solved=None):
     if family == "product-plus":
         return make_uniform_product(lattice, math.pi / 2)
     if family == "product":
-        return make_uniform_product(
-            lattice, float(params.get("theta", 0.0)), float(params.get("phi", 0.0))
-        )
+        return make_uniform_product(lattice, params.get("theta", 0.0), params.get("phi", 0.0))
     if family == "w":
         return make_dicke(lattice, 1)
     if family == "dicke-half":

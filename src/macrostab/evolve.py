@@ -179,22 +179,3 @@ def evolve_noisy(psi0, noise, ensemble):
         density_matrix=density,
     )
 
-
-def dephasing_channel_density(psi0, noise, t):
-    """Closed-form ensemble density matrix under z-axis noise.
-
-    sigma_z(x) has eigenvalue 1 - 2 b on bit b of site x, so
-    rho_ij(t) = rho_ij(0) exp(-t R_ij) with R_ij = (kappa/2) d^T g d and d
-    the difference of the eigenvalue patterns of basis states i and j.
-    """
-    if noise.axis != "z":
-        raise ArgumentError(f"closed-form channel needs z-axis noise, got axis {noise.axis!r}")
-    lattice = psi0.lattice
-    bits = (np.arange(lattice.dim)[:, None] >> np.arange(lattice.n_sites)) & 1
-    site_vals = 1.0 - 2.0 * bits
-    g = noise.kernel_matrix(lattice)
-    amps = psi0.amplitudes
-    rho0 = np.outer(amps, amps.conj())
-    d = site_vals[:, None, :] - site_vals[None, :, :]
-    rates = 0.5 * noise.kappa * np.einsum("ijx,xy,ijy->ij", d, g, d)
-    return rho0 * np.exp(-t * rates)

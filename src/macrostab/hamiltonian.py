@@ -139,14 +139,6 @@ class Hamiltonian:
             raise ArgumentError(f"vector of shape {v.shape} does not match dim {self.dim}")
         return self._full(v)
 
-    def dense(self):
-        if self.dim > 4096:
-            raise ArgumentError("dense form capped at 4096 basis states")
-        out, idx = np.diag(self.diag), np.arange(self.dim)
-        for m, c in self.terms:
-            out[idx, idx ^ m] = np.broadcast_to(c, (2,) * self.lattice.n_sites).reshape(-1)
-        return out
-
     def energy_scale(self):
         """Crude operator-norm bound used for tolerance scaling."""
         spec = self.spec

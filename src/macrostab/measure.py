@@ -33,7 +33,7 @@ import numpy as np
 from .analyzer import covariance_matrix, max_additive_fluctuation
 from .errors import ArgumentError, NumericalError
 from .operators import _apply_matrix_at_site
-from .states import StateVector
+from .states import StateVector, _norm2
 
 OUTCOME_FLOOR = 1e-12
 DEFAULT_CONDITIONING_FLOOR = 0.05
@@ -58,10 +58,6 @@ class ConditionalTable:
     p_b: np.ndarray          # (2,)
     p_b_given_a: np.ndarray  # (2, 2), rows follow a_values; NaN when P(a) = 0
     joint: np.ndarray        # (2, 2) P(a and b)
-
-
-def _norm2(amps):
-    return float(np.sum(amps.real**2 + amps.imag**2))
 
 
 def conditional_distribution(psi, a_obs, b_obs):

@@ -11,7 +11,7 @@ A = sum_x sum_a c[3x+a] sigma_a(x) is its real (3N,) coefficient vector c
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .states import _cdot
+from .states import _cdot, _norm2
 
 HERMITICITY_TOL = 1e-12
 IMAG_TOL = 1e-8
@@ -76,7 +76,7 @@ def additive_variance(coefficients, psi):
     for x, m in enumerate(np.einsum("xk,kij->xij", c.reshape(-1, 3), _PAULI_STACK)):
         if np.any(m):
             phi += _apply_matrix_at_site(psi.amplitudes, x, m)
-    second = float(np.sum(phi.real**2 + phi.imag**2))
+    second = _norm2(phi)
     first = _real_expectation(_cdot(psi.amplitudes, phi))
     var = second - first * first
     return var if var > 0.0 else 0.0

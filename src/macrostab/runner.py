@@ -188,7 +188,6 @@ def run_symmetry_breaking(scenario, entries):
     p = scenario.params
     noise = NoiseModel(kappa=p.kappa, kernel="collective", axis="z")
     per_size = []
-    paramagnetic = not (abs(p.h) < abs(p.J))
     for n in scenario.sizes:
         lattice = LatticeSpec(n, p.geometry)
         spec = HamiltonianSpec("transverse-ising", lattice, J=p.J, h=p.h)
@@ -226,7 +225,7 @@ def run_symmetry_breaking(scenario, entries):
         "h": p.h,
         "kappa": p.kappa,
         "method": p.method,
-        "paramagnetic_warning": paramagnetic,
+        "paramagnetic_warning": pp.paramagnetic_warning,
         "per_size": per_size,
     }
     return {"symmetry-breaking": results}, verdicts

@@ -7,7 +7,8 @@ A scenario file is a JSON object whose keys are the fields of
 everywhere so a typo can never silently change physics parameters, and a
 null leaves a field unset.  Every value check lives in the
 ``__post_init__`` of the class that owns the field, so a file, the
-command line and a ``Scenario`` built in code are checked alike.
+command line and a ``Scenario`` built in code are checked alike, and a
+float field stores an int as a float, so all three echo the same bytes.
 
     {
       "name": "ghz-fragility",
@@ -20,10 +21,9 @@ command line and a ``Scenario`` built in code are checked alike.
 """
 
 import json
-import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
-from .catalog import check_state_params
+from .catalog import check_state_params, checked_value
 from .errors import FormatError, ValidationError
 from .evolve import MIN_TRAJECTORIES, TRAJECTORY_STEPS
 from .ground import METHODS
@@ -44,13 +44,21 @@ MODEL_FIELD = {TRANSVERSE_ISING: 0.1, XXZ: 0.0}
 # the allowed values of each string param, read by the command line too
 CHOICES = {"kernel": KERNELS, "axis": PAULI_AXES, "model": MODELS, "method": METHODS, "geometry": GEOMETRIES}
 
-# the values a field of each type takes besides its own type's (never a bool)
-_ACCEPTS = {float: (int, float), tuple: (list, tuple)}
-
 
 def _require(cond, message):
     if not cond:
         raise ValidationError(message)
+
+
+def _check_fields(obj, where):
+    """Check every field of the dataclass ``obj``, named ``where.<key>`` in
+    messages, and store it converted to its type; None only where the
+    field's default is None."""
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if val is not None or f.default is not None:
+            key = f"{where}.{f.metadata.get('key', f.name)}"
+            object.__setattr__(obj, f.name, checked_value(f.type, val, key))
 
 
 @dataclass(frozen=True)
@@ -75,14 +83,9 @@ class ScenarioParams:
     geometry: str = OPEN_CHAIN
 
     def __post_init__(self):
+        _check_fields(self, "scenario.params")
         for key, allowed in CHOICES.items():
-            _require(getattr(self, key) in allowed, f"params.{key} must be one of {allowed}")
-        for f in fields(self):
-            val = getattr(self, f.name)
-            kind = _ACCEPTS.get(f.type, f.type)
-            good = (val is None and f.default is None) or (isinstance(val, kind) and not isinstance(val, bool))
-            _require(good, f"params.{f.name} must be {f.type.__name__}, got {val!r}")
-            _require(f.type is not float or val is None or math.isfinite(val), f"params.{f.name} must be finite, got {val!r}")
+            checked_value(allowed, getattr(self, key), f"scenario.params.{key}")
         _require(0 <= self.seed < 2**64, "params.seed must fit in 64 bits")
         if self.h is None:
             object.__setattr__(self, "h", MODEL_FIELD[self.model])
@@ -104,12 +107,13 @@ class StateSource:
     file: str = None
 
     def __post_init__(self):
+        _check_fields(self, "scenario.state")
         one = (self.family is None) != (self.file is None)
         _require(one, "scenario.state needs exactly one of 'family' or 'file'")
         if self.family is None:
             _require(not self.params, "scenario.state.file takes no params")
         else:
-            check_state_params(self.family, self.params)
+            object.__setattr__(self, "params", check_state_params(self.family, self.params))
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,7 @@ class Scenario:
     def __post_init__(self):
         """Checks shared by scenario files, the command line and scenarios
         built in code; they run before any state is built."""
+        _check_fields(self, "scenario")
         _require(self.name, "scenario.name must not be empty")
         _require(self.experiments, "scenario.experiments must not be empty")
         for e in self.experiments:
@@ -134,7 +139,7 @@ class Scenario:
             self.state is not None or not any(e in _STATEFUL_EXPERIMENTS for e in self.experiments),
             "scenario.state is required for this experiment set",
         )
-        _require(self.output_format in FORMATS, f"output.format must be one of {FORMATS}")
+        checked_value(FORMATS, self.output_format, "scenario.output.format")
         p = self.params
         sizes = list(self.sizes)
         _require(sizes, "sizes must not be empty")
@@ -188,9 +193,8 @@ class Scenario:
 def _from_json(cls, obj, where):
     """Build the dataclass ``cls`` from the JSON object ``obj``, named
     ``where`` in messages.  Its keys are the fields of ``cls`` (or a field's
-    ``key`` metadata), and a null leaves a field unset.  A value must have
-    its field's type, never a bool: a float field also takes an int, a tuple
-    field a list, and a dataclass field is read in turn.  A field without a
+    ``key`` metadata), and a null leaves a field unset.  A dataclass field
+    is read in turn; ``cls`` checks every other value.  A field without a
     default is required."""
     _require(isinstance(obj, dict), f"{where} must be an object")
     by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
@@ -201,15 +205,8 @@ def _from_json(cls, obj, where):
         val = obj.get(key)
         if val is None:
             _require(f.default is not MISSING or f.default_factory is not MISSING, f"{where}.{key} is required")
-        elif is_dataclass(f.type):
-            given[f.name] = _from_json(f.type, val, f"{where}.{key}")
         else:
-            kind = _ACCEPTS.get(f.type, f.type)
-            _require(isinstance(val, kind) and not isinstance(val, bool), f"{where}.{key} has the wrong type")
-            try:
-                given[f.name] = f.type(val)
-            except OverflowError:
-                raise ValidationError(f"{where}.{key} is too large for a float") from None
+            given[f.name] = _from_json(f.type, val, f"{where}.{key}") if is_dataclass(f.type) else val
     return cls(**given)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import FormatError
 from .lattice import LatticeSpec, OPEN_CHAIN
-from .states import StateVector
+from .states import StateVector, _norm2
 
 _HEADER_RE = re.compile(r"^macrostab-state v1 n_sites=(\d+)$")
 
@@ -86,7 +86,7 @@ def _read(fh, geometry):
         raise FormatError(
             f"expected {dim} amplitudes for n_sites={n_sites}, found {count}"
         )
-    norm = math.sqrt(float(np.sum(amps.real**2 + amps.imag**2)))
+    norm = math.sqrt(_norm2(amps))
     if norm < 1e-6:
         raise FormatError("state file holds a (near-)zero vector")
     if abs(norm - 1.0) > 1e-12:

@@ -20,6 +20,11 @@ def _cdot(a, b):
     return complex(np.sum(np.conjugate(a) * b))
 
 
+def _norm2(a):
+    """<a|a> via pairwise summation of the squared real and imaginary parts."""
+    return float(np.sum(a.real**2 + a.imag**2))
+
+
 class StateVector:
     """Normalized pure state on ``lattice``; amplitudes indexed bit-wise by site.
 
@@ -43,7 +48,7 @@ class StateVector:
             raise StateError("amplitudes must be finite")
         if not _take:
             arr = arr.copy()
-        n2 = float(np.sum(arr.real**2 + arr.imag**2))
+        n2 = _norm2(arr)
         if abs(n2 - 1.0) > NORM_TOL:
             raise StateError(f"state not normalized: sum |a|^2 = {n2!r}")
         arr.flags.writeable = False
@@ -66,24 +71,6 @@ class StateVector:
     @property
     def dim(self):
         return self.lattice.dim
-
-    def norm_squared(self):
-        return float(np.sum(self._amps.real**2 + self._amps.imag**2))
-
-    def overlap(self, other):
-        """<self|other> as a complex number."""
-        if other.lattice.n_sites != self.lattice.n_sites:
-            raise ArgumentError("states live on different lattices")
-        return _cdot(self._amps, other._amps)
-
-
-def basis_state(lattice, index):
-    """Computational basis state |index> (bit k of index = site k)."""
-    if not 0 <= index < lattice.dim:
-        raise ArgumentError(f"basis index {index} out of range")
-    amps = np.zeros(lattice.dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(lattice, amps, _take=True)
 
 
 def make_product_state(lattice, bloch_angles):
@@ -110,7 +97,7 @@ def make_product_state(lattice, bloch_angles):
         )
         # site k occupies bit k, so later (higher) sites go on the left of kron
         amps = np.kron(v, amps)
-    n = math.sqrt(float(np.sum(amps.real**2 + amps.imag**2)))
+    n = math.sqrt(_norm2(amps))
     if abs(n - 1.0) > 1e-15:
         amps /= n
     return StateVector(lattice, amps, _take=True)

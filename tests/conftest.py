@@ -1,6 +1,6 @@
 """Shared dense-matrix oracles, built by kron products independently of the
-package's bit-index Hamiltonian construction, and the environment for CLI
-subprocesses."""
+package's bit-index Hamiltonian construction, the closed-form z-noise
+channel, and the environment for CLI subprocesses."""
 
 import os
 from functools import reduce
@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from macrostab import ArgumentError, StateVector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -79,6 +81,33 @@ def dense_xxz(n, J, delta, h=0.0, B=0.0, periodic=False):
     if B:
         H -= B * dense_additive(n, "z")
     return H
+
+
+def basis_state(lattice, index):
+    """Computational basis state |index> (bit k of index = site k)."""
+    amps = np.zeros(lattice.dim, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(lattice, amps)
+
+
+def dephasing_channel_density(psi0, noise, t):
+    """Closed-form ensemble density matrix under z-axis noise.
+
+    sigma_z(x) has eigenvalue 1 - 2 b on bit b of site x, so
+    rho_ij(t) = rho_ij(0) exp(-t R_ij) with R_ij = (kappa/2) d^T g d and d
+    the difference of the eigenvalue patterns of basis states i and j.
+    """
+    if noise.axis != "z":
+        raise ArgumentError(f"closed-form channel needs z-axis noise, got axis {noise.axis!r}")
+    lattice = psi0.lattice
+    bits = (np.arange(lattice.dim)[:, None] >> np.arange(lattice.n_sites)) & 1
+    site_vals = 1.0 - 2.0 * bits
+    g = noise.kernel_matrix(lattice)
+    amps = psi0.amplitudes
+    rho0 = np.outer(amps, amps.conj())
+    d = site_vals[:, None, :] - site_vals[None, :, :]
+    rates = 0.5 * noise.kappa * np.einsum("ijx,xy,ijy->ij", d, g, d)
+    return rho0 * np.exp(-t * rates)
 
 
 def dense_mean(op, amps):

@@ -25,7 +25,6 @@ from macrostab import (
     classify_scaling,
     cluster_verdict,
     correlation_field,
-    dephasing_channel_density,
     evolve_noisy,
     fit_gamma_scaling,
     ground_state,
@@ -41,7 +40,7 @@ from macrostab import (
 )
 from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.rates import trajectory_rate
-from conftest import axis_coefficients, dense_tfim, subprocess_env
+from conftest import axis_coefficients, dense_tfim, dephasing_channel_density, subprocess_env
 
 
 def _finish(name, failures, elapsed, budget):

@@ -16,7 +16,6 @@ from macrostab import (
     StateVector,
     additive_variance,
     analyzer,
-    basis_state,
     build_hamiltonian,
     classify_scaling,
     covariance_matrix,
@@ -31,6 +30,7 @@ from macrostab.operators import _apply_matrix_at_site
 from conftest import (
     PAULI,
     axis_coefficients,
+    basis_state,
     dense_additive,
     dense_mean,
     dense_site_op,

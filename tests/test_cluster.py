@@ -9,7 +9,6 @@ from macrostab import (
     ArgumentError,
     LatticeSpec,
     StateVector,
-    basis_state,
     cluster_verdict,
     correlation_field,
     make_dicke,
@@ -19,7 +18,7 @@ from macrostab import (
 )
 from macrostab.analyzer import covariance_matrix
 from macrostab.cluster import _inverse_sqrt_projected
-from conftest import random_state_amps
+from conftest import basis_state, random_state_amps
 
 
 def rho_bruteforce(psi, x, y, grid=100):

@@ -9,7 +9,6 @@ from macrostab import (
     HamiltonianSpec,
     LatticeSpec,
     StateVector,
-    basis_state,
     build_hamiltonian,
     ground_state,
     magnetization,
@@ -19,7 +18,7 @@ from macrostab import (
 from macrostab import ground, runner
 from macrostab.ground import METHOD_DOUBLET, METHOD_SB_FIELD
 from macrostab.scenario import Scenario
-from conftest import dense_additive, dense_tfim, dense_xxz
+from conftest import basis_state, dense_additive, dense_tfim, dense_xxz
 
 
 def tfim(n, h, J=1.0, B=0.0):
@@ -113,7 +112,7 @@ def test_solver_matches_dense_oracle(model, n, periodic):
     biased = ground_state(build_hamiltonian(replace(spec, B=0.05)))
     dense_biased = dense - 0.05 * dense_additive(n, "z").real
     assert list(biased.energies) == pytest.approx(np.linalg.eigvalsh(dense_biased)[:2], abs=1e-10)
-    assert abs(biased.states[0].overlap(biased.states[1])) <= 1e-10
+    assert abs(np.vdot(biased.states[0].amplitudes, biased.states[1].amplitudes)) <= 1e-10
 
 
 def test_odd_xxz_ring_keeps_one_state_per_flip_sector():
@@ -129,7 +128,7 @@ def test_degenerate_biased_ring_gives_two_orthogonal_states():
     assert list(np.linalg.eigvalsh(dense_biased)[:3]) == pytest.approx([-1.05] * 3, abs=1e-12)
     res = ground_state(build_hamiltonian(replace(spec, B=0.05)))
     assert list(res.energies) == pytest.approx([-1.05, -1.05], abs=1e-10)
-    assert abs(res.states[0].overlap(res.states[1])) <= 1e-10
+    assert abs(np.vdot(res.states[0].amplitudes, res.states[1].amplitudes)) <= 1e-10
 
 
 class TestPurePhaseVacuum:
@@ -169,7 +168,7 @@ class TestPurePhaseVacuum:
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(5), J=1.0, h=1e-3)
         pp = pure_phase_vacuum(spec, METHOD_DOUBLET)
         up = basis_state(LatticeSpec(5), 0)
-        assert abs(pp.state.overlap(up)) ** 2 > 0.999
+        assert abs(np.vdot(pp.state.amplitudes, up.amplitudes)) ** 2 > 0.999
 
     def test_sb_field_method(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(6), J=1.0, h=0.1)

@@ -7,7 +7,6 @@ from macrostab import (
     ArgumentError,
     LatticeSpec,
     LocalOperator,
-    basis_state,
     build_hamiltonian,
     conditional_distribution,
     covariance_matrix,
@@ -24,7 +23,7 @@ from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.operators import PAULI_MATRICES
 from macrostab.states import StateVector
 
-from conftest import ID2, SZ, dense_site_op, random_state_amps
+from conftest import ID2, SZ, basis_state, dense_site_op, random_state_amps
 
 
 def tfim_ground(n, h):

@@ -11,8 +11,6 @@ from macrostab import (
     StateVector,
     TrajectoryEnsemble,
     analytic_dephasing_rate,
-    basis_state,
-    dephasing_channel_density,
     evolve_noisy,
     fit_gamma_scaling,
     make_dicke,
@@ -21,7 +19,7 @@ from macrostab import (
 )
 from macrostab import evolve
 from macrostab.rates import RATE_WINDOW_FRACTION, trajectory_rate
-from conftest import PAULI, dense_site_op, random_state_amps
+from conftest import PAULI, basis_state, dense_site_op, dephasing_channel_density, random_state_amps
 
 
 def _dense_expm_oracle(psi, noise, ens):

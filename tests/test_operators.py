@@ -10,7 +10,6 @@ from macrostab import (
     StateError,
     StateVector,
     additive_variance,
-    basis_state,
     conditional_distribution,
     covariance_matrix,
     magnetization,
@@ -22,6 +21,7 @@ from macrostab.operators import PAULI_MATRICES, _apply_matrix_at_site
 from conftest import (
     PAULI,
     axis_coefficients,
+    basis_state,
     dense_additive,
     dense_from_coefficients,
     dense_site_op,

@@ -14,8 +14,8 @@ import pytest
 import macrostab
 from macrostab import LatticeSpec, ValidationError, export_state, make_ghz, runner
 from macrostab.catalog import FAMILY_PARAMS
-from macrostab.cli import build_parser, main, parse_sizes
-from macrostab.scenario import Scenario, ScenarioParams, StateSource, validate_scenario
+from macrostab.cli import _scenario_from_args, build_parser, main, parse_sizes
+from macrostab.scenario import Scenario, ScenarioParams, StateSource, load_scenario, validate_scenario
 from conftest import subprocess_env
 
 
@@ -183,6 +183,25 @@ def test_report_echo_is_a_scenario_file(tmp_path):
     for section, key in (("output", "path"), ("state", "family"), ("params", "kappa")):
         with pytest.raises(ValidationError, match=re.escape(f"scenario.{section}.{key} ")):
             validate_scenario({**echo, section: {**echo[section], key: ["x"]}})
+
+
+def test_scenario_echoes_the_same_bytes_from_code_file_and_flags(tmp_path):
+    # int values for float fields, also under state.params, are stored as floats
+    in_code = Scenario(
+        "decohere", (4, 6, 8), ("decohere",), StateSource(family="tfim-ground", params={"J": 1, "h": 2}),
+        ScenarioParams(kappa=1, horizon=3, n_traj=100),
+    )
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({
+        "name": "decohere", "state": {"family": "tfim-ground", "params": {"J": 1, "h": 2}}, "sizes": [4, 6, 8],
+        "experiments": ["decohere"], "params": {"kappa": 1, "horizon": 3, "n_traj": 100},
+    }))
+    argv = ["decohere", "--state", "tfim-ground", "--j", "1", "--h", "2", "--sizes", "4:8:2",
+            "--kappa", "1", "--horizon", "3", "--n-traj", "100"]
+    from_flags = _scenario_from_args(build_parser().parse_args(argv))
+    echoes = [json.dumps(s.echo()) for s in (in_code, load_scenario(path), from_flags)]
+    assert echoes[0] == echoes[1] == echoes[2]
+    assert '"J": 1.0, "h": 2.0' in echoes[0] and '"kappa": 1.0' in echoes[0]
 
 
 def test_readme_lists_every_scenario_param():
