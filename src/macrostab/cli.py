@@ -7,12 +7,13 @@ param flag is one scenario field and defaults to unset, so only the
 flags given enter that raw scenario and ``ScenarioParams`` holds every
 default.  On the state subcommands (classify, cluster, decohere,
 measure) --k/--theta/--phi/--method/--j/--h/--b-field are params of the
-chosen state family; on ground and symmetry-breaking --j/--h/--b-field
-are scenario params, and so is symmetry-breaking's --method (how the
-pure-phase vacuum is made).  ``validate_scenario`` checks the raw
-scenario and ``run_scenario`` runs it exactly as for ``run``.  Exit
-codes: 0 success, 2 validation error, 3 numerical error, 4 capability
-(size cap) error.
+chosen state family; on ground --model/--delta/--j/--h/--b-field and
+on symmetry-breaking --j/--h/--method (how the pure-phase vacuum is
+made) are scenario params.  symmetry-breaking takes no --model or
+--b-field: it is defined for the transverse-ising model at B = 0.
+``validate_scenario`` checks the raw scenario and ``run_scenario`` runs
+it exactly as for ``run``.  Exit codes: 0 success, 2 validation error,
+3 numerical error, 4 capability (size cap) error.
 """
 
 import argparse
@@ -31,10 +32,7 @@ _COMMANDS = {
     "decohere": ("dephasing rates and their size scaling", ("kappa", "kernel", "axis", "xi", "n_traj", "horizon")),
     "measure": ("stability against local measurements", ("epsilon", "varepsilon", "min_distance")),
     "ground": ("iterative ground states of a spin-chain model", ("model", "delta", "J", "h", "B")),
-    "symmetry-breaking": (
-        "symmetric ground state versus pure-phase vacuum",
-        ("model", "kappa", "nfs_factor", "J", "h", "B", "method"),
-    ),
+    "symmetry-breaking": ("symmetric ground state versus pure-phase vacuum", ("kappa", "nfs_factor", "J", "h", "method")),
 }
 # the params of every state family, by type; the family checks values and choices
 _STATE_TYPES = {

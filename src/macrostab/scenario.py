@@ -86,7 +86,7 @@ class ScenarioParams:
         _check_fields(self, "scenario.params")
         for key, allowed in CHOICES.items():
             checked_value(allowed, getattr(self, key), f"scenario.params.{key}")
-        _require(0 <= self.seed < 2**64, "params.seed must fit in 64 bits")
+        _require(0 <= self.seed < 2**64, "scenario.params.seed must fit in 64 bits")
         if self.h is None:
             object.__setattr__(self, "h", MODEL_FIELD[self.model])
 
@@ -133,8 +133,8 @@ class Scenario:
         _require(self.name, "scenario.name must not be empty")
         _require(self.experiments, "scenario.experiments must not be empty")
         for e in self.experiments:
-            _require(e in EXPERIMENTS, f"unknown experiment {e!r}; choose from {EXPERIMENTS}")
-        _require(len(set(self.experiments)) == len(self.experiments), "duplicate experiments")
+            checked_value(EXPERIMENTS, e, "scenario.experiments")
+        _require(len(set(self.experiments)) == len(self.experiments), "scenario.experiments must be distinct")
         _require(
             self.state is not None or not any(e in _STATEFUL_EXPERIMENTS for e in self.experiments),
             "scenario.state is required for this experiment set",
@@ -142,45 +142,45 @@ class Scenario:
         checked_value(FORMATS, self.output_format, "scenario.output.format")
         p = self.params
         sizes = list(self.sizes)
-        _require(sizes, "sizes must not be empty")
-        _require(all(type(n) is int for n in sizes), "scenario.sizes must be a list of integers")
+        _require(sizes, "scenario.sizes must not be empty")
+        _require(all(type(n) is int and n >= 1 for n in sizes), "scenario.sizes must be a list of positive integers")
         _require(
             all(a < b for a, b in zip(sizes, sizes[1:])),
-            f"sizes must be strictly ascending, got {sizes}",
+            f"scenario.sizes must be strictly ascending, got {sizes}",
         )
         for n in sizes:
             LatticeSpec(n, p.geometry)  # the site cap, before any state
         for e in self.experiments:
             if e in _SCALING_EXPERIMENTS:
-                _require(len(sizes) >= 3, "scaling experiments need at least 3 sizes")
+                _require(len(sizes) >= 3, f"scenario.sizes must hold at least 3 sizes for {e!r}")
                 _require(
                     self.state is None or self.state.family != "catalog",
-                    f"experiment {e!r} needs a single state family, not the catalog",
+                    f"scenario.state.family must be a single family, not the catalog, for {e!r}",
                 )
         for key in ("epsilon", "varepsilon"):
             val = getattr(p, key)
-            _require(0.0 < val < 1.0, f"params.{key} must lie in (0, 1), got {val!r}")
+            _require(0.0 < val < 1.0, f"scenario.params.{key} must lie in (0, 1), got {val!r}")
         if "measure" in self.experiments:
-            _require(sizes[0] >= 2, f"measure needs a site pair: sizes must be >= 2, got {sizes[0]}")
+            _require(sizes[0] >= 2, f"measure needs a site pair: scenario.sizes must be >= 2, got {sizes[0]}")
             largest = LatticeSpec(sizes[0], p.geometry).max_distance
             _require(
                 p.min_distance is None or 1 <= p.min_distance <= largest,
-                f"params.min_distance must lie in [1, {largest}] for sizes {sizes} on a {p.geometry}, "
+                f"scenario.params.min_distance must lie in [1, {largest}] for sizes {sizes} on a {p.geometry}, "
                 f"got {p.min_distance}",
             )
         _require(
             p.n_traj == 0 or p.n_traj >= MIN_TRAJECTORIES,
-            f"params.n_traj must be 0 (analytic only) or >= {MIN_TRAJECTORIES}, got {p.n_traj}",
+            f"scenario.params.n_traj must be 0 (analytic only) or >= {MIN_TRAJECTORIES}, got {p.n_traj}",
         )
         if "decohere" in self.experiments:
-            _require(p.kappa > 0, "decohere needs kappa > 0")
+            _require(p.kappa > 0, "decohere needs scenario.params.kappa > 0")
             good = p.horizon is None or p.horizon / TRAJECTORY_STEPS > 0
-            _require(good, f"params.horizon must have horizon / {TRAJECTORY_STEPS} > 0, got {p.horizon!r}")
+            _require(good, f"scenario.params.horizon must have horizon / {TRAJECTORY_STEPS} > 0, got {p.horizon!r}")
             p.noise_model()  # its kernel and xi, before any state
         if "symmetry-breaking" in self.experiments:
-            _require(p.model == TRANSVERSE_ISING, "symmetry-breaking is defined for the transverse-ising model")
-            _require(p.B == 0.0, "symmetry-breaking needs B = 0 for the symmetric ground state")
-            _require(p.nfs_factor > 0, f"params.nfs_factor must be > 0, got {p.nfs_factor!r}")
+            _require(p.model == TRANSVERSE_ISING, f"symmetry-breaking needs scenario.params.model = {TRANSVERSE_ISING!r}")
+            _require(p.B == 0.0, "symmetry-breaking needs scenario.params.B = 0 for the symmetric ground state")
+            _require(p.nfs_factor > 0, f"scenario.params.nfs_factor must be > 0, got {p.nfs_factor!r}")
 
     def echo(self):
         """Plain-dict copy embedded into every report; it reads back as the

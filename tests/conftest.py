@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macrostab import ArgumentError, StateVector
+from macrostab.errors import ArgumentError
+from macrostab.states import StateVector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

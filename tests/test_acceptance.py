@@ -14,32 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from macrostab import (
-    HamiltonianSpec,
-    LatticeSpec,
-    NoiseModel,
-    TrajectoryEnsemble,
-    additive_variance,
-    analytic_dephasing_rate,
-    build_hamiltonian,
-    classify_scaling,
-    cluster_verdict,
-    correlation_field,
-    evolve_noisy,
-    fit_gamma_scaling,
-    ground_state,
-    magnetization,
-    make_dicke,
-    make_ghz,
-    make_uniform_product,
-    max_additive_fluctuation,
-    measurement_cascade,
-    omega,
-    pure_phase_vacuum,
-    stability_test,
-)
+from macrostab.analyzer import classify_scaling, magnetization, max_additive_fluctuation
 from macrostab.catalog import build_state, correspondence_catalog
-from macrostab.rates import trajectory_rate
+from macrostab.cluster import cluster_verdict, correlation_field, omega
+from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
+from macrostab.ground import ground_state, pure_phase_vacuum
+from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
+from macrostab.lattice import LatticeSpec
+from macrostab.measure import measurement_cascade, stability_test
+from macrostab.noise import NoiseModel
+from macrostab.operators import additive_variance
+from macrostab.rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from macrostab.states import make_dicke, make_ghz, make_uniform_product
 from conftest import axis_coefficients, dense_tfim, dephasing_channel_density, subprocess_env
 
 

@@ -6,27 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from macrostab import (
+from macrostab import analyzer
+from macrostab.analyzer import (
     AFS,
     INTERMEDIATE,
     NFS,
-    ArgumentError,
-    HamiltonianSpec,
-    LatticeSpec,
-    StateVector,
-    additive_variance,
-    analyzer,
-    build_hamiltonian,
     classify_scaling,
     covariance_matrix,
-    ground_state,
     magnetization,
-    make_dicke,
-    make_ghz,
-    make_uniform_product,
     max_additive_fluctuation,
 )
-from macrostab.operators import _apply_matrix_at_site
+from macrostab.errors import ArgumentError
+from macrostab.ground import ground_state
+from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
+from macrostab.lattice import LatticeSpec
+from macrostab.operators import _apply_matrix_at_site, additive_variance
+from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 from conftest import (
     PAULI,
     axis_coefficients,
@@ -159,7 +154,9 @@ class TestBlockedTable:
         # two-part rank-k updates
         script = (
             "import hashlib, numpy as np\n"
-            "from macrostab import LatticeSpec, StateVector, covariance_matrix\n"
+            "from macrostab.analyzer import covariance_matrix\n"
+            "from macrostab.lattice import LatticeSpec\n"
+            "from macrostab.states import StateVector\n"
             "rng = np.random.Generator(np.random.Philox(key=np.array([0x7AB1E, 16], dtype=np.uint64)))\n"
             "amps = rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16)\n"
             "amps /= np.sqrt(np.sum(amps.real**2 + amps.imag**2))  # np.linalg.norm calls BLAS\n"

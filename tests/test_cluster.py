@@ -5,19 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from macrostab import (
-    ArgumentError,
-    LatticeSpec,
-    StateVector,
-    cluster_verdict,
-    correlation_field,
-    make_dicke,
-    make_ghz,
-    make_uniform_product,
-    omega,
-)
 from macrostab.analyzer import covariance_matrix
-from macrostab.cluster import _inverse_sqrt_projected
+from macrostab.cluster import _inverse_sqrt_projected, cluster_verdict, correlation_field, omega
+from macrostab.errors import ArgumentError
+from macrostab.lattice import LatticeSpec
+from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 from conftest import basis_state, random_state_amps
 
 
@@ -217,7 +209,7 @@ def test_batched_field_equals_per_pair_loop(rng):
 
 def test_afs_families_lack_cluster_property():
     # anomalous fluctuation scaling must always come with failing clustering
-    from macrostab import classify_scaling, max_additive_fluctuation
+    from macrostab.analyzer import classify_scaling, max_additive_fluctuation
     from macrostab.catalog import build_state, correspondence_catalog
 
     sizes = (4, 6, 8)

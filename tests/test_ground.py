@@ -3,21 +3,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from macrostab import (
-    ArgumentError,
+from macrostab import ground, runner
+from macrostab.analyzer import magnetization, max_additive_fluctuation
+from macrostab.errors import ArgumentError
+from macrostab.ground import (
+    METHOD_DOUBLET,
+    METHOD_SB_FIELD,
     GroundStateResult,
-    HamiltonianSpec,
-    LatticeSpec,
-    StateVector,
-    build_hamiltonian,
     ground_state,
-    magnetization,
-    max_additive_fluctuation,
     pure_phase_vacuum,
 )
-from macrostab import ground, runner
-from macrostab.ground import METHOD_DOUBLET, METHOD_SB_FIELD
+from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
+from macrostab.lattice import LatticeSpec
 from macrostab.scenario import Scenario
+from macrostab.states import StateVector
 from conftest import basis_state, dense_additive, dense_tfim, dense_xxz
 
 

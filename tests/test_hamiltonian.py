@@ -3,14 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from macrostab import (
-    ArgumentError,
-    HamiltonianSpec,
-    LatticeSpec,
-    build_hamiltonian,
-)
+from macrostab.errors import ArgumentError
 from macrostab.ground import _start_vector
-from macrostab.hamiltonian import _hash_vector
+from macrostab.hamiltonian import HamiltonianSpec, _hash_vector, build_hamiltonian
+from macrostab.lattice import LatticeSpec
 from conftest import dense_tfim, dense_xxz, random_state_amps
 
 

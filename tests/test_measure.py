@@ -3,25 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from macrostab import (
-    ArgumentError,
-    LatticeSpec,
-    LocalOperator,
-    build_hamiltonian,
-    conditional_distribution,
-    covariance_matrix,
-    ground_state,
-    make_dicke,
-    make_ghz,
-    make_uniform_product,
-    max_additive_fluctuation,
-    measurement_cascade,
-    stability_test,
-    HamiltonianSpec,
-)
+from macrostab.analyzer import covariance_matrix, max_additive_fluctuation
 from macrostab.catalog import build_state, correspondence_catalog
-from macrostab.operators import PAULI_MATRICES
-from macrostab.states import StateVector
+from macrostab.errors import ArgumentError
+from macrostab.ground import ground_state
+from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
+from macrostab.lattice import LatticeSpec
+from macrostab.measure import conditional_distribution, measurement_cascade, stability_test
+from macrostab.operators import PAULI_MATRICES, LocalOperator
+from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 
 from conftest import ID2, SZ, basis_state, dense_site_op, random_state_amps
 

@@ -3,22 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from macrostab import (
-    ArgumentError,
-    CapabilityError,
-    LatticeSpec,
-    NoiseModel,
-    StateVector,
-    TrajectoryEnsemble,
-    analytic_dephasing_rate,
-    evolve_noisy,
-    fit_gamma_scaling,
-    make_dicke,
-    make_ghz,
-    make_uniform_product,
-)
 from macrostab import evolve
-from macrostab.rates import RATE_WINDOW_FRACTION, trajectory_rate
+from macrostab.errors import ArgumentError, CapabilityError
+from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
+from macrostab.lattice import LatticeSpec
+from macrostab.noise import NoiseModel
+from macrostab.rates import RATE_WINDOW_FRACTION, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 from conftest import PAULI, basis_state, dense_site_op, dephasing_channel_density, random_state_amps
 
 

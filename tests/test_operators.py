@@ -3,21 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from macrostab import (
-    ArgumentError,
-    LatticeSpec,
-    LocalOperator,
-    StateError,
-    StateVector,
-    additive_variance,
-    conditional_distribution,
-    covariance_matrix,
-    magnetization,
-    make_ghz,
-    make_product_state,
-    make_uniform_product,
-)
-from macrostab.operators import PAULI_MATRICES, _apply_matrix_at_site
+from macrostab.analyzer import covariance_matrix, magnetization
+from macrostab.errors import ArgumentError, StateError
+from macrostab.lattice import LatticeSpec
+from macrostab.measure import conditional_distribution
+from macrostab.operators import PAULI_MATRICES, LocalOperator, _apply_matrix_at_site, additive_variance
+from macrostab.states import StateVector, make_ghz, make_product_state, make_uniform_product
 from conftest import (
     PAULI,
     axis_coefficients,

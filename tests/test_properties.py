@@ -5,19 +5,12 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from macrostab import (
-    LatticeSpec,
-    LocalOperator,
-    StateVector,
-    additive_variance,
-    covariance_matrix,
-    magnetization,
-    make_product_state,
-    correlation_field,
-    max_additive_fluctuation,
-)
+from macrostab.analyzer import covariance_matrix, magnetization, max_additive_fluctuation
+from macrostab.cluster import correlation_field
+from macrostab.lattice import LatticeSpec
 from macrostab.measure import _conditional_closed_form, conditional_distribution
-from macrostab.operators import PAULI_MATRICES, _apply_matrix_at_site
+from macrostab.operators import PAULI_MATRICES, LocalOperator, _apply_matrix_at_site, additive_variance
+from macrostab.states import StateVector, make_product_state
 from conftest import axis_coefficients
 
 

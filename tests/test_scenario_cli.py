@@ -11,11 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import macrostab
-from macrostab import LatticeSpec, ValidationError, export_state, make_ghz, runner
+import macrostab.analyzer
+import macrostab.catalog
+import macrostab.cluster
+import macrostab.ground
+import macrostab.measure
+import macrostab.operators
+import macrostab.rates
+from macrostab import runner
 from macrostab.catalog import FAMILY_PARAMS
 from macrostab.cli import _scenario_from_args, build_parser, main, parse_sizes
+from macrostab.errors import ValidationError
+from macrostab.lattice import LatticeSpec
 from macrostab.scenario import Scenario, ScenarioParams, StateSource, load_scenario, validate_scenario
+from macrostab.stateio import export_state
+from macrostab.states import make_ghz
 from conftest import subprocess_env
 
 
@@ -251,7 +261,6 @@ def test_params_built_in_code_are_type_checked_before_any_state(experiment, para
         ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--kernel", "exponential", "--xi", "nan"],
         ["symmetry-breaking", "--sizes", "4:8:2", "--nfs-factor", "-1"],
         ["symmetry-breaking", "--sizes", "4:8:2", "--nfs-factor", "nan"],
-        ["symmetry-breaking", "--sizes", "4:8:2", "--b-field", "0.1"],
         ["decohere", "--state", "ghz", "--sizes", "4:12:2", "--seed", "-1"],
         ["cluster", "--state", "ghz", "--sizes", "4:8:2", "--seed", "-5"],
         ["cluster", "--state", "nosuch", "--sizes", "4:8:2"],
@@ -320,6 +329,49 @@ def test_non_finite_or_oversized_float_param_exits_before_any_state(params, tmp_
     assert f"params.{next(iter(params))} " in capsys.readouterr().err
 
 
+# each range check's violation as a scenario file spells it, over a valid
+# cluster scenario, and the key its message must name
+_RANGE_VIOLATIONS = {
+    "seed": ({"params": {"seed": -1}}, "scenario.params.seed"),
+    "epsilon": ({"params": {"epsilon": 2.0}}, "scenario.params.epsilon"),
+    "varepsilon": ({"params": {"varepsilon": 0.0}}, "scenario.params.varepsilon"),
+    "n_traj": ({"params": {"n_traj": 50}}, "scenario.params.n_traj"),
+    "min_distance": ({"experiments": ["measure"], "params": {"min_distance": 4}}, "scenario.params.min_distance"),
+    "kappa": ({"experiments": ["decohere"], "params": {"kappa": 0.0}}, "scenario.params.kappa"),
+    "horizon": ({"experiments": ["decohere"], "params": {"horizon": -5.0}}, "scenario.params.horizon"),
+    "nfs_factor": ({"experiments": ["symmetry-breaking"], "params": {"nfs_factor": -1.0}}, "scenario.params.nfs_factor"),
+    "model": ({"experiments": ["symmetry-breaking"], "params": {"model": "xxz"}}, "scenario.params.model"),
+    "B": ({"experiments": ["symmetry-breaking"], "params": {"B": 0.1}}, "scenario.params.B"),
+    "empty-sizes": ({"sizes": []}, "scenario.sizes"),
+    "zero-size": ({"sizes": [0, 4]}, "scenario.sizes"),
+    "descending-sizes": ({"sizes": [8, 4, 6]}, "scenario.sizes"),
+    "measure-one-site": ({"experiments": ["measure"], "sizes": [1, 4]}, "scenario.sizes"),
+    "classify-two-sizes": ({"experiments": ["classify"], "sizes": [4, 6]}, "scenario.sizes"),
+    "classify-catalog": ({"experiments": ["classify"], "state": {"family": "catalog"}}, "scenario.state.family"),
+    "unknown-experiment": ({"experiments": ["teleport"]}, "scenario.experiments"),
+    "repeated-experiment": ({"experiments": ["cluster", "cluster"]}, "scenario.experiments"),
+}
+
+
+def _scenario_in_code(raw):
+    params = ScenarioParams(**raw.get("params", {}))
+    state = StateSource(**raw["state"]) if raw.get("state") else None
+    return Scenario(raw["name"], tuple(raw["sizes"]), tuple(raw["experiments"]), state, params)
+
+
+@pytest.mark.parametrize("bad,key", list(_RANGE_VIOLATIONS.values()), ids=list(_RANGE_VIOLATIONS))
+def test_range_checks_name_the_file_key(bad, key, tmp_path, monkeypatch, capsys):
+    raw = {"name": "r", "state": {"family": "ghz"}, "sizes": [4, 6, 8], "experiments": ["cluster"], **bad}
+    with pytest.raises(ValidationError, match=re.escape(f"{key} ")):
+        _scenario_in_code(raw)
+    monkeypatch.setattr(runner, "build_state", _refuse)
+    monkeypatch.setattr(runner, "ground_state", _refuse)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+    assert f"{key} " in capsys.readouterr().err
+
+
 def test_integer_literal_beyond_the_digit_limit_exits_before_any_state(tmp_path, monkeypatch):
     # json.load raises ValueError past Python's 4,300-digit int conversion limit
     monkeypatch.setattr(runner, "build_state", _refuse)
@@ -338,6 +390,9 @@ def test_integer_literal_beyond_the_digit_limit_exits_before_any_state(tmp_path,
         ["classify", "--state", "ghz", "--sizes", "4:8:2", "--delta", "3"],
         ["symmetry-breaking", "--sizes", "4:8:2", "--delta", "2"],
         ["ground", "--sizes", "4", "--export", "st"],
+        # symmetry-breaking is defined for the transverse-ising model at B = 0
+        ["symmetry-breaking", "--sizes", "4:8:2", "--model", "xxz"],
+        ["symmetry-breaking", "--sizes", "4:8:2", "--b-field", "0.1"],
     ],
 )
 def test_flags_no_scenario_reads_are_rejected(argv):
@@ -637,7 +692,7 @@ class TestCliEndToEnd:
             "ground", "--model", "transverse-ising", "--h", "0.5", "--sizes", "4", "--out", str(out),
         ])
         assert code == 0
-        from macrostab import import_state
+        from macrostab.stateio import import_state
 
         psi = import_state(tmp_path / "rep_ground_N4.state")
         assert psi.n_sites == 4
@@ -645,7 +700,9 @@ class TestCliEndToEnd:
         assert report["results"]["ground"]["per_size"][0]["residuals"][0] <= 1e-9
 
     def test_ground_scenario_file_writes_its_states(self, tmp_path):
-        from macrostab import HamiltonianSpec, build_hamiltonian, ground_state, import_state
+        from macrostab.ground import ground_state
+        from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
+        from macrostab.stateio import import_state
 
         scen = {
             "name": "xxz", "sizes": [4, 6], "experiments": ["ground"],
@@ -664,7 +721,8 @@ class TestCliEndToEnd:
             assert np.array_equal(import_state(state_path).amplitudes, solved.amplitudes)
 
     def test_ground_field_defaults_to_the_models(self, tmp_path):
-        from macrostab import HamiltonianSpec, build_hamiltonian, ground_state
+        from macrostab.ground import ground_state
+        from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 
         for model, field in (("xxz", 0.0), ("transverse-ising", 0.1)):
             out = tmp_path / model
@@ -886,10 +944,10 @@ def test_numpy_random_appears_only_in_evolve():
 
 
 def test_projection_postulate_oracle_stays_out_of_every_run_path():
-    # only the oracle's own modules and the package exports name it; the
-    # benchmark's pair check imports it from the package
+    # only the oracle's own modules name it; the benchmark's pair check
+    # imports it from them
     src = Path(macrostab.__file__).resolve().parent
     for name in ("LocalOperator", "conditional_distribution"):
         users = sorted(p.name for p in src.glob("*.py") if re.search(rf"\b{name}\b", p.read_text(encoding="utf-8")))
-        assert set(users) <= {"__init__.py", "measure.py", "operators.py"}, name
+        assert set(users) <= {"measure.py", "operators.py"}, name
         assert not re.search(rf"\b{name}\b", inspect.getsource(macrostab.measure.measurement_cascade)), name

@@ -1,9 +1,11 @@
-"""``src/`` defines nothing that only tests call.
+"""``src/`` defines nothing that only tests call, and each name has one spelling.
 
-Every function, class and method of ``src/macrostab`` (``__init__.py`` aside,
-which only re-exports) that is not a dunder must be read somewhere in the
-package, as a name or as an attribute, or be imported by the benchmark in
-``perfbench/``.  Oracles and test helpers belong in ``tests/conftest.py``.
+Every function, class and method of ``src/macrostab`` that is not a dunder
+must be read somewhere in the package, as a name or as an attribute, or be
+imported by the benchmark in ``perfbench/``.  Oracles and test helpers
+belong in ``tests/conftest.py``.  The package namespace binds only
+``__version__``, so tests and the benchmark import every other name from
+the module that defines it.
 
 The scan matches names, not bindings: a definition whose name is also a
 local variable elsewhere in ``src/`` counts as used.  A method ``overlap``,
@@ -12,6 +14,7 @@ of that name.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,7 +25,7 @@ def _parse(paths):
 
 
 def test_every_definition_is_used_in_src_or_by_the_benchmark():
-    src = _parse(p for p in ROOT.glob("src/macrostab/*.py") if p.name != "__init__.py")
+    src = _parse(ROOT.glob("src/macrostab/*.py"))
     defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
     defined = {
         node.name
@@ -44,3 +47,24 @@ def test_every_definition_is_used_in_src_or_by_the_benchmark():
         for alias in node.names
     }
     assert sorted(defined - used - benchmark) == []
+
+
+def test_package_namespace_binds_only_the_version():
+    [tree] = _parse([ROOT / "src/macrostab/__init__.py"])
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    # a statement that is not an assignment counts as itself
+    bound = [ast.unparse(target) for node in body for target in getattr(node, "targets", [node])]
+    assert bound == ["__version__"]
+
+
+def test_package_imports_name_a_submodule_or_the_version():
+    paths = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")])
+    strays = [
+        (path.name, alias.name)
+        for path, tree in zip(paths, _parse(paths))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "macrostab"
+        for alias in node.names
+        if alias.name != "__version__" and importlib.util.find_spec(f"macrostab.{alias.name}") is None
+    ]
+    assert strays == []

@@ -3,14 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from macrostab import (
-    FormatError,
-    LatticeSpec,
-    StateVector,
-    export_state,
-    import_state,
-    make_ghz,
-)
+from macrostab.errors import FormatError
+from macrostab.lattice import LatticeSpec
+from macrostab.stateio import export_state, import_state
+from macrostab.states import StateVector, make_ghz
 from conftest import random_state_amps
 
 

@@ -4,17 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from macrostab import (
-    ArgumentError,
-    CapabilityError,
-    LatticeSpec,
-    StateError,
-    StateVector,
-    make_dicke,
-    make_ghz,
-    make_product_state,
-    make_uniform_product,
-)
+from macrostab.errors import ArgumentError, CapabilityError, StateError
+from macrostab.lattice import LatticeSpec
+from macrostab.states import StateVector, make_dicke, make_ghz, make_product_state, make_uniform_product
 from conftest import basis_state
 
 
