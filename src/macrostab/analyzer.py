@@ -141,11 +141,8 @@ def magnetization(psi):
 class FluctuationReport:
     """Largest additive-operator fluctuation of a state."""
 
-    lattice: object
     max_variance: float
     lambda_max: float
-    optimal_coefficients: np.ndarray  # real 3N-vector, sum c^2 = N
-    cross_check_variance: float
 
 
 def max_additive_fluctuation(psi):
@@ -162,21 +159,14 @@ def max_additive_fluctuation(psi):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance eigensolve failed: {exc}") from exc
     lam = float(evals[-1])
-    vec = evecs[:, -1]
-    # deterministic sign gauge
-    pivot = int(np.argmax(np.abs(vec)))
-    if vec[pivot] < 0:
-        vec = -vec
-    coeffs = vec * math.sqrt(n)
     max_var = n * lam
-    check = additive_variance(coeffs, psi)
+    check = additive_variance(evecs[:, -1] * math.sqrt(n), psi)
     scale = max(abs(max_var), 1e-12)
     if abs(check - max_var) > 1e-8 * scale + 1e-12:
         raise NumericalError(
             f"fluctuation cross-check failed: eig {max_var!r} vs direct {check!r}"
         )
-    coeffs.flags.writeable = False
-    return FluctuationReport(psi.lattice, max_var, lam, coeffs, check)
+    return FluctuationReport(max_var, lam)
 
 
 @dataclass(frozen=True)

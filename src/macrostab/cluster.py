@@ -45,16 +45,9 @@ def _inverse_sqrt_projected(block):
     return inv @ evecs[:, keep].T
 
 
-@dataclass(frozen=True)
-class CorrelationField:
-    """Normalized correlation strengths for all site pairs; rho(x,x) = 1."""
-
-    lattice: object
-    rho: np.ndarray  # (N, N) real symmetric, entries in [0, 1]
-
-
 def correlation_field(psi):
-    """All-pairs normalized correlations from one covariance pass.
+    """All-pairs normalized correlations rho from one covariance pass: a
+    read-only (N, N) symmetric array with entries in [0, 1] and rho(x,x) = 1.
 
     Each site block is whitened once; a site whose block lies below the
     floor gets a zero whitener, so its pairs read rho = 0.  The whitened
@@ -74,7 +67,7 @@ def correlation_field(psi):
     rho[xs, ys] = np.linalg.svd(whiten[xs] @ cross @ whiten[ys], compute_uv=False)[:, 0]
     rho[ys, xs] = rho[xs, ys]
     rho.flags.writeable = False
-    return CorrelationField(psi.lattice, rho)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -84,18 +77,17 @@ class ClusterReport:
     epsilon: float
     omega_of_x: np.ndarray  # per-site counts of strongly correlated partners
     omega: int              # max over sites
-    field: CorrelationField
+    rho: np.ndarray         # (N, N) normalized correlations
 
 
 def omega(psi, epsilon):
     """Count, per site, the partners with rho > epsilon; report the max."""
     if not 0.0 < epsilon < 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    field = correlation_field(psi)
-    off_diag = field.rho > epsilon
-    counts = off_diag.sum(axis=1) - 1  # rho(x,x) = 1 never counts
+    rho = correlation_field(psi)
+    counts = (rho > epsilon).sum(axis=1) - 1  # rho(x,x) = 1 never counts
     counts.flags.writeable = False
-    return ClusterReport(float(epsilon), counts, int(counts.max()), field)
+    return ClusterReport(float(epsilon), counts, int(counts.max()), rho)
 
 
 @dataclass(frozen=True)

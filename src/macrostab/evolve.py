@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError
+from .errors import ArgumentError
 from .operators import PAULI_MATRICES, _apply_matrix_at_site
 
-DENSITY_CAP_SITES = 8
 MIN_TRAJECTORIES = 100
 # steps of every decohere trajectory: the 5% rate window holds 20 of them
 TRAJECTORY_STEPS = 400
@@ -42,7 +41,6 @@ class TrajectoryEnsemble:
     dt: float
     horizon: float
     seed: int
-    collect_density: bool = False
 
     def __post_init__(self):
         if not isinstance(self.n_traj, int) or self.n_traj < MIN_TRAJECTORIES:
@@ -61,7 +59,7 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """Fidelity series (and optional ensemble density matrix) of a run.
+    """Fidelity series of a run.
 
     ``f_rows`` holds the per-trajectory fidelities at every step after
     t = 0; an error taken over whole trajectories respects the strong
@@ -74,19 +72,11 @@ class EvolveResult:
     f_rows: np.ndarray
     n_traj: int
     dt: float
-    density_matrix: np.ndarray = None
 
 
 def _traj_rng(seed, traj):
     key = np.array([seed, traj], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _rotate_sites(psi, u, n_sites):
-    """Apply the 2x2 matrix ``u`` at every one of the ``n_sites`` sites."""
-    for x in range(n_sites):
-        psi = _apply_matrix_at_site(psi, x, u)
-    return psi
 
 
 def _split_sites(nonzero):
@@ -95,21 +85,24 @@ def _split_sites(nonzero):
     return int(np.argmin([g.any(axis=0).sum() + g.any(axis=1).sum() for g in grids]))
 
 
-def _closed_form_ensemble(amps0, q, lam, b_scaled, seed, f_rows, finals):
-    """Noise-only trajectories from phases in the coupling eigenbasis.
+def _closed_form_ensemble(psi0, noise, ensemble):
+    """Per-trajectory fidelities from phases in the coupling eigenbasis.
 
     With c = (q^dagger at every site) psi0 and p = |c|^2, the fidelity at step t
     is |sum_{h,l} E_H[t,h] P[h,l] E_L[t,l]|^2 over the nonzero rows h and
     columns l of P = p.reshape(2^(N-k), 2^k), E = exp(-i phi) per half.
     """
-    n_steps, n_sites = f_rows.shape[1], b_scaled.shape[0]
-    c = _rotate_sites(amps0, q.conj().T, n_sites)
+    lam, q = np.linalg.eigh(PAULI_MATRICES[noise.axis])
+    n_steps, n_sites = ensemble.n_steps, psi0.n_sites
+    b_scaled = noise.kernel_sqrt(psi0.lattice) * math.sqrt(noise.kappa * ensemble.dt)
+    c = psi0.amplitudes
+    for x in range(n_sites):
+        c = _apply_matrix_at_site(c, x, q.conj().T)
     p = c.real**2 + c.imag**2
     k = _split_sites(p != 0)
     grid = p.reshape(-1, 1 << k)
     rows, cols = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
-    nz = np.ix_(rows, cols)
-    p_nz = grid[nz].T.astype(np.complex128)
+    p_nz = grid[np.ix_(rows, cols)].T.astype(np.complex128)
     # eigenvalue of site x in each column l (x < k) and row h (x >= k), else 0
     sites = np.arange(n_sites)
     idx = np.concatenate((cols, rows << k))
@@ -118,9 +111,10 @@ def _closed_form_ensemble(amps0, q, lam, b_scaled, seed, f_rows, finals):
     m = -(b_scaled.T @ lam_lh.T)  # -phi = cumsum(z) @ m, the kernel root folded in
     e = np.empty((n_steps, idx.size), dtype=np.complex128)
     e_l, e_h = e[:, :cols.size], e[:, cols.size:]
-    rng = _traj_rng(seed, 0)
+    f_rows = np.empty((ensemble.n_traj, n_steps), dtype=np.float64)
+    rng = _traj_rng(ensemble.seed, 0)
     state = rng.bit_generator.state
-    for traj in range(f_rows.shape[0]):
+    for traj in range(ensemble.n_traj):
         # re-keying one Philox from its fresh state gives _traj_rng(seed, traj)'s stream
         state["state"]["key"][1] = traj
         rng.bit_generator.state = state
@@ -129,10 +123,7 @@ def _closed_form_ensemble(amps0, q, lam, b_scaled, seed, f_rows, finals):
         np.sin(phase, out=e.imag)
         amp = np.einsum("th,th->t", e_h, e_l @ p_nz)
         f_rows[traj] = amp.real**2 + amp.imag**2
-        if finals is not None:
-            c_t = np.zeros(grid.shape, dtype=np.complex128)
-            c_t[nz] = c.reshape(grid.shape)[nz] * np.outer(e_h[-1], e_l[-1])
-            finals[traj] = _rotate_sites(c_t.ravel(), q, n_sites)
+    return f_rows
 
 
 def evolve_noisy(psi0, noise, ensemble):
@@ -144,38 +135,9 @@ def evolve_noisy(psi0, noise, ensemble):
     noise : NoiseModel
     ensemble : TrajectoryEnsemble
     """
-    lattice = psi0.lattice
-    if ensemble.collect_density and lattice.n_sites > DENSITY_CAP_SITES:
-        raise CapabilityError(
-            f"ensemble density matrix capped at {DENSITY_CAP_SITES} sites, "
-            f"requested {lattice.n_sites}"
-        )
-
-    lam, q = np.linalg.eigh(PAULI_MATRICES[noise.axis])
-    n_steps = ensemble.n_steps
-    b_scaled = noise.kernel_sqrt(lattice) * math.sqrt(noise.kappa * ensemble.dt)
-
-    amps0 = psi0.amplitudes.astype(np.complex128)
-    f_rows = np.empty((ensemble.n_traj, n_steps), dtype=np.float64)
-    finals = np.empty((ensemble.n_traj, lattice.dim), complex) if ensemble.collect_density else None
-    _closed_form_ensemble(amps0, q, lam, b_scaled, ensemble.seed, f_rows, finals)
-
-    times = np.concatenate(([0.0], ensemble.dt * np.arange(1, n_steps + 1)))
+    f_rows = _closed_form_ensemble(psi0, noise, ensemble)
+    times = np.concatenate(([0.0], ensemble.dt * np.arange(1, ensemble.n_steps + 1)))
     f_mean = np.concatenate(([1.0], f_rows.mean(axis=0)))
     spread = f_rows.std(axis=0, ddof=1) / math.sqrt(ensemble.n_traj)
     f_stderr = np.concatenate(([0.0], spread))
-
-    density = None
-    if finals is not None:
-        density = np.einsum("ti,tj->ij", finals, finals.conj()) / ensemble.n_traj
-
-    return EvolveResult(
-        times=times,
-        f_mean=f_mean,
-        f_stderr=f_stderr,
-        f_rows=f_rows,
-        n_traj=ensemble.n_traj,
-        dt=ensemble.dt,
-        density_matrix=density,
-    )
-
+    return EvolveResult(times, f_mean, f_stderr, f_rows, ensemble.n_traj, ensemble.dt)

@@ -134,25 +134,21 @@ class PurePhaseVacuum:
     paramagnetic_warning: bool
 
 
-def pure_phase_vacuum(spec, method=METHOD_DOUBLET, pair=None):
+def pure_phase_vacuum(spec, method, pair):
     """Build a maximally polarized low-energy state for a ferromagnetic spec.
 
     doublet-superposition: (|E0> + |E1>)/sqrt(2) with the sign that
-    maximizes the order parameter.  sb-field-limit: ground state after
-    adding a longitudinal field B = 0.05 J; its energy is still reported
-    under the unbiased Hamiltonian.  ``pair`` is the ``ground_state``
-    result (``GroundStateResult``) of ``spec`` when the caller has already solved
-    it; the doublet superposition is built from it instead of a second
-    identical solve.  The sb-field limit does not use it.
+    maximizes the order parameter, from ``pair``, the ``ground_state``
+    result (``GroundStateResult``) of ``spec``.  sb-field-limit: ground state
+    after adding a longitudinal field B = 0.05 J; its energy is still reported
+    under the unbiased Hamiltonian.  It ignores ``pair``.
     """
     if method not in METHODS:
         raise ArgumentError(f"unknown pure-phase method {method!r}")
-    if pair is not None and (len(pair.states) != 2 or pair.states[0].lattice != spec.lattice):
-        raise ArgumentError("pair must be the ground-state result of spec")
     warning = not (abs(spec.h) < abs(spec.J))
     if method == METHOD_DOUBLET:
-        if pair is None:
-            pair = ground_state(build_hamiltonian(spec))
+        if pair is None or len(pair.states) != 2 or pair.states[0].lattice != spec.lattice:
+            raise ArgumentError("pair must be the ground-state result of spec")
         v0, v1 = (state.amplitudes for state in pair.states)
         r = 1.0 / math.sqrt(2.0)
         cands = [StateVector(spec.lattice, r * (v0 + sign * v1), _take=True) for sign in (1.0, -1.0)]

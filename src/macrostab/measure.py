@@ -212,7 +212,8 @@ def _conditional_closed_form(tables, r_a, r_b, n_a):
     num = np.linalg.norm(shift, axis=1)
     resolved = num > _NEAR_ATOL
     n_b = np.where(resolved[:, None], shift / np.where(resolved, num, 1.0)[:, None], n_a)
-    gap = num / (2.0 * (1.0 + np.sum(n_a * r_a, axis=1)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # P(a) = 0 gives a NaN gap, as the oracle does
+        gap = num / (2.0 * (1.0 + np.sum(n_a * r_a, axis=1)))
     p_b = 0.5 * (1.0 + np.sum(n_b * r_b, axis=1))
     return n_b, p_b, gap
 
@@ -323,7 +324,7 @@ class CascadeResult:
     final_state: StateVector
 
 
-def measurement_cascade(psi, nfs_factor=3.0, fluctuation=None):
+def measurement_cascade(psi, nfs_factor, fluctuation):
     """Measure sigma_z at one site after another until fluctuations look normal.
 
     Measuring sigma_z at site x projects by zeroing, in a copy of the
@@ -332,15 +333,12 @@ def measurement_cascade(psi, nfs_factor=3.0, fluctuation=None):
     more probable branch (ties within 1e-12 go to +1).  A state counts as
     NFS here once its maximal additive fluctuation drops to
     ``nfs_factor * N``, an O(N) proxy consistent with every product-like
-    exemplar.  ``fluctuation``
-    is the ``FluctuationReport`` of ``psi`` when the caller holds it.
+    exemplar.  ``fluctuation`` is the ``FluctuationReport`` of ``psi``.
     """
     n = psi.n_sites
     threshold = nfs_factor * n
     steps = []
     current = psi
-    if fluctuation is None:
-        fluctuation = max_additive_fluctuation(psi)
     reached = fluctuation.max_variance <= threshold
     for site in range(n):
         if reached:

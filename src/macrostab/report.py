@@ -70,9 +70,8 @@ def write_experiment_csvs(report, base):
                                    ["state", "n", "epsilon", "omega"], rows))
         for entry in per_state:
             for r in entry["per_size"]:
-                if "rho" in r:
-                    path = base.parent / f"{base.name}_rho_{entry['label']}_N{r['n']}.csv"
-                    written.append(_write_rows(path, [f"y{j}" for j in range(r["n"])], r["rho"]))
+                path = base.parent / f"{base.name}_rho_{entry['label']}_N{r['n']}.csv"
+                written.append(_write_rows(path, [f"y{j}" for j in range(r["n"])], r["rho"]))
 
     if "decohere" in results:
         rows = [

@@ -97,7 +97,7 @@ def run_cluster(scenario, entries):
                 "epsilon": rep.epsilon,
                 "omega": rep.omega,
                 "omega_of_x": rep.omega_of_x.tolist(),
-                "rho": rep.field.rho.tolist(),
+                "rho": rep.rho.tolist(),
             }
             per_size.append(row)
             points.append((n, rep.omega))

@@ -24,12 +24,12 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .catalog import check_state_params, checked_value
-from .errors import FormatError, ValidationError
+from .errors import CapabilityError, FormatError, ValidationError
 from .evolve import MIN_TRAJECTORIES, TRAJECTORY_STEPS
 from .ground import METHODS
 from .hamiltonian import MODELS, TRANSVERSE_ISING, XXZ
-from .lattice import GEOMETRIES, OPEN_CHAIN, LatticeSpec
-from .noise import KERNELS, NoiseModel
+from .lattice import GEOMETRIES, OPEN_CHAIN, SITE_CAP, LatticeSpec
+from .noise import KERNEL_EXPONENTIAL, KERNELS, NoiseModel
 from .operators import PAULI_AXES
 
 EXPERIMENTS = ("classify", "cluster", "decohere", "measure", "ground", "symmetry-breaking")
@@ -148,8 +148,8 @@ class Scenario:
             all(a < b for a, b in zip(sizes, sizes[1:])),
             f"scenario.sizes must be strictly ascending, got {sizes}",
         )
-        for n in sizes:
-            LatticeSpec(n, p.geometry)  # the site cap, before any state
+        if sizes[-1] > SITE_CAP:  # the largest, as they ascend
+            raise CapabilityError(f"scenario.sizes must not exceed the site cap {SITE_CAP}, got {sizes[-1]}")
         for e in self.experiments:
             if e in _SCALING_EXPERIMENTS:
                 _require(len(sizes) >= 3, f"scenario.sizes must hold at least 3 sizes for {e!r}")
@@ -176,7 +176,8 @@ class Scenario:
             _require(p.kappa > 0, "decohere needs scenario.params.kappa > 0")
             good = p.horizon is None or p.horizon / TRAJECTORY_STEPS > 0
             _require(good, f"scenario.params.horizon must have horizon / {TRAJECTORY_STEPS} > 0, got {p.horizon!r}")
-            p.noise_model()  # its kernel and xi, before any state
+            good = p.kernel != KERNEL_EXPONENTIAL or p.xi > 0
+            _require(good, f"scenario.params.xi must be > 0 for the exponential kernel, got {p.xi!r}")
         if "symmetry-breaking" in self.experiments:
             _require(p.model == TRANSVERSE_ISING, f"symmetry-breaking needs scenario.params.model = {TRANSVERSE_ISING!r}")
             _require(p.B == 0.0, "symmetry-breaking needs scenario.params.B = 0 for the symmetric ground state")

@@ -73,39 +73,22 @@ class StateVector:
         return self.lattice.dim
 
 
-def make_product_state(lattice, bloch_angles):
-    """Tensor product of single-site states cos(t/2)|up> + e^{i p} sin(t/2)|down>.
-
-    Parameters
-    ----------
-    lattice : LatticeSpec
-    bloch_angles : sequence of (theta, phi) pairs in radians, one per site.
-    """
-    angles = list(bloch_angles)
-    if len(angles) != lattice.n_sites:
-        raise ArgumentError(
-            f"need {lattice.n_sites} angle pairs, got {len(angles)}"
-        )
+def make_uniform_product(lattice, theta, phi=0.0):
+    """The single-site state cos(theta/2)|up> + e^{i phi} sin(theta/2)|down>
+    on every site; angles in radians."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ArgumentError("Bloch angles must be finite")
+    v = np.array(
+        [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
+        dtype=np.complex128,
+    )
     amps = np.ones(1, dtype=np.complex128)
-    for theta, phi in angles:
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ArgumentError("Bloch angles must be finite")
-        v = np.array(
-            [math.cos(theta / 2.0),
-             complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
-            dtype=np.complex128,
-        )
-        # site k occupies bit k, so later (higher) sites go on the left of kron
-        amps = np.kron(v, amps)
+    for _ in lattice.sites:
+        amps = np.kron(v, amps)  # site k occupies bit k, so later sites go on the left
     n = math.sqrt(_norm2(amps))
     if abs(n - 1.0) > 1e-15:
         amps /= n
     return StateVector(lattice, amps, _take=True)
-
-
-def make_uniform_product(lattice, theta, phi=0.0):
-    """Product state with the same Bloch angles on every site."""
-    return make_product_state(lattice, [(theta, phi)] * lattice.n_sites)
 
 
 def make_ghz(lattice):

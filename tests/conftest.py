@@ -1,7 +1,9 @@
 """Shared dense-matrix oracles, built by kron products independently of the
 package's bit-index Hamiltonian construction, the closed-form z-noise
-channel, and the environment for CLI subprocesses."""
+channel with a trajectory replay to compare against it, and the environment
+for CLI subprocesses."""
 
+import math
 import os
 from functools import reduce
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from macrostab import evolve
 from macrostab.errors import ArgumentError
 from macrostab.states import StateVector
 
@@ -109,6 +112,54 @@ def dephasing_channel_density(psi0, noise, t):
     d = site_vals[:, None, :] - site_vals[None, :, :]
     rates = 0.5 * noise.kappa * np.einsum("ijx,xy,ijy->ij", d, g, d)
     return rho0 * np.exp(-t * rates)
+
+
+def replay_z(psi, noise, ens):
+    """Per-trajectory fidelities (n_traj, n_steps) and final states (n_traj, 2^N)
+    under z-axis noise, replayed from the trajectory layer's Philox draws.
+
+    Trajectory k draws its increments from ``evolve._traj_rng(seed, k)`` and
+    scales them by the kernel root; basis state i then carries the phase
+    phi_i(t) = sum_x W_x(t) (1 - 2 b_x(i)), W the running sum of the scaled
+    increments, so its final state is psi0 * exp(-i phi(T)).
+    """
+    if noise.axis != "z":
+        raise ArgumentError(f"replay needs z-axis noise, got axis {noise.axis!r}")
+    lattice = psi.lattice
+    b_scaled = noise.kernel_sqrt(lattice) * math.sqrt(noise.kappa * ens.dt)
+    site_vals = 1.0 - 2.0 * ((np.arange(lattice.dim)[:, None] >> np.arange(lattice.n_sites)) & 1)
+    amps = psi.amplitudes
+    p = np.abs(amps) ** 2
+    f_rows = np.empty((ens.n_traj, ens.n_steps))
+    finals = np.empty((ens.n_traj, lattice.dim), dtype=complex)
+    for traj in range(ens.n_traj):
+        w = evolve._traj_rng(ens.seed, traj).standard_normal((ens.n_steps, lattice.n_sites)) @ b_scaled.T
+        e = np.exp(-1j * (np.cumsum(w, axis=0) @ site_vals.T))
+        f_rows[traj] = np.abs(e @ p) ** 2
+        finals[traj] = amps * e[-1]
+    return f_rows, finals
+
+
+def ensemble_density(finals):
+    """Ensemble density matrix of equally weighted pure states, one per row."""
+    return np.einsum("ti,tj->ij", finals, finals.conj()) / len(finals)
+
+
+def product_amps_oracle(angles):
+    """Product-state amplitudes for per-site Bloch angles (theta, phi), by
+    explicit bitstring enumeration; site k lives on bit k."""
+    n = len(angles)
+    amps = np.zeros(2**n, dtype=complex)
+    for idx in range(2**n):
+        val = 1.0 + 0j
+        for k, (theta, phi) in enumerate(angles):
+            bit = (idx >> k) & 1
+            if bit == 0:
+                val *= math.cos(theta / 2)
+            else:
+                val *= np.exp(1j * phi) * math.sin(theta / 2)
+        amps[idx] = val
+    return amps
 
 
 def dense_mean(op, amps):

@@ -18,15 +18,23 @@ from macrostab.analyzer import classify_scaling, magnetization, max_additive_flu
 from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.cluster import cluster_verdict, correlation_field, omega
 from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
-from macrostab.ground import ground_state, pure_phase_vacuum
+from macrostab.ground import METHOD_DOUBLET, ground_state, pure_phase_vacuum
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
 from macrostab.measure import measurement_cascade, stability_test
 from macrostab.noise import NoiseModel
 from macrostab.operators import additive_variance
 from macrostab.rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from macrostab.scenario import ScenarioParams
 from macrostab.states import make_dicke, make_ghz, make_uniform_product
-from conftest import axis_coefficients, dense_tfim, dephasing_channel_density, subprocess_env
+from conftest import (
+    axis_coefficients,
+    dense_tfim,
+    dephasing_channel_density,
+    ensemble_density,
+    replay_z,
+    subprocess_env,
+)
 
 
 def _finish(name, failures, elapsed, budget):
@@ -87,8 +95,8 @@ def test_criterion_3_cluster_property():
     failures = []
     ghz_points = []
     for n in range(4, 11):
-        field = correlation_field(make_ghz(LatticeSpec(n)))
-        off = field.rho[~np.eye(n, dtype=bool)]
+        rho = correlation_field(make_ghz(LatticeSpec(n)))
+        off = rho[~np.eye(n, dtype=bool)]
         _check(failures, np.all(np.abs(off - 1.0) <= 1e-9), f"GHZ({n}) rho != 1")
         rep = omega(make_ghz(LatticeSpec(n)), 0.1)
         _check(failures, rep.omega == n - 1, f"GHZ({n}) Omega {rep.omega} != N-1")
@@ -172,10 +180,14 @@ def test_criterion_6_channel_consistency():
     psi = make_ghz(lat)
     noise = NoiseModel(0.01, "independent", axis="z")
     t_final = 10.0  # kappa * t = 0.1
-    ens = TrajectoryEnsemble(n_traj=4000, dt=0.1, horizon=t_final, seed=777, collect_density=True)
+    ens = TrajectoryEnsemble(n_traj=4000, dt=0.1, horizon=t_final, seed=777)
     res = evolve_noisy(psi, noise, ens)
+    # the replay draws what evolve_noisy draws; its final states give the ensemble density
+    f_rows, finals = replay_z(psi, noise, ens)
+    gap = float(np.max(np.abs(f_rows - res.f_rows)))
+    _check(failures, gap <= 1e-12, f"replay fidelities differ from evolve_noisy by {gap:.1e}")
     exact = dephasing_channel_density(psi, noise, t_final)
-    dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(res.density_matrix - exact))))
+    dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ensemble_density(finals) - exact))))
     _check(failures, dist <= 0.02, f"trace distance {dist:.4f} > 0.02")
     print(f"  [criterion 6] trace distance {dist:.5f} at n_traj=4000")
     _finish("criterion 6: channel consistency", failures, time.monotonic() - start, 120.0)
@@ -230,13 +242,14 @@ def test_criterion_8_symmetry_breaking():
         m_sym = magnetization(sym)
         _check(failures, abs(m_sym) <= 1e-6, f"N={n}: <M> symmetric {m_sym!r}")
 
-        pp = pure_phase_vacuum(spec)
+        pp = pure_phase_vacuum(spec, METHOD_DOUBLET, res)
         _check(failures, pp.magnetization >= 0.9 * n,
                f"N={n}: <M> pure-phase {pp.magnetization:.3f} < 0.9N")
         _check(failures, res.energies[0] <= pp.energy + 1e-10,
                f"N={n}: energy ordering violated")
 
-        fluct_sym = max_additive_fluctuation(sym).max_variance
+        fluct = max_additive_fluctuation(sym)
+        fluct_sym = fluct.max_variance
         fluct_pp = max_additive_fluctuation(pp.state).max_variance
         _check(failures, fluct_sym >= 0.8 * n * n,
                f"N={n}: symmetric fluctuation {fluct_sym:.2f} < 0.8 N^2")
@@ -247,7 +260,7 @@ def test_criterion_8_symmetry_breaking():
         gamma_pp = analytic_dephasing_rate(pp.state, noise)
         _check(failures, gamma_sym > gamma_pp, f"N={n}: rate ordering violated")
 
-        cascade = measurement_cascade(sym)
+        cascade = measurement_cascade(sym, ScenarioParams().nfs_factor, fluct)
         _check(failures, cascade.reached_nfs and len(cascade.steps) <= 2,
                f"N={n}: cascade took {len(cascade.steps)} measurements")
     _finish("criterion 8: symmetry-breaking scenario", failures, time.monotonic() - start, 300.0)

@@ -174,12 +174,18 @@ class TestBlockedTable:
         assert digests["1"] == digests["2"]
 
 
+def _optimal_coefficients(psi):
+    """sqrt(N) times the table's top eigenvector: the maximizing additive operator."""
+    return math.sqrt(psi.n_sites) * np.linalg.eigh(covariance_matrix(psi).entries)[1][:, -1]
+
+
 class TestMaxFluctuation:
     def test_ghz_reaches_n_squared(self):
-        rep = max_additive_fluctuation(make_ghz(LatticeSpec(4)))
+        psi = make_ghz(LatticeSpec(4))
+        rep = max_additive_fluctuation(psi)
         assert rep.max_variance == pytest.approx(16.0, rel=1e-10)
         # cross-check by applying the maximizing coefficients directly
-        direct = additive_variance(rep.optimal_coefficients, make_ghz(LatticeSpec(4)))
+        direct = additive_variance(_optimal_coefficients(psi), psi)
         assert direct == pytest.approx(rep.max_variance, rel=1e-8)
 
     def test_product_scales_linearly(self):
@@ -187,8 +193,10 @@ class TestMaxFluctuation:
         assert rep.max_variance == pytest.approx(6.0, rel=1e-10)
 
     def test_coefficient_normalization(self):
-        rep = max_additive_fluctuation(make_dicke(LatticeSpec(4), 2))
-        assert np.sum(rep.optimal_coefficients**2) == pytest.approx(4.0, rel=1e-10)
+        psi = make_dicke(LatticeSpec(4), 2)
+        c = _optimal_coefficients(psi)
+        assert np.sum(c**2) == pytest.approx(4.0, rel=1e-10)
+        assert additive_variance(c, psi) == pytest.approx(max_additive_fluctuation(psi).max_variance, rel=1e-8)
 
     def test_dicke_dominates_random_scan(self, rng):
         lat = LatticeSpec(4)

@@ -77,16 +77,16 @@ class TestConnectedCorrelator:
 class TestNormalizedCorrelation:
     def test_ghz_saturates(self):
         psi = make_ghz(LatticeSpec(5))
-        assert correlation_field(psi).rho[0, 4] == pytest.approx(1.0, abs=1e-9)
+        assert correlation_field(psi)[0, 4] == pytest.approx(1.0, abs=1e-9)
 
     def test_product_vanishes(self):
         psi = make_uniform_product(LatticeSpec(4), math.pi / 3, 0.7)
-        rho = correlation_field(psi).rho
+        rho = correlation_field(psi)
         for x, y in itertools.combinations(range(4), 2):
             assert rho[x, y] == pytest.approx(0.0, abs=1e-9)
 
     def test_w_state_value_and_symmetry(self):
-        rho = correlation_field(make_dicke(LatticeSpec(3), 1)).rho
+        rho = correlation_field(make_dicke(LatticeSpec(3), 1))
         vals = [rho[x, y] for x, y in [(0, 1), (0, 2), (1, 2)]]
         assert max(vals) - min(vals) < 1e-10
         assert 0.0 < vals[0] < 1.0
@@ -102,14 +102,14 @@ class TestNormalizedCorrelation:
     def test_matches_bruteforce_oracle(self, make):
         psi = make()
         grid_val = rho_bruteforce(psi, 0, 1)
-        svd_val = correlation_field(psi).rho[0, 1]
+        svd_val = correlation_field(psi)[0, 1]
         assert svd_val >= grid_val - 1e-9  # grid is a lower bound
         assert abs(svd_val - grid_val) < 1e-6
 
     def test_cauchy_schwarz(self, rng):
         lat = LatticeSpec(4)
         for _ in range(10):
-            rho = correlation_field(StateVector(lat, random_state_amps(4, rng))).rho
+            rho = correlation_field(StateVector(lat, random_state_amps(4, rng)))
             for x, y in itertools.combinations(range(4), 2):
                 assert rho[x, y] <= 1 + 1e-9
 
@@ -133,7 +133,7 @@ class TestOmega:
         # every off-diagonal rho of W is 2/N, above epsilon = 0.1 until N = 20,
         # so Omega(0.1) = N - 1 at every size the site cap allows
         rep = omega(make_dicke(LatticeSpec(n), 1), 0.1)
-        off_diag = rep.field.rho[~np.eye(n, dtype=bool)]
+        off_diag = rep.rho[~np.eye(n, dtype=bool)]
         assert np.max(np.abs(off_diag - 2 / n)) < 1e-12
         assert rep.omega == n - 1
 
@@ -174,9 +174,9 @@ class TestClusterVerdict:
 
 
 def test_field_symmetric_with_unit_diagonal():
-    field = correlation_field(make_dicke(LatticeSpec(4), 2))
-    assert np.allclose(field.rho, field.rho.T, atol=1e-12)
-    assert np.allclose(np.diag(field.rho), 1.0)
+    rho = correlation_field(make_dicke(LatticeSpec(4), 2))
+    assert np.allclose(rho, rho.T, atol=1e-12)
+    assert np.allclose(np.diag(rho), 1.0)
 
 
 def test_batched_field_equals_per_pair_loop(rng):
@@ -198,7 +198,7 @@ def test_batched_field_equals_per_pair_loop(rng):
         wy = _inverse_sqrt_projected(cov.site_block(y, y))
         sv = np.linalg.svd(wx @ cov.site_block(x, y) @ wy, compute_uv=False)
         expected[x, y] = expected[y, x] = sv[0]
-    rho = correlation_field(psi).rho
+    rho = correlation_field(psi)
     assert np.array_equal(rho, expected)
     assert np.array_equal(rho, rho.T)
     assert np.array_equal(np.diag(rho), np.ones(6))

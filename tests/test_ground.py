@@ -133,7 +133,7 @@ def test_degenerate_biased_ring_gives_two_orthogonal_states():
 class TestPurePhaseVacuum:
     def test_doublet_polarized(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(8), J=1.0, h=0.1)
-        pp = pure_phase_vacuum(spec, METHOD_DOUBLET)
+        pp = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(build_hamiltonian(spec)))
         assert pp.magnetization >= 0.9 * 8
         assert not pp.paramagnetic_warning
         assert max_additive_fluctuation(pp.state).max_variance <= 2 * 8
@@ -159,19 +159,19 @@ class TestPurePhaseVacuum:
     def test_doublet_energy_is_midpoint(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(6), J=1.0, h=0.1)
         res = ground_state(build_hamiltonian(spec))
-        pp = pure_phase_vacuum(spec, METHOD_DOUBLET)
+        pp = pure_phase_vacuum(spec, METHOD_DOUBLET, res)
         assert pp.energy == pytest.approx(0.5 * (res.energies[0] + res.energies[1]), abs=1e-12)
         assert pp.energy >= res.energies[0] - 1e-12
 
     def test_classical_limit_is_all_up(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(5), J=1.0, h=1e-3)
-        pp = pure_phase_vacuum(spec, METHOD_DOUBLET)
+        pp = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(build_hamiltonian(spec)))
         up = basis_state(LatticeSpec(5), 0)
         assert abs(np.vdot(pp.state.amplitudes, up.amplitudes)) ** 2 > 0.999
 
     def test_sb_field_method(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(6), J=1.0, h=0.1)
-        pp = pure_phase_vacuum(spec, METHOD_SB_FIELD)
+        pp = pure_phase_vacuum(spec, METHOD_SB_FIELD, None)
         assert pp.magnetization >= 0.9 * 6
         res = ground_state(build_hamiltonian(spec))
         # energy under the unbiased Hamiltonian is above the true ground energy
@@ -180,7 +180,7 @@ class TestPurePhaseVacuum:
 
     def test_paramagnetic_warning(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(4), J=1.0, h=2.0)
-        pp = pure_phase_vacuum(spec, METHOD_DOUBLET)
+        pp = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(build_hamiltonian(spec)))
         assert pp.paramagnetic_warning
 
     def test_symmetry_breaking_reuses_the_ground_pair(self, monkeypatch):
@@ -206,7 +206,7 @@ class TestPurePhaseVacuum:
         rows = results["symmetry-breaking"]["per_size"]
         for row, pp in zip(rows, made):
             spec = HamiltonianSpec("transverse-ising", LatticeSpec(row["n"]), J=1.0, h=0.1)
-            alone = pure_phase_vacuum(spec)
+            alone = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(build_hamiltonian(spec)))
             assert row["e_pure_phase"] == alone.energy
             assert row["m_pure_phase"] == alone.magnetization
             assert np.array_equal(pp.state.amplitudes, alone.state.amplitudes)
@@ -214,9 +214,8 @@ class TestPurePhaseVacuum:
     def test_pair_must_belong_to_spec(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(4), J=1.0, h=0.1)
         other = ground_state(tfim(5, 0.1))
-        with pytest.raises(ArgumentError):
-            pure_phase_vacuum(spec, pair=other)
         pair = ground_state(tfim(4, 0.1))
         lowest_only = GroundStateResult(pair.states[:1], pair.energies[:1], pair.residuals[:1])
-        with pytest.raises(ArgumentError):
-            pure_phase_vacuum(spec, pair=lowest_only)
+        for bad in (other, lowest_only, None):
+            with pytest.raises(ArgumentError):
+                pure_phase_vacuum(spec, METHOD_DOUBLET, bad)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from macrostab.errors import ArgumentError
 from macrostab.ground import ground_state
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
-from macrostab.measure import conditional_distribution, measurement_cascade, stability_test
+from macrostab.measure import _conditional_closed_form, conditional_distribution, measurement_cascade, stability_test
 from macrostab.operators import PAULI_MATRICES, LocalOperator
+from macrostab.scenario import ScenarioParams
 from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 
 from conftest import ID2, SZ, basis_state, dense_site_op, random_state_amps
@@ -19,6 +21,11 @@ from conftest import ID2, SZ, basis_state, dense_site_op, random_state_amps
 def tfim_ground(n, h):
     spec = HamiltonianSpec("transverse-ising", LatticeSpec(n), J=1.0, h=h)
     return ground_state(build_hamiltonian(spec)).states[0]
+
+
+def cascade(psi, nfs_factor=ScenarioParams().nfs_factor):
+    """The cascade as a run calls it: with the state's fluctuation report."""
+    return measurement_cascade(psi, nfs_factor, max_additive_fluctuation(psi))
 
 
 def sigma(site, axis):
@@ -221,11 +228,22 @@ class TestStability:
         assert rep.stable
 
 
+def test_closed_form_gap_is_a_silent_nan_where_the_outcome_never_occurs():
+    # product-up's Bloch vector is +z, so outcome +1 of n_a = -z has P(a) = 0:
+    # the gap is 0/0, NaN as the oracle's P(b; a) is, and no warning is raised
+    cov = covariance_matrix(make_uniform_product(LatticeSpec(2), 0.0))
+    bloch = cov.means.reshape(2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, gap = _conditional_closed_form(cov.site_block(0, 1)[None], bloch[:1], bloch[1:], np.array([[0.0, 0.0, -1.0]]))
+    assert np.isnan(gap[0])
+
+
 class TestCascade:
     def test_ghz_collapses_to_product_after_one(self):
         for n in (4, 6):
             psi = make_ghz(LatticeSpec(n))
-            result = measurement_cascade(psi)
+            result = cascade(psi)
             assert len(result.steps) == 1
             assert result.reached_nfs
             post = result.final_state
@@ -233,19 +251,19 @@ class TestCascade:
 
     def test_symmetric_ground_reaches_nfs_quickly(self):
         psi = tfim_ground(8, 0.1)
-        result = measurement_cascade(psi)
+        result = cascade(psi)
         assert result.reached_nfs
         assert len(result.steps) <= 2
 
     def test_product_needs_no_measurement(self):
         psi = make_uniform_product(LatticeSpec(5), math.pi / 2)
-        result = measurement_cascade(psi)
+        result = cascade(psi)
         assert result.reached_nfs
         assert len(result.steps) == 0
 
     def test_ghz_tie_goes_to_plus_one(self):
         lat = LatticeSpec(4)
-        result = measurement_cascade(make_ghz(lat))
+        result = cascade(make_ghz(lat))
         (step,) = result.steps
         assert (step.site, step.outcome) == (0, 1.0)
         assert step.probability == pytest.approx(0.5, abs=1e-12)
@@ -259,7 +277,7 @@ class TestCascade:
         else:
             psi = tfim_ground(6, 0.5)
         n = psi.n_sites
-        result = measurement_cascade(psi, nfs_factor=1e-3)
+        result = cascade(psi, nfs_factor=1e-3)
         assert [s.site for s in result.steps] == list(range(n))
         assert not result.reached_nfs
         phi = psi.amplitudes

@@ -8,7 +8,7 @@ from macrostab.errors import ArgumentError, StateError
 from macrostab.lattice import LatticeSpec
 from macrostab.measure import conditional_distribution
 from macrostab.operators import PAULI_MATRICES, LocalOperator, _apply_matrix_at_site, additive_variance
-from macrostab.states import StateVector, make_ghz, make_product_state, make_uniform_product
+from macrostab.states import StateVector, make_ghz, make_uniform_product
 from conftest import (
     PAULI,
     axis_coefficients,
@@ -17,6 +17,7 @@ from conftest import (
     dense_from_coefficients,
     dense_site_op,
     dense_variance,
+    product_amps_oracle,
     random_state_amps,
 )
 
@@ -169,7 +170,7 @@ class TestAdditiveOperator:
 
     def test_site_order_enforced(self):
         # site 0 along +x, site 1 along +z: sigma_x(0) is sharp, sigma_x(1) is not
-        psi = make_product_state(LatticeSpec(2), [(math.pi / 2, 0.0), (0.0, 0.0)])
+        psi = StateVector(LatticeSpec(2), product_amps_oracle([(math.pi / 2, 0.0), (0.0, 0.0)]))
         c = np.zeros(6)
         c[0] = 1.0
         assert additive_variance(c, psi) == pytest.approx(0.0, abs=1e-12)

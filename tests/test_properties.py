@@ -10,7 +10,7 @@ from macrostab.cluster import correlation_field
 from macrostab.lattice import LatticeSpec
 from macrostab.measure import _conditional_closed_form, conditional_distribution
 from macrostab.operators import PAULI_MATRICES, LocalOperator, _apply_matrix_at_site, additive_variance
-from macrostab.states import StateVector, make_product_state
+from macrostab.states import StateVector, make_uniform_product
 from conftest import axis_coefficients
 
 
@@ -23,8 +23,8 @@ angle_pairs = st.tuples(
 @st.composite
 def product_states(draw, min_sites=2, max_sites=5):
     n = draw(st.integers(min_sites, max_sites))
-    angles = draw(st.lists(angle_pairs, min_size=n, max_size=n))
-    return make_product_state(LatticeSpec(n), angles)
+    theta, phi = draw(angle_pairs)
+    return make_uniform_product(LatticeSpec(n), theta, phi)
 
 
 @st.composite
@@ -76,7 +76,7 @@ def test_expectation_is_additive(psi):
 @settings(max_examples=25, deadline=None)
 @given(random_states(min_sites=2, max_sites=4))
 def test_normalized_correlation_obeys_cauchy_schwarz(psi):
-    rho = correlation_field(psi).rho
+    rho = correlation_field(psi)
     n = psi.n_sites
     for x in range(n):
         for y in range(x + 1, n):

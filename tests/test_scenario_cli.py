@@ -21,7 +21,7 @@ import macrostab.rates
 from macrostab import runner
 from macrostab.catalog import FAMILY_PARAMS
 from macrostab.cli import _scenario_from_args, build_parser, main, parse_sizes
-from macrostab.errors import ValidationError
+from macrostab.errors import CapabilityError, ValidationError
 from macrostab.lattice import LatticeSpec
 from macrostab.scenario import Scenario, ScenarioParams, StateSource, load_scenario, validate_scenario
 from macrostab.stateio import export_state
@@ -330,7 +330,8 @@ def test_non_finite_or_oversized_float_param_exits_before_any_state(params, tmp_
 
 
 # each range check's violation as a scenario file spells it, over a valid
-# cluster scenario, and the key its message must name
+# cluster scenario, and the key its message must name; each exits 2 but a
+# size over the site cap, which exits 4
 _RANGE_VIOLATIONS = {
     "seed": ({"params": {"seed": -1}}, "scenario.params.seed"),
     "epsilon": ({"params": {"epsilon": 2.0}}, "scenario.params.epsilon"),
@@ -339,12 +340,14 @@ _RANGE_VIOLATIONS = {
     "min_distance": ({"experiments": ["measure"], "params": {"min_distance": 4}}, "scenario.params.min_distance"),
     "kappa": ({"experiments": ["decohere"], "params": {"kappa": 0.0}}, "scenario.params.kappa"),
     "horizon": ({"experiments": ["decohere"], "params": {"horizon": -5.0}}, "scenario.params.horizon"),
+    "xi": ({"experiments": ["decohere"], "params": {"kernel": "exponential", "xi": -1.0}}, "scenario.params.xi"),
     "nfs_factor": ({"experiments": ["symmetry-breaking"], "params": {"nfs_factor": -1.0}}, "scenario.params.nfs_factor"),
     "model": ({"experiments": ["symmetry-breaking"], "params": {"model": "xxz"}}, "scenario.params.model"),
     "B": ({"experiments": ["symmetry-breaking"], "params": {"B": 0.1}}, "scenario.params.B"),
     "empty-sizes": ({"sizes": []}, "scenario.sizes"),
     "zero-size": ({"sizes": [0, 4]}, "scenario.sizes"),
     "descending-sizes": ({"sizes": [8, 4, 6]}, "scenario.sizes"),
+    "site-cap": ({"sizes": [4, 19]}, "scenario.sizes"),
     "measure-one-site": ({"experiments": ["measure"], "sizes": [1, 4]}, "scenario.sizes"),
     "classify-two-sizes": ({"experiments": ["classify"], "sizes": [4, 6]}, "scenario.sizes"),
     "classify-catalog": ({"experiments": ["classify"], "state": {"family": "catalog"}}, "scenario.state.family"),
@@ -359,16 +362,18 @@ def _scenario_in_code(raw):
     return Scenario(raw["name"], tuple(raw["sizes"]), tuple(raw["experiments"]), state, params)
 
 
-@pytest.mark.parametrize("bad,key", list(_RANGE_VIOLATIONS.values()), ids=list(_RANGE_VIOLATIONS))
-def test_range_checks_name_the_file_key(bad, key, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("case", list(_RANGE_VIOLATIONS))
+def test_range_checks_name_the_file_key(case, tmp_path, monkeypatch, capsys):
+    bad, key = _RANGE_VIOLATIONS[case]
+    error = CapabilityError if case == "site-cap" else ValidationError
     raw = {"name": "r", "state": {"family": "ghz"}, "sizes": [4, 6, 8], "experiments": ["cluster"], **bad}
-    with pytest.raises(ValidationError, match=re.escape(f"{key} ")):
+    with pytest.raises(error, match=re.escape(f"{key} ")):
         _scenario_in_code(raw)
     monkeypatch.setattr(runner, "build_state", _refuse)
     monkeypatch.setattr(runner, "ground_state", _refuse)
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(raw))
-    assert main(["run", str(path)]) == 2
+    assert main(["run", str(path)]) == error.exit_code
     assert f"{key} " in capsys.readouterr().err
 
 

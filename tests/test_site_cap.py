@@ -50,7 +50,7 @@ def test_closed_forms_at_the_cap(family):
     assert max_additive_fluctuation(psi).max_variance == pytest.approx(fluct, rel=1e-10)
     rep = omega(psi, 0.1)
     # rho whitens each 3x3 site block, so it keeps fewer digits than the table
-    assert np.allclose(rep.field.rho, _pattern(1.0, rho_off), rtol=0, atol=1e-9)
+    assert np.allclose(rep.rho, _pattern(1.0, rho_off), rtol=0, atol=1e-9)
     assert rep.omega == omega_max
     gamma = analytic_dephasing_rate(psi, NoiseModel(KAPPA, "collective", axis="z"))
     assert gamma == pytest.approx(KAPPA * rate, rel=1e-10, abs=1e-12)

@@ -1,9 +1,11 @@
-"""``src/`` defines nothing that only tests call, and each name has one spelling.
+"""``src/`` defines nothing that only tests call, imports nothing it does not
+read, and each name has one spelling.
 
 Every function, class and method of ``src/macrostab`` that is not a dunder
 must be read somewhere in the package, as a name or as an attribute, or be
 imported by the benchmark in ``perfbench/``.  Oracles and test helpers
-belong in ``tests/conftest.py``.  The package namespace binds only
+belong in ``tests/conftest.py``.  Every name an ``import`` binds in a module
+of ``src/macrostab`` must be read in that module.  The package namespace binds only
 ``__version__``, so tests and the benchmark import every other name from
 the module that defines it.
 
@@ -47,6 +49,21 @@ def test_every_definition_is_used_in_src_or_by_the_benchmark():
         for alias in node.names
     }
     assert sorted(defined - used - benchmark) == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    paths = sorted(ROOT.glob("src/macrostab/*.py"))
+    unread = []
+    for path, tree in zip(paths, _parse(paths)):
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # "import a.b" binds "a"
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append((path.name, name))
+    assert unread == []
 
 
 def test_package_namespace_binds_only_the_version():

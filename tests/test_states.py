@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,24 +5,8 @@ import pytest
 
 from macrostab.errors import ArgumentError, CapabilityError, StateError
 from macrostab.lattice import LatticeSpec
-from macrostab.states import StateVector, make_dicke, make_ghz, make_product_state, make_uniform_product
-from conftest import basis_state
-
-
-def product_amps_oracle(angles):
-    """Expand the tensor product by explicit bitstring enumeration."""
-    n = len(angles)
-    amps = np.zeros(2**n, dtype=complex)
-    for idx in range(2**n):
-        val = 1.0 + 0j
-        for k, (theta, phi) in enumerate(angles):
-            bit = (idx >> k) & 1
-            if bit == 0:
-                val *= math.cos(theta / 2)
-            else:
-                val *= np.exp(1j * phi) * math.sin(theta / 2)
-        amps[idx] = val
-    return amps
+from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
+from conftest import basis_state, product_amps_oracle
 
 
 class TestLattice:
@@ -79,31 +62,31 @@ class TestStateVector:
 
 class TestProductState:
     def test_all_up_two_sites(self):
-        psi = make_product_state(LatticeSpec(2), [(0.0, 0.0), (0.0, 0.0)])
+        psi = make_uniform_product(LatticeSpec(2), 0.0)
         assert np.allclose(psi.amplitudes, [1, 0, 0, 0])
 
     def test_single_site_plus(self):
-        psi = make_product_state(LatticeSpec(1), [(math.pi / 2, 0.0)])
+        psi = make_uniform_product(LatticeSpec(1), math.pi / 2)
         assert np.allclose(psi.amplitudes, [1 / math.sqrt(2)] * 2)
 
     def test_three_site_plus_from_oracle(self):
         angles = [(math.pi / 2, 0.0)] * 3
-        psi = make_product_state(LatticeSpec(3), angles)
+        psi = make_uniform_product(LatticeSpec(3), math.pi / 2)
         assert np.allclose(psi.amplitudes, np.full(8, 1 / math.sqrt(8)))
         assert np.allclose(psi.amplitudes, product_amps_oracle(angles), atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_random_angles_match_oracle(self, n, rng):
-        angles = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(n)]
-        psi = make_product_state(LatticeSpec(n), angles)
-        assert np.allclose(psi.amplitudes, product_amps_oracle(angles), atol=1e-13)
+        theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        psi = make_uniform_product(LatticeSpec(n), theta, phi)
+        assert np.allclose(psi.amplitudes, product_amps_oracle([(theta, phi)] * n), atol=1e-13)
         assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1.0) < 1e-12
 
     def test_bad_angles(self):
         with pytest.raises(ArgumentError):
-            make_product_state(LatticeSpec(1), [(math.nan, 0.0)])
+            make_uniform_product(LatticeSpec(1), math.nan)
         with pytest.raises(ArgumentError):
-            make_product_state(LatticeSpec(2), [(0.0, 0.0)])
+            make_uniform_product(LatticeSpec(2), 0.0, math.inf)
 
 
 class TestGhz:
@@ -155,5 +138,4 @@ class TestDicke:
 
 def test_uniform_product_matches_explicit():
     a = make_uniform_product(LatticeSpec(3), math.pi / 2, 0.3)
-    b = make_product_state(LatticeSpec(3), list(itertools.repeat((math.pi / 2, 0.3), 3)))
-    assert np.allclose(a.amplitudes, b.amplitudes)
+    assert np.allclose(a.amplitudes, product_amps_oracle([(math.pi / 2, 0.3)] * 3))
