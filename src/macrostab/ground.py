@@ -1,12 +1,14 @@
 """Iterative ground states and pure-phase vacuum construction.
 
-One thick-restarted Lanczos solver serves every size; every reduction over the
-2^N axis is an ``np.einsum`` (no BLAS, so no thread-count dependence), and a
-solve starts from a counter hash (``hamiltonian._hash_vector``), not a random
-draw.  At B = 0 the pair is the lowest state of each sector of the global spin
-flip P (index i -> dim-1-i), the flip-even one first unless the odd one is lower
-by more than their residual norms: an unresolved ferromagnetic doublet leads
-with its symmetric member.
+One thick-restarted Lanczos solver serves every size.  Every product over the
+2^N axis is a ``_dot_rows``: BLAS on fixed blocks of 2^12 entries, too short for
+OpenBLAS to split a sum across threads, then the block sums in block order.  A
+product over the Krylov axis sums at most 32 terms per entry in one thread.  So
+no thread count moves a bit.  A solve starts from a counter hash
+(``hamiltonian._hash_vector``), not a random draw.  At B = 0 the pair is the
+lowest state of each sector of the global spin flip P (index i -> dim-1-i), the
+flip-even one first unless the odd one is lower by more than their residual
+norms: an unresolved ferromagnetic doublet leads with its symmetric member.
 """
 
 import math
@@ -31,10 +33,21 @@ _KEEP = 8  # Ritz vectors a thick restart keeps (Wu and Simon, SIMAX 22, 602 (20
 _CHECK_EVERY = 8
 _RITZ_TOL = 1e-10
 _DGKS_RATIO = 0.7  # Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 772 (1976)
+_BLOCK = 1 << 12  # entries per BLAS product over the 2^N axis
+
+
+def _dot_rows(b, w):
+    """``b @ w`` for rows ``b`` of shape (k, dim), dim a power of two: one BLAS
+    product per block of 2^12 entries, then the block sums added in block order."""
+    k, dim = b.shape
+    if dim <= _BLOCK:
+        return b @ w
+    nb = dim // _BLOCK
+    return np.matmul(b.reshape(k, nb, _BLOCK).transpose(1, 0, 2), w.reshape(nb, _BLOCK, 1)).sum(axis=0)[:, 0]
 
 
 def _norm(v):
-    return math.sqrt(np.einsum("i,i->", v, v))
+    return math.sqrt(_dot_rows(v[None], v)[0])
 
 
 def _start_vector(dim, index=0):
@@ -51,21 +64,21 @@ def _lowest(apply, start, locked=()):
     basis = np.empty((n_locked + size, dim))
     basis[:n_locked] = np.reshape(locked, (n_locked, dim))
     proj = np.zeros((size, size))  # basis^T matrix basis; its [:j, :j] block is current
-    q = start - np.einsum("ki,k->i", basis[:n_locked], np.einsum("ki,i->k", basis[:n_locked], start))
-    q /= _norm(q)
+    q = start - _dot_rows(basis[:n_locked], start) @ basis[:n_locked]
+    np.divide(q, _norm(q), out=basis[n_locked])
     j = 0
     for _ in range(_MAX_STEPS):
         row = n_locked + j
-        basis[row] = q
+        q = basis[row]
         w = apply(q)
-        a = float(np.einsum("i,i->", q, w))
+        a = float(_dot_rows(q[None], w)[0])
         proj[j, j] = a
         w -= a * q
         if j:
             w -= proj[j, j - 1] * basis[row - 1]
         for _ in range(2):  # once more only if < 0.7 of the norm is left (DGKS 1976)
-            coef = np.einsum("ki,i->k", basis[: row + 1], w)
-            w -= np.einsum("ki,k->i", basis[: row + 1], coef)
+            coef = _dot_rows(basis[: row + 1], w)
+            w -= coef @ basis[: row + 1]
             b = _norm(w)
             if b * b >= _DGKS_RATIO**2 * (b * b + coef @ coef):
                 break
@@ -75,14 +88,14 @@ def _lowest(apply, start, locked=()):
         if j % _CHECK_EVERY == 0 or b <= _RITZ_TOL or j == size:
             theta, ritz = np.linalg.eigh(proj[:j, :j])
             if b * abs(ritz[-1, 0]) <= _RITZ_TOL:
-                vec = np.einsum("ki,k->i", basis[n_locked : row + 1], ritz[:, 0])
+                vec = ritz[:, 0] @ basis[n_locked : row + 1]
                 return float(theta[0]), vec / _norm(vec)
             if j == size:
                 j = min(_KEEP, size - 1)
-                basis[n_locked : n_locked + j] = np.einsum("kr,ki->ri", ritz[:, :j], basis[n_locked:])
+                basis[n_locked : n_locked + j] = ritz[:, :j].T @ basis[n_locked:]
                 proj[:j, :j] = np.diag(theta[:j])
                 proj[j, :j] = proj[:j, j] = b * ritz[-1, :j]
-        q = w / b
+        np.divide(w, b, out=basis[n_locked + j])  # the next q, after any restart
     raise NumericalError(f"Lanczos found no eigenpair in {_MAX_STEPS} steps at dim {dim}")
 
 
@@ -109,7 +122,7 @@ def ground_state(ham):
         pairs, residuals = pairs[::-1], residuals[::-1]
     energies, residuals = tuple(e for e, _ in pairs), tuple(residuals)
     vecs = [v if v[np.argmax(np.abs(v))] > 0 else -v for _, v in pairs]
-    overlap = abs(float(np.einsum("i,i->", *vecs)))
+    overlap = abs(float(_dot_rows(vecs[0][None], vecs[1])[0]))
     if max(residuals) > RESIDUAL_TOL or overlap > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residuals {residuals} or overlap {overlap:.1e} over {RESIDUAL_TOL}")
     states = tuple(StateVector(ham.lattice, (v / _norm(v)).astype(complex), _take=True) for v in vecs)

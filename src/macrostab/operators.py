@@ -67,15 +67,17 @@ def _real_expectation(value):
 
 def additive_variance(coefficients, psi):
     """<A^2> - <A>^2 of A = sum_x c_x . sigma(x) for the real (3N,) vector
-    ``coefficients``, by applying A to ``psi`` site by site; clamped at zero
-    against round-off near eigenstates."""
+    ``coefficients``, by adding each site's term of A|psi> into its two halves
+    in place; clamped at zero against round-off near eigenstates."""
     c = np.asarray(coefficients, dtype=np.float64)
     if c.shape != (3 * psi.n_sites,):
         raise ArgumentError(f"need {3 * psi.n_sites} coefficients, got shape {c.shape}")
     phi = np.zeros(psi.dim, dtype=np.complex128)
     for x, m in enumerate(np.einsum("xk,kij->xij", c.reshape(-1, 3), _PAULI_STACK)):
         if np.any(m):
-            phi += _apply_matrix_at_site(psi.amplitudes, x, m)
+            v, out = psi.amplitudes.reshape(-1, 2, 1 << x), phi.reshape(-1, 2, 1 << x)
+            for a in (0, 1):
+                out[:, a] += m[a, 0] * v[:, 0] + m[a, 1] * v[:, 1]
     second = _norm2(phi)
     first = _real_expectation(_cdot(psi.amplitudes, phi))
     var = second - first * first

@@ -26,6 +26,7 @@ from .errors import ArgumentError
 
 FRAGILE_EXPONENT = 1.5
 RATE_WINDOW_FRACTION = 0.05
+MIN_WINDOW_DECAY = 1e-8  # gamma x window below this leaves f_mean within rounding of 1
 
 
 def analytic_dephasing_rate(psi, noise):

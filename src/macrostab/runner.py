@@ -21,7 +21,7 @@ from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
 from .measure import measurement_cascade, stability_test
 from .noise import NoiseModel
-from .rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from .rates import MIN_WINDOW_DECAY, RATE_WINDOW_FRACTION, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
 from .scenario import _STATEFUL_EXPERIMENTS
 from .stateio import export_state, import_state
@@ -142,9 +142,17 @@ def run_decohere(scenario, entries):
     per_size = []
     analytic_points = []
     traj_points = []
-    for n in scenario.sizes:
+    gammas = {n: analytic_dephasing_rate(states[n], noise) for n in scenario.sizes}
+    if p.n_traj > 0 and p.horizon is not None:  # a set horizon, checked before any trajectory
+        for n, gamma_a in gammas.items():
+            decay = gamma_a * RATE_WINDOW_FRACTION * p.horizon
+            if gamma_a > 0.0 and decay < MIN_WINDOW_DECAY:
+                raise ValidationError(
+                    f"scenario.params.horizon = {p.horizon!r} is too short: at N = {n} the rate window "
+                    f"decays by gamma_analytic x window = {decay:.3g} < {MIN_WINDOW_DECAY}"
+                )
+    for n, gamma_a in gammas.items():
         psi = states[n]
-        gamma_a = analytic_dephasing_rate(psi, noise)
         row = {"n": n, "gamma_analytic": gamma_a}
         if p.n_traj > 0:
             ens = _auto_ensemble(p, gamma_a)

@@ -1,3 +1,6 @@
+import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +20,7 @@ from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
 from macrostab.scenario import Scenario
 from macrostab.states import StateVector
-from conftest import basis_state, dense_additive, dense_tfim, dense_xxz
+from conftest import basis_state, dense_additive, dense_tfim, dense_xxz, subprocess_env
 
 
 def tfim(n, h, J=1.0, B=0.0):
@@ -70,6 +73,45 @@ class TestGroundState:
         # dim 4: Lanczos exhausts each 2-dim flip sector
         res = ground_state(tfim(2, 1.0))
         assert res.energies[0] == pytest.approx(-np.sqrt(5.0), abs=1e-10)
+
+
+class TestDotRows:
+    @pytest.mark.parametrize("bits", [*range(1, 14), 17])
+    def test_matches_fsum(self, bits, rng):
+        # one plain product up to 2^12 entries, blocks of 2^12 above
+        w = rng.standard_normal(2**bits)
+        for k in (1, 8, 32):
+            b = rng.standard_normal((k, 2**bits))
+            got = ground._dot_rows(b, w)
+            assert got.shape == (k,)
+            for value, row in zip(got, b):
+                terms = row * w
+                # relative to the sum of |terms|, the scale of any rounding error
+                assert abs(value - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms))
+
+    def test_same_bytes_across_threads(self):
+        # at 2^17 entries a plain b @ w changes its last bits between 1 and 2
+        # OpenBLAS threads; the Krylov-axis product c @ b sums at most 32 terms
+        script = (
+            "import hashlib, numpy as np\n"
+            "from macrostab.ground import _dot_rows\n"
+            "rng = np.random.Generator(np.random.Philox(key=np.array([0xB10C, 17], dtype=np.uint64)))\n"
+            "b, w = rng.standard_normal((32, 2**17)), rng.standard_normal(2**17)\n"
+            "digest = hashlib.sha256()\n"
+            "for k in range(1, 33):\n"
+            "    c = _dot_rows(b[:k], w)\n"
+            "    digest.update(c.tobytes() + (c @ b[:k]).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = {}
+        for threads in ("1", "2"):
+            res = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                env=subprocess_env({"OPENBLAS_NUM_THREADS": threads}),
+            )
+            assert res.returncode == 0, res.stderr
+            digests[threads] = res.stdout.strip()
+        assert digests["1"] == digests["2"]
 
 
 def _spec_and_oracle(model, n, periodic, J=1.0, h=None):

@@ -177,12 +177,13 @@ class TestAdditiveOperator:
         assert additive_variance(np.roll(c, 3), psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_from_coefficients_roundtrip(self, rng):
-        for n in (3, 4, 5):
+        # random complex states, and coefficients on all three axes at every site
+        for n in (3, 4, 5, 6):
             lat = LatticeSpec(n)
             for _ in range(5):
                 coeffs = rng.standard_normal(3 * n)
                 psi = StateVector(lat, random_state_amps(n, rng))
                 dense = dense_variance(dense_from_coefficients(n, coeffs), psi.amplitudes)
-                assert additive_variance(coeffs, psi) == pytest.approx(dense, abs=1e-10)
+                assert abs(additive_variance(coeffs, psi) - dense) <= 1e-12 * max(1.0, dense)
                 # the direct path is independent of the two-point table
                 assert psi._table is None

@@ -665,11 +665,6 @@ class TestCliEndToEnd:
         fit = report["results"]["decohere"]["fit_analytic"]
         assert abs(fit["one_plus_delta"] - 1.0) < 1e-9
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP direction 3: at horizon 1e-150 every f_mean in the rate window is "
-        "1 - 1 ulp, and the slope's rounding turns that into a finite rate of -1.2e120 with stderr 0",
-    )
     def test_tiny_horizon_exits_2_or_fits_a_rate_within_its_error(self, tmp_path):
         out = tmp_path / "rep"
         code = main([
@@ -798,7 +793,8 @@ def _strip_wall_time(text):
 class TestReproducibility:
     def test_large_ground_states_same_bytes_across_threads(self, tmp_path):
         # from 2^14 entries up BLAS reductions change their last bits with the
-        # thread count; the ground-state solver makes none over the 2^N axis
+        # thread count; the ground-state solver calls BLAS over the 2^N axis only
+        # on fixed blocks of 2^12 entries
         commands = (
             ["symmetry-breaking", "--sizes", "12:16:2", "--out", "sb"],
             ["ground", "--model", "xxz", "--j", "1", "--delta", "1", "--sizes", "12:16:2", "--out", "gr"],
