@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError
+from .errors import NumericalError
 from .operators import PAULI_AXES, additive_variance
 
 AFS = "AFS"
@@ -209,8 +209,6 @@ def classify_scaling(points):
     observable, which no power law describes).
     """
     pts = [(int(n), float(v)) for n, v in points]
-    if len({n for n, _ in pts}) < 3:
-        raise ArgumentError("scaling fit needs at least 3 distinct sizes")
     if any(v <= 0.0 for _, v in pts):
         return ScalingVerdict(float("nan"), float("nan"), 0.0, NFS, tuple(pts))
     slope, intercept, residual = log_log_fit(pts)

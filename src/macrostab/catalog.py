@@ -50,18 +50,18 @@ def checked_value(kind, val, where):
 
 
 def check_state_params(family, params):
-    """The params of ``family``, each checked and converted to its type.
+    """The params of the scenario's state ``family``, each checked and
+    converted to its type, named by their scenario-file keys in messages.
     Rejects an unknown family or param and a Dicke state without k."""
-    if family not in FAMILY_PARAMS:
-        raise ArgumentError(f"unknown state family {family!r}")
+    checked_value(tuple(FAMILY_PARAMS), family, "scenario.state.family")
     checked = {}
     for key, val in params.items():
         kind = FAMILY_PARAMS[family].get(key)
         if kind is None:
             raise ArgumentError(f"unknown parameter {key!r} for state family {family!r}")
-        checked[key] = checked_value(kind, val, f"state parameter {key!r} of family {family!r}")
+        checked[key] = checked_value(kind, val, f"scenario.state.params.{key}")
     if family == "dicke" and "k" not in params:
-        raise ArgumentError("dicke family needs parameter k")
+        raise ArgumentError("scenario.state.params.k is required for the dicke family")
     return checked
 
 
@@ -78,9 +78,10 @@ def _solved(spec, solved):
 
 
 def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None, solved=None):
-    """Construct a catalog state by family name.  States that share one ``solved``
+    """Construct a catalog state by family name from params that
+    ``check_state_params`` has passed.  States that share one ``solved``
     dict (HamiltonianSpec -> ground_state result) solve each Hamiltonian once."""
-    params = check_state_params(family, params or {})
+    params = params or {}
     solved = {} if solved is None else solved
     lattice = LatticeSpec(n_sites, geometry)
     if family == "ghz":

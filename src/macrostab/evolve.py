@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
 from .operators import PAULI_MATRICES, _apply_matrix_at_site
 
 MIN_TRAJECTORIES = 100
@@ -41,16 +40,6 @@ class TrajectoryEnsemble:
     dt: float
     horizon: float
     seed: int
-
-    def __post_init__(self):
-        if not isinstance(self.n_traj, int) or self.n_traj < MIN_TRAJECTORIES:
-            raise ArgumentError(f"n_traj must be an integer >= {MIN_TRAJECTORIES}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ArgumentError(f"dt must be > 0, got {self.dt!r}")
-        if not (np.isfinite(self.horizon) and self.horizon >= self.dt):
-            raise ArgumentError("horizon must be at least one step long")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ArgumentError("seed must be an integer in [0, 2^64)")
 
     @property
     def n_steps(self):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError
+from .errors import NumericalError
 from .lattice import LatticeSpec
 
 TRANSVERSE_ISING = "transverse-ising"
@@ -61,14 +61,6 @@ class HamiltonianSpec:
     h: float = 0.0
     delta: float = 1.0
     B: float = 0.0
-
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ArgumentError(f"model must be one of {MODELS}, got {self.model!r}")
-        for name in ("J", "h", "delta", "B"):
-            val = getattr(self, name)
-            if not np.isfinite(val):
-                raise ArgumentError(f"coupling {name} must be finite, got {val!r}")
 
 
 class Hamiltonian:
@@ -134,9 +126,7 @@ class Hamiltonian:
         return self.spec.B == 0.0
 
     def matvec(self, v):
-        v = np.asarray(v)
-        if v.shape != (self.dim,):
-            raise ArgumentError(f"vector of shape {v.shape} does not match dim {self.dim}")
+        """H v on the full space; the benchmark counts its calls."""
         return self._full(v)
 
     def energy_scale(self):

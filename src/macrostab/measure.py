@@ -36,7 +36,6 @@ from .operators import _apply_matrix_at_site
 from .states import StateVector, _norm2
 
 OUTCOME_FLOOR = 1e-12
-DEFAULT_CONDITIONING_FLOOR = 0.05
 GRID_VERSION = "v2"
 GRID_THETA = 48           # polar rows of the n_a grid; GRID_PHI = 2 GRID_THETA columns
 CIRCLE_POINTS = 256       # samples of the floor circle
@@ -252,28 +251,23 @@ class MeasurementStabilityReport:
     grid_version: str = GRID_VERSION
 
 
-def stability_test(psi, epsilon, varepsilon=DEFAULT_CONDITIONING_FLOOR, min_distance=None):
+def stability_test(psi, epsilon, varepsilon, min_distance):
     """Sweep distant site pairs of the pure state ``psi`` for
     measurement-induced disturbance.
 
     Verdict: stable iff the worst deviation at the largest admissible
     separation stays within ``epsilon``.  Separations are the lattice's
     (ring distance on a periodic chain); the admissible pairs lie at least
-    ``min_distance`` apart, by default N // 2, which may not exceed the
-    largest separation.  ``varepsilon`` is the floor on
-    the conditioning probability P(a); a pair where no outcome reaches it
-    reports zero deviation.
+    ``min_distance`` apart, N // 2 when it is None.  ``varepsilon`` is the
+    floor on the conditioning probability P(a); a pair where no outcome
+    reaches it reports zero deviation.  The scenario has checked the
+    ranges: ``epsilon`` and ``varepsilon`` in (0, 1), ``min_distance`` in
+    [1, the largest separation].
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not 0.0 < varepsilon < 1.0:
-        raise ArgumentError(f"varepsilon must lie in (0, 1), got {varepsilon!r}")
     lattice = psi.lattice
     n = lattice.n_sites
     if min_distance is None:
         min_distance = max(1, n // 2)
-    if not 1 <= min_distance <= lattice.max_distance:
-        raise ArgumentError(f"min_distance must lie in [1, {lattice.max_distance}], got {min_distance}")
     # never empty: some pair lies max_distance >= min_distance apart
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if lattice.distance(x, y) >= min_distance]
     cov = covariance_matrix(psi)

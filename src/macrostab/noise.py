@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError
-from .operators import PAULI_MATRICES
+from .errors import ModelError
 
 KERNEL_COLLECTIVE = "collective"
 KERNEL_INDEPENDENT = "independent"
@@ -38,17 +37,6 @@ class NoiseModel:
     kernel: str = KERNEL_COLLECTIVE
     axis: str = "z"
     xi: float = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.kappa) or self.kappa < 0:
-            raise ArgumentError(f"kappa must be >= 0, got {self.kappa!r}")
-        if self.kernel not in KERNELS:
-            raise ArgumentError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.kernel == KERNEL_EXPONENTIAL:
-            if self.xi is None or not np.isfinite(self.xi) or self.xi <= 0:
-                raise ArgumentError("exponential kernel needs a correlation length xi > 0")
-        if self.axis not in PAULI_MATRICES:
-            raise ArgumentError(f"axis must be one of ('x','y','z'), got {self.axis!r}")
 
     def kernel_matrix(self, lattice):
         """Spatial correlation matrix g, validated positive semidefinite."""

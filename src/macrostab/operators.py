@@ -70,8 +70,6 @@ def additive_variance(coefficients, psi):
     ``coefficients``, by adding each site's term of A|psi> into its two halves
     in place; clamped at zero against round-off near eigenstates."""
     c = np.asarray(coefficients, dtype=np.float64)
-    if c.shape != (3 * psi.n_sites,):
-        raise ArgumentError(f"need {3 * psi.n_sites} coefficients, got shape {c.shape}")
     phi = np.zeros(psi.dim, dtype=np.complex128)
     for x, m in enumerate(np.einsum("xk,kij->xij", c.reshape(-1, 3), _PAULI_STACK)):
         if np.any(m):

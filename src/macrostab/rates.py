@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import covariance_matrix, log_log_fit
-from .errors import ArgumentError
 
 FRAGILE_EXPONENT = 1.5
 RATE_WINDOW_FRACTION = 0.05
@@ -57,10 +56,6 @@ class DecoherenceFit:
 def fit_gamma_scaling(points):
     """Log-log least squares through (N, Gamma) pairs, all Gamma > 0."""
     pts = [(int(n), float(g)) for n, g in points]
-    if len({n for n, _ in pts}) < 3:
-        raise ArgumentError("rate-scaling fit needs at least 3 distinct sizes")
-    if any(g <= 0 for _, g in pts):
-        raise ArgumentError("rate-scaling fit needs strictly positive rates")
     slope, intercept, residual = log_log_fit(pts)
     return DecoherenceFit(tuple(pts), float(np.exp(intercept)), slope, residual)
 
@@ -90,16 +85,11 @@ def trajectory_rate(result):
     times = result.times
     window = RATE_WINDOW_FRACTION * float(times[-1])
     sel = (times > 0) & (times <= window)
-    if int(sel.sum()) < 3:
-        raise ArgumentError(f"rate window holds {int(sel.sum())} points; need >= 3")
     t, f_mean = times[sel], result.f_mean[sel]
     sigma = result.f_stderr[sel] / f_mean
     w = np.where(sigma > 1e-15, 1.0 / np.maximum(sigma, 1e-15) ** 2, 1e30)
     sw, st, stt = np.einsum("t,mt->m", w, [np.ones_like(t), t, t * t])
-    denom = sw * stt - st * st
-    if denom <= 0:
-        raise ArgumentError("degenerate rate-fit window")
-    c = w * (sw * t - st) / denom
+    c = w * (sw * t - st) / (sw * stt - st * st)
     gamma = np.einsum("t,t->", c, -np.log(np.clip(f_mean, 1e-300, None)))
     # f_rows excludes the t = 0 column
     influence = np.einsum("kt,t->k", result.f_rows[:, sel[1:]], c / f_mean)

@@ -1,11 +1,16 @@
 """Experiment pipelines behind the command-line front end.
 
-Every input check that needs no state runs when the ``Scenario`` is
-built, before any state is resolved.  Every runner returns plain-dict results whose verdicts are
+Every scenario value is checked once, when the ``Scenario`` is built,
+before any state is resolved, and the layers below trust it.  Only what
+needs a state is checked later: a state file's contents and size, a GHZ
+state's N >= 2 and a Dicke state's k <= N where they are built, and
+``run_decohere``'s guard on every horizon, set or computed from the
+rates.  Every runner returns plain-dict results whose verdicts are
 recomputable from the raw numbers included next to them, and leaves all
 randomness keyed by the scenario seed.
 """
 
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -127,14 +132,6 @@ def run_measure(scenario, entries):
     return {"measure": {"per_state": per_state}}, verdicts
 
 
-def _auto_ensemble(p, gamma_hint):
-    """TRAJECTORY_STEPS steps over the horizon, by default 0.5 / gamma_analytic."""
-    horizon = p.horizon
-    if horizon is None:
-        horizon = 0.5 / gamma_hint if gamma_hint > 1e-12 else 1.0
-    return TrajectoryEnsemble(n_traj=p.n_traj, dt=horizon / TRAJECTORY_STEPS, horizon=horizon, seed=p.seed)
-
-
 def run_decohere(scenario, entries):
     p = scenario.params
     [(label, states)] = entries
@@ -143,10 +140,20 @@ def run_decohere(scenario, entries):
     analytic_points = []
     traj_points = []
     gammas = {n: analytic_dephasing_rate(states[n], noise) for n in scenario.sizes}
-    if p.n_traj > 0 and p.horizon is not None:  # a set horizon, checked before any trajectory
+    # a set horizon (> 0), by default 0.5 / gamma_analytic
+    horizons = {n: p.horizon or (0.5 / g if g > 1e-12 else 1.0) for n, g in gammas.items()}
+    if p.n_traj > 0:  # every horizon, set or computed, is checked before any trajectory
+        key, value = ("horizon", p.horizon) if p.horizon is not None else ("kappa", p.kappa)
         for n, gamma_a in gammas.items():
-            decay = gamma_a * RATE_WINDOW_FRACTION * p.horizon
-            if gamma_a > 0.0 and decay < MIN_WINDOW_DECAY:
+            window = RATE_WINDOW_FRACTION * horizons[n]
+            # the rate fit squares the window's times; below this they underflow
+            if not window * window >= sys.float_info.min:
+                raise ValidationError(
+                    f"scenario.params.{key} = {value!r} gives at N = {n} a rate window of {window:.3g}, "
+                    "too short to fit a rate in floating point"
+                )
+            decay = gamma_a * RATE_WINDOW_FRACTION * horizons[n]
+            if p.horizon is not None and gamma_a > 0.0 and decay < MIN_WINDOW_DECAY:
                 raise ValidationError(
                     f"scenario.params.horizon = {p.horizon!r} is too short: at N = {n} the rate window "
                     f"decays by gamma_analytic x window = {decay:.3g} < {MIN_WINDOW_DECAY}"
@@ -155,7 +162,7 @@ def run_decohere(scenario, entries):
         psi = states[n]
         row = {"n": n, "gamma_analytic": gamma_a}
         if p.n_traj > 0:
-            ens = _auto_ensemble(p, gamma_a)
+            ens = TrajectoryEnsemble(p.n_traj, horizons[n] / TRAJECTORY_STEPS, horizons[n], p.seed)
             res = evolve_noisy(psi, noise, ens)
             fit = trajectory_rate(res)
             row.update(

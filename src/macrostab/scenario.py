@@ -9,6 +9,8 @@ null leaves a field unset.  Every value check lives in the
 ``__post_init__`` of the class that owns the field, so a file, the
 command line and a ``Scenario`` built in code are checked alike, and a
 float field stores an int as a float, so all three echo the same bytes.
+This is the one gate for scenario values: the modules below check none
+of them again.
 
     {
       "name": "ghz-fragility",
@@ -182,6 +184,7 @@ class Scenario:
             _require(p.model == TRANSVERSE_ISING, f"symmetry-breaking needs scenario.params.model = {TRANSVERSE_ISING!r}")
             _require(p.B == 0.0, "symmetry-breaking needs scenario.params.B = 0 for the symmetric ground state")
             _require(p.nfs_factor > 0, f"scenario.params.nfs_factor must be > 0, got {p.nfs_factor!r}")
+            _require(p.kappa >= 0, "symmetry-breaking needs scenario.params.kappa >= 0")
 
     def echo(self):
         """Plain-dict copy embedded into every report; it reads back as the

@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, StateError
-from .lattice import LatticeSpec
 
 NORM_TOL = 1e-8
 
@@ -37,8 +36,6 @@ class StateVector:
     __slots__ = ("lattice", "_amps", "_table")
 
     def __init__(self, lattice, amplitudes, *, _take=False):
-        if not isinstance(lattice, LatticeSpec):
-            raise ArgumentError("lattice must be a LatticeSpec")
         arr = np.asarray(amplitudes, dtype=np.complex128)
         if arr.shape != (lattice.dim,):
             raise StateError(
@@ -76,8 +73,6 @@ class StateVector:
 def make_uniform_product(lattice, theta, phi=0.0):
     """The single-site state cos(theta/2)|up> + e^{i phi} sin(theta/2)|down>
     on every site; angles in radians."""
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ArgumentError("Bloch angles must be finite")
     v = np.array(
         [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
         dtype=np.complex128,

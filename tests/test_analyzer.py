@@ -16,7 +16,6 @@ from macrostab.analyzer import (
     magnetization,
     max_additive_fluctuation,
 )
-from macrostab.errors import ArgumentError
 from macrostab.ground import ground_state
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
@@ -280,12 +279,6 @@ class TestClassifyScaling:
         assert v.verdict == NFS
         assert math.isnan(v.exponent)
         assert v.residual == 0.0
-
-    def test_too_few_points(self):
-        with pytest.raises(ArgumentError):
-            classify_scaling([(4, 16.0), (6, 36.0)])
-        with pytest.raises(ArgumentError):
-            classify_scaling([(4, 16.0), (4, 17.0), (4, 18.0)])
 
 
 def test_afs_catalog_matches_verdicts():

@@ -8,11 +8,9 @@ import pytest
 
 from macrostab import ground, runner
 from macrostab.analyzer import magnetization, max_additive_fluctuation
-from macrostab.errors import ArgumentError
 from macrostab.ground import (
     METHOD_DOUBLET,
     METHOD_SB_FIELD,
-    GroundStateResult,
     ground_state,
     pure_phase_vacuum,
 )
@@ -252,12 +250,3 @@ class TestPurePhaseVacuum:
             assert row["e_pure_phase"] == alone.energy
             assert row["m_pure_phase"] == alone.magnetization
             assert np.array_equal(pp.state.amplitudes, alone.state.amplitudes)
-
-    def test_pair_must_belong_to_spec(self):
-        spec = HamiltonianSpec("transverse-ising", LatticeSpec(4), J=1.0, h=0.1)
-        other = ground_state(tfim(5, 0.1))
-        pair = ground_state(tfim(4, 0.1))
-        lowest_only = GroundStateResult(pair.states[:1], pair.energies[:1], pair.residuals[:1])
-        for bad in (other, lowest_only, None):
-            with pytest.raises(ArgumentError):
-                pure_phase_vacuum(spec, METHOD_DOUBLET, bad)

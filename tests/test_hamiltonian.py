@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from macrostab.errors import ArgumentError
 from macrostab.ground import _start_vector
 from macrostab.hamiltonian import HamiltonianSpec, _hash_vector, build_hamiltonian
 from macrostab.lattice import LatticeSpec
@@ -12,16 +11,6 @@ from conftest import dense_tfim, dense_xxz, random_state_amps
 
 def _columns(apply, dim):
     return np.stack([apply(e) for e in np.eye(dim)], axis=1)
-
-
-class TestSpec:
-    def test_unknown_model(self):
-        with pytest.raises(ArgumentError):
-            HamiltonianSpec("ising", LatticeSpec(3))
-
-    def test_non_finite_coupling(self):
-        with pytest.raises(ArgumentError):
-            HamiltonianSpec("xxz", LatticeSpec(3), J=float("inf"))
 
 
 class TestTfimMatvec:

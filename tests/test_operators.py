@@ -162,12 +162,6 @@ class TestAdditiveOperator:
     """An additive operator is its real coefficient vector c, with
     c[3x+a] the weight of sigma_a(x)."""
 
-    def test_requires_one_term_per_site(self):
-        psi = make_ghz(LatticeSpec(3))
-        for shape in [(3,), (12,), (3, 3), (9, 1)]:
-            with pytest.raises(ArgumentError):
-                additive_variance(np.ones(shape), psi)
-
     def test_site_order_enforced(self):
         # site 0 along +x, site 1 along +z: sigma_x(0) is sharp, sigma_x(1) is not
         psi = StateVector(LatticeSpec(2), product_amps_oracle([(math.pi / 2, 0.0), (0.0, 0.0)]))

@@ -329,9 +329,10 @@ def test_non_finite_or_oversized_float_param_exits_before_any_state(params, tmp_
     assert f"params.{next(iter(params))} " in capsys.readouterr().err
 
 
-# each range check's violation as a scenario file spells it, over a valid
-# cluster scenario, and the key its message must name; each exits 2 but a
-# size over the site cap, which exits 4
+# each check's violation as a scenario file spells it, over a valid cluster
+# scenario, and the key its message must name; each exits 2 but a size over
+# the site cap, which exits 4.  The scenario is the only place that checks
+# these values, so each case is the whole of its check's coverage.
 _RANGE_VIOLATIONS = {
     "seed": ({"params": {"seed": -1}}, "scenario.params.seed"),
     "epsilon": ({"params": {"epsilon": 2.0}}, "scenario.params.epsilon"),
@@ -344,13 +345,23 @@ _RANGE_VIOLATIONS = {
     "nfs_factor": ({"experiments": ["symmetry-breaking"], "params": {"nfs_factor": -1.0}}, "scenario.params.nfs_factor"),
     "model": ({"experiments": ["symmetry-breaking"], "params": {"model": "xxz"}}, "scenario.params.model"),
     "B": ({"experiments": ["symmetry-breaking"], "params": {"B": 0.1}}, "scenario.params.B"),
+    "symmetry-breaking-kappa": ({"experiments": ["symmetry-breaking"], "params": {"kappa": -1.0}}, "scenario.params.kappa"),
+    "kernel": ({"experiments": ["decohere"], "params": {"kernel": "gaussian"}}, "scenario.params.kernel"),
+    "axis": ({"experiments": ["decohere"], "params": {"axis": "q"}}, "scenario.params.axis"),
+    "geometry": ({"params": {"geometry": "ring"}}, "scenario.params.geometry"),
+    "ground-model": ({"experiments": ["ground"], "params": {"model": "ising"}}, "scenario.params.model"),
+    "method": ({"experiments": ["symmetry-breaking"], "params": {"method": "nosuch"}}, "scenario.params.method"),
     "empty-sizes": ({"sizes": []}, "scenario.sizes"),
     "zero-size": ({"sizes": [0, 4]}, "scenario.sizes"),
     "descending-sizes": ({"sizes": [8, 4, 6]}, "scenario.sizes"),
     "site-cap": ({"sizes": [4, 19]}, "scenario.sizes"),
     "measure-one-site": ({"experiments": ["measure"], "sizes": [1, 4]}, "scenario.sizes"),
     "classify-two-sizes": ({"experiments": ["classify"], "sizes": [4, 6]}, "scenario.sizes"),
+    "decohere-two-sizes": ({"experiments": ["decohere"], "sizes": [4, 6]}, "scenario.sizes"),
     "classify-catalog": ({"experiments": ["classify"], "state": {"family": "catalog"}}, "scenario.state.family"),
+    "unknown-family": ({"state": {"family": "nosuch"}}, "scenario.state.family"),
+    "nan-theta": ({"state": {"family": "product", "params": {"theta": math.nan}}}, "scenario.state.params.theta"),
+    "dicke-without-k": ({"state": {"family": "dicke"}}, "scenario.state.params.k"),
     "unknown-experiment": ({"experiments": ["teleport"]}, "scenario.experiments"),
     "repeated-experiment": ({"experiments": ["cluster", "cluster"]}, "scenario.experiments"),
 }
@@ -374,6 +385,23 @@ def test_range_checks_name_the_file_key(case, tmp_path, monkeypatch, capsys):
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(raw))
     assert main(["run", str(path)]) == error.exit_code
+    assert f"{key} " in capsys.readouterr().err
+
+
+# a horizon, set or computed from kappa, whose rate window squares to
+# below the smallest normal float: the fit would divide by zero
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--state", "ghz", "--kappa", "1e308"], "scenario.params.kappa"),
+        (["--state", "ghz", "--kappa", "1e300"], "scenario.params.kappa"),
+        (["--state", "product-up", "--horizon", "1e-170"], "scenario.params.horizon"),
+    ],
+    ids=["overflowing-kappa", "huge-kappa", "tiny-horizon-zero-rate"],
+)
+def test_horizon_too_short_for_the_rate_fit_exits_before_any_trajectory(argv, key, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "evolve_noisy", _refuse)
+    assert main(["decohere", "--sizes", "4:8:2", *argv]) == 2
     assert f"{key} " in capsys.readouterr().err
 
 

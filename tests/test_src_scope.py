@@ -9,6 +9,10 @@ of ``src/macrostab`` must be read in that module.  The package namespace binds o
 ``__version__``, so tests and the benchmark import every other name from
 the module that defines it.
 
+Input errors are raised only where input arrives: the scenario gate, the
+command line, the state file, the state builders that need N, and the
+projection-postulate oracle.  The layers below trust what they are given.
+
 The scan matches names, not bindings: a definition whose name is also a
 local variable elsewhere in ``src/`` counts as used.  A method ``overlap``,
 say, would slip past it, because ``ground_state`` holds a local variable
@@ -85,3 +89,47 @@ def test_package_imports_name_a_submodule_or_the_version():
         if alias.name != "__version__" and importlib.util.find_spec(f"macrostab.{alias.name}") is None
     ]
     assert strays == []
+
+
+_INPUT_ERRORS = {"ValidationError", "ArgumentError", "StateError", "FormatError", "ModelError", "CapabilityError"}
+
+# every function of src/macrostab that raises an input error
+_INPUT_GATES = {
+    "catalog.checked_value", "catalog.check_state_params", "catalog.build_state",
+    "cli.parse_sizes",
+    "scenario._require", "scenario.Scenario.__post_init__", "scenario.load_scenario",
+    "runner._state_entries", "runner.run_decohere",
+    "stateio.import_state", "stateio._read",
+    "lattice.LatticeSpec.__post_init__", "lattice.LatticeSpec.validate_site",
+    "states.StateVector.__init__", "states.make_ghz", "states.make_dicke",
+    "operators.LocalOperator.__init__", "measure.conditional_distribution",
+    "noise.NoiseModel.kernel_matrix",
+}
+
+
+def _error_name(exc):
+    """The class name in ``raise E``, ``raise E(...)`` or ``raise errors.E(...)``."""
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+
+def _raising_functions(node, prefix):
+    """Qualified names of the functions under ``node`` whose body raises an input error."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            found |= _raising_functions(child, name)
+            if not isinstance(child, ast.ClassDef) and any(
+                isinstance(sub, ast.Raise) and _error_name(sub.exc) in _INPUT_ERRORS for sub in ast.walk(child)
+            ):
+                found.add(name)
+    return found
+
+
+def test_input_errors_are_raised_only_at_the_gate():
+    paths = sorted(ROOT.glob("src/macrostab/*.py"))
+    raising = set()
+    for path, tree in zip(paths, _parse(paths)):
+        raising |= _raising_functions(tree, path.stem)
+    assert raising == _INPUT_GATES
