@@ -2,7 +2,7 @@
 
 import math
 
-from .errors import ArgumentError
+from .errors import ValidationError
 from .ground import METHOD_DOUBLET, METHODS, ground_state, pure_phase_vacuum
 from .hamiltonian import TRANSVERSE_ISING, HamiltonianSpec, build_hamiltonian
 from .lattice import OPEN_CHAIN, LatticeSpec
@@ -36,16 +36,16 @@ def checked_value(kind, val, where):
     float; a tuple also takes a list, stored as a tuple."""
     if isinstance(kind, tuple):
         if val not in kind:
-            raise ArgumentError(f"{where} must be one of {list(kind)}, got {val!r}")
+            raise ValidationError(f"{where} must be one of {list(kind)}, got {val!r}")
         return val
     if not isinstance(val, _ACCEPTS.get(kind, kind)) or isinstance(val, bool):
-        raise ArgumentError(f"{where} must be {kind.__name__}, got {val!r}")
+        raise ValidationError(f"{where} must be {kind.__name__}, got {val!r}")
     try:
         val = val if type(val) is kind else kind(val)
     except OverflowError:
-        raise ArgumentError(f"{where} is too large for a float") from None
+        raise ValidationError(f"{where} is too large for a float") from None
     if kind is float and not math.isfinite(val):
-        raise ArgumentError(f"{where} must be finite, got {val!r}")
+        raise ValidationError(f"{where} must be finite, got {val!r}")
     return val
 
 
@@ -54,14 +54,13 @@ def check_state_params(family, params):
     converted to its type, named by their scenario-file keys in messages.
     Rejects an unknown family or param and a Dicke state without k."""
     checked_value(tuple(FAMILY_PARAMS), family, "scenario.state.family")
-    checked = {}
-    for key, val in params.items():
-        kind = FAMILY_PARAMS[family].get(key)
-        if kind is None:
-            raise ArgumentError(f"unknown parameter {key!r} for state family {family!r}")
-        checked[key] = checked_value(kind, val, f"scenario.state.params.{key}")
+    kinds = FAMILY_PARAMS[family]
+    unknown = [key for key in params if key not in kinds]
+    if unknown:
+        raise ValidationError(f"unknown key(s) {unknown} in scenario.state.params of the {family!r} family")
+    checked = {key: checked_value(kinds[key], val, f"scenario.state.params.{key}") for key, val in params.items()}
     if family == "dicke" and "k" not in params:
-        raise ArgumentError("scenario.state.params.k is required for the dicke family")
+        raise ValidationError("scenario.state.params.k is required for the dicke family")
     return checked
 
 
@@ -78,8 +77,8 @@ def _solved(spec, solved):
 
 
 def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None, solved=None):
-    """Construct a catalog state by family name from params that
-    ``check_state_params`` has passed.  States that share one ``solved``
+    """Construct a state of one family, not the catalog, from a family and
+    params that ``check_state_params`` has passed.  States that share one ``solved``
     dict (HamiltonianSpec -> ground_state result) solve each Hamiltonian once."""
     params = params or {}
     solved = {} if solved is None else solved
@@ -105,7 +104,6 @@ def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None, solved=None):
         spec, method = _tfim_spec(lattice, params, 0.1), params.get("method", METHOD_DOUBLET)
         pair = _solved(spec, solved) if method == METHOD_DOUBLET else None
         return pure_phase_vacuum(spec, method, pair=pair).state
-    raise ArgumentError("the catalog is a set of families; build its states one family at a time")
 
 
 def correspondence_catalog():

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules: one class per exit code.
 
 Each class carries the process exit code the command-line front end maps
 it to, so library errors and CLI behaviour stay consistent.
@@ -12,25 +12,10 @@ class MacrostabError(Exception):
 
 
 class ValidationError(MacrostabError):
-    """Bad arguments, malformed input, or an unusable model setup."""
+    """Input the run cannot take: a scenario value, a state file, or a
+    state that fails an invariant (shape, finiteness, normalization)."""
 
     exit_code = 2
-
-
-class ArgumentError(ValidationError):
-    """An argument violates a documented precondition."""
-
-
-class StateError(ValidationError):
-    """A state vector fails a required invariant (normalization, size)."""
-
-
-class FormatError(ValidationError):
-    """Malformed state file, scenario file, or report payload."""
-
-
-class ModelError(ValidationError):
-    """Physically inconsistent model, e.g. a non-PSD noise kernel."""
 
 
 class NumericalError(MacrostabError):

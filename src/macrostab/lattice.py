@@ -8,7 +8,7 @@ basis (32 x 2^(N-1) doubles) and the solve time, as the table is built in blocks
 
 from dataclasses import dataclass
 
-from .errors import ArgumentError, CapabilityError
+from .errors import ValidationError
 
 OPEN_CHAIN = "open-chain"
 PERIODIC_CHAIN = "periodic-chain"
@@ -19,16 +19,11 @@ SITE_CAP = 18
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Chain of ``n_sites`` spin-1/2 sites with open or periodic ends."""
+    """Chain of ``n_sites`` spin-1/2 sites with open or periodic ends; the
+    scenario or the state-file reader has checked 1 <= n_sites <= SITE_CAP."""
 
     n_sites: int
     geometry: str = OPEN_CHAIN
-
-    def __post_init__(self):
-        if self.n_sites < 1:
-            raise ArgumentError(f"n_sites must be >= 1, got {self.n_sites}")
-        if self.n_sites > SITE_CAP:
-            raise CapabilityError(f"n_sites={self.n_sites} exceeds the site cap {SITE_CAP}")
 
     @property
     def dim(self):
@@ -40,7 +35,7 @@ class LatticeSpec:
 
     def validate_site(self, x):
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.n_sites:
-            raise ArgumentError(
+            raise ValidationError(
                 f"site index {x!r} out of range for n_sites={self.n_sites}"
             )
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import covariance_matrix, max_additive_fluctuation
-from .errors import ArgumentError, NumericalError
+from .errors import NumericalError, ValidationError
 from .operators import _apply_matrix_at_site
 from .states import StateVector, _norm2
 
@@ -69,13 +69,13 @@ def conditional_distribution(psi, a_obs, b_obs):
     measurements.
     """
     if a_obs.site == b_obs.site:
-        raise ArgumentError("conditional distribution needs two distinct sites")
+        raise ValidationError("conditional distribution needs two distinct sites")
     values, projectors = [], []
     for obs in (a_obs, b_obs):
         psi.lattice.validate_site(obs.site)
         evals, evecs = np.linalg.eigh(obs.matrix)
         if abs(evals[1] - evals[0]) <= 1e-12 * max(1.0, float(np.max(np.abs(evals)))):
-            raise ArgumentError("observable is degenerate (proportional to the identity); it reveals nothing")
+            raise ValidationError("observable is degenerate (proportional to the identity); it reveals nothing")
         values.append((float(evals[1]), float(evals[0])))  # descending, with their projectors
         projectors.append([np.outer(evecs[:, i], evecs[:, i].conj()) for i in (1, 0)])
     (a_vals, b_vals), (a_projs, b_projs) = values, projectors

@@ -10,7 +10,7 @@ A = sum_x sum_a c[3x+a] sigma_a(x) is its real (3N,) coefficient vector c
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError
+from .errors import NumericalError, ValidationError
 from .states import _cdot, _norm2
 
 HERMITICITY_TOL = 1e-12
@@ -34,12 +34,12 @@ class LocalOperator:
 
     def __init__(self, site, matrix):
         if not isinstance(site, int) or isinstance(site, bool) or site < 0:
-            raise ArgumentError(f"site must be a non-negative integer, got {site!r}")
+            raise ValidationError(f"site must be a non-negative integer, got {site!r}")
         m = np.asarray(matrix, dtype=np.complex128)
         if m.shape != (2, 2):
-            raise ArgumentError("local operator matrix must be 2x2")
+            raise ValidationError("local operator matrix must be 2x2")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ArgumentError("local operator matrix is not Hermitian")
+            raise ValidationError("local operator matrix is not Hermitian")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "site", site)

@@ -1,13 +1,16 @@
 """Experiment pipelines behind the command-line front end.
 
 Every scenario value is checked once, when the ``Scenario`` is built,
-before any state is resolved, and the layers below trust it.  Only what
-needs a state is checked later: a state file's contents and size, a GHZ
-state's N >= 2 and a Dicke state's k <= N where they are built, and
-``run_decohere``'s guard on every horizon, set or computed from the
-rates.  Every runner returns plain-dict results whose verdicts are
-recomputable from the raw numbers included next to them, and leaves all
-randomness keyed by the scenario seed.
+before any state is resolved, and the layers below trust it; the gate
+also bounds kappa so that no rate, at most kappa N^2, overflows.  Only
+what needs a state is checked later: a state file's header, contents and
+size, a GHZ state's N >= 2 and a Dicke state's k <= N where they are
+built, and ``run_decohere``'s guard on every horizon, set or computed
+from the rates.  Each refusal is a ``ValidationError`` (exit 2), or a
+``CapabilityError`` (exit 4) for a state file over the site cap.  Every
+runner returns plain-dict results whose verdicts are recomputable from
+the raw numbers included next to them, and leaves all randomness keyed
+by the scenario seed.
 """
 
 import sys

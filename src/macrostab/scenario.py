@@ -23,10 +23,11 @@ of them again.
 """
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .catalog import check_state_params, checked_value
-from .errors import CapabilityError, FormatError, ValidationError
+from .errors import CapabilityError, ValidationError
 from .evolve import MIN_TRAJECTORIES, TRAJECTORY_STEPS
 from .ground import METHODS
 from .hamiltonian import MODELS, TRANSVERSE_ISING, XXZ
@@ -185,6 +186,13 @@ class Scenario:
             _require(p.B == 0.0, "symmetry-breaking needs scenario.params.B = 0 for the symmetric ground state")
             _require(p.nfs_factor > 0, f"scenario.params.nfs_factor must be > 0, got {p.nfs_factor!r}")
             _require(p.kappa >= 0, "symmetry-breaking needs scenario.params.kappa >= 0")
+        if "decohere" in self.experiments or "symmetry-breaking" in self.experiments:
+            # every analytic rate is at most kappa N^2, as tr(gC) <= lambda_max(g) tr(C) <= N * N;
+            # the factor 2 leaves room for rounding
+            _require(
+                math.isfinite(2 * p.kappa * sizes[-1] ** 2),
+                f"scenario.params.kappa = {p.kappa!r} overflows the rate bound kappa N^2 at N = {sizes[-1]}",
+            )
 
     def echo(self):
         """Plain-dict copy embedded into every report; it reads back as the
@@ -231,9 +239,9 @@ def load_scenario(path):
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise FormatError(f"cannot read scenario file: {exc}") from exc
+        raise ValidationError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise FormatError(f"scenario file is not valid JSON: {exc}") from exc
+        raise ValidationError(f"scenario file is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer literal beyond Python's digit limit
-        raise FormatError(f"scenario file holds an unreadable number: {exc}") from exc
+        raise ValidationError(f"scenario file holds an unreadable number: {exc}") from exc
     return validate_scenario(raw)

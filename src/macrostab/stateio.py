@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
-from .lattice import LatticeSpec, OPEN_CHAIN
+from .errors import CapabilityError, ValidationError
+from .lattice import OPEN_CHAIN, SITE_CAP, LatticeSpec
 from .states import StateVector, _norm2
 
 _HEADER_RE = re.compile(r"^macrostab-state v1 n_sites=(\d+)$")
@@ -45,7 +45,7 @@ def import_state(source, geometry=OPEN_CHAIN):
             with open(source, "r", encoding="ascii") as fh:
                 return _read(fh, geometry)
         except (OSError, UnicodeDecodeError) as exc:
-            raise FormatError(f"cannot read state file: {exc}") from exc
+            raise ValidationError(f"cannot read state file: {exc}") from exc
     return _read(source, geometry)
 
 
@@ -53,8 +53,16 @@ def _read(fh, geometry):
     header = fh.readline().rstrip("\n")
     m = _HEADER_RE.match(header)
     if not m:
-        raise FormatError(f"malformed state-file header: {header!r}")
-    n_sites = int(m.group(1))
+        raise ValidationError(f"malformed state-file header: {header!r}")
+    try:
+        n_sites = int(m.group(1))
+    except ValueError as exc:  # more digits than Python's conversion limit
+        raise ValidationError(f"state-file header holds an unreadable number: {exc}") from None
+    # the one size that does not pass the scenario gate
+    if n_sites < 1:
+        raise ValidationError(f"state-file header n_sites={n_sites} must be >= 1")
+    if n_sites > SITE_CAP:
+        raise CapabilityError(f"state-file header n_sites={n_sites} exceeds the site cap {SITE_CAP}")
     lattice = LatticeSpec(n_sites, geometry)
     dim = lattice.dim
     amps = np.empty(dim, dtype=np.complex128)
@@ -65,30 +73,33 @@ def _read(fh, geometry):
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise FormatError(f"malformed amplitude line: {line!r}")
+            raise ValidationError(f"malformed amplitude line: {line!r}")
         try:
             idx = int(parts[0])
             re_part = float(parts[1])
             im_part = float(parts[2])
         except ValueError:
-            raise FormatError(f"malformed amplitude line: {line!r}")
+            raise ValidationError(f"malformed amplitude line: {line!r}")
         if idx != count:
-            raise FormatError(
+            raise ValidationError(
                 f"amplitude index {idx} out of order (expected {count})"
             )
         if count >= dim:
-            raise FormatError(f"too many amplitude lines for n_sites={n_sites}")
+            raise ValidationError(f"too many amplitude lines for n_sites={n_sites}")
         if not (math.isfinite(re_part) and math.isfinite(im_part)):
-            raise FormatError("amplitudes must be finite")
+            raise ValidationError("amplitudes must be finite")
         amps[count] = complex(re_part, im_part)
         count += 1
     if count != dim:
-        raise FormatError(
+        raise ValidationError(
             f"expected {dim} amplitudes for n_sites={n_sites}, found {count}"
         )
-    norm = math.sqrt(_norm2(amps))
+    with np.errstate(over="ignore"):  # refused below
+        norm = math.sqrt(_norm2(amps))
+    if norm == math.inf:
+        raise ValidationError("state file amplitudes are too large: sum |a|^2 overflows a float")
     if norm < 1e-6:
-        raise FormatError("state file holds a (near-)zero vector")
+        raise ValidationError("state file holds a (near-)zero vector")
     if abs(norm - 1.0) > 1e-12:
         amps /= norm
     return StateVector(lattice, amps, _take=True)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, StateError
+from .errors import ValidationError
 
 NORM_TOL = 1e-8
 
@@ -38,16 +38,16 @@ class StateVector:
     def __init__(self, lattice, amplitudes, *, _take=False):
         arr = np.asarray(amplitudes, dtype=np.complex128)
         if arr.shape != (lattice.dim,):
-            raise StateError(
+            raise ValidationError(
                 f"amplitude count {arr.shape} does not match 2^{lattice.n_sites}"
             )
         if not np.all(np.isfinite(arr.view(np.float64))):
-            raise StateError("amplitudes must be finite")
+            raise ValidationError("amplitudes must be finite")
         if not _take:
             arr = arr.copy()
         n2 = _norm2(arr)
         if abs(n2 - 1.0) > NORM_TOL:
-            raise StateError(f"state not normalized: sum |a|^2 = {n2!r}")
+            raise ValidationError(f"state not normalized: sum |a|^2 = {n2!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "_amps", arr)
@@ -89,7 +89,7 @@ def make_uniform_product(lattice, theta, phi=0.0):
 def make_ghz(lattice):
     """(|all-up> + |all-down>)/sqrt(2)."""
     if lattice.n_sites < 2:
-        raise ArgumentError("GHZ state needs at least 2 sites")
+        raise ValidationError(f"scenario.sizes must be >= 2 for a GHZ state, got {lattice.n_sites}")
     amps = np.zeros(lattice.dim, dtype=np.complex128)
     r = 1.0 / math.sqrt(2.0)
     amps[0] = r
@@ -100,8 +100,8 @@ def make_ghz(lattice):
 def make_dicke(lattice, k):
     """Equal superposition of all basis states with exactly k down spins."""
     n = lattice.n_sites
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= n:
-        raise ArgumentError(f"excitation count k={k!r} out of range 0..{n}")
+    if not 0 <= k <= n:
+        raise ValidationError(f"scenario.state.params.k must lie in [0, N] at N = {n}, got {k}")
     idx = np.arange(lattice.dim, dtype=np.uint64)
     pop = np.zeros(lattice.dim, dtype=np.int64)
     for x in range(n):

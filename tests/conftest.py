@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from macrostab import evolve
-from macrostab.errors import ArgumentError
+from macrostab.errors import ValidationError
 from macrostab.states import StateVector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -102,7 +102,7 @@ def dephasing_channel_density(psi0, noise, t):
     the difference of the eigenvalue patterns of basis states i and j.
     """
     if noise.axis != "z":
-        raise ArgumentError(f"closed-form channel needs z-axis noise, got axis {noise.axis!r}")
+        raise ValidationError(f"closed-form channel needs z-axis noise, got axis {noise.axis!r}")
     lattice = psi0.lattice
     bits = (np.arange(lattice.dim)[:, None] >> np.arange(lattice.n_sites)) & 1
     site_vals = 1.0 - 2.0 * bits
@@ -124,7 +124,7 @@ def replay_z(psi, noise, ens):
     increments, so its final state is psi0 * exp(-i phi(T)).
     """
     if noise.axis != "z":
-        raise ArgumentError(f"replay needs z-axis noise, got axis {noise.axis!r}")
+        raise ValidationError(f"replay needs z-axis noise, got axis {noise.axis!r}")
     lattice = psi.lattice
     b_scaled = noise.kernel_sqrt(lattice) * math.sqrt(noise.kappa * ens.dt)
     site_vals = 1.0 - 2.0 * ((np.arange(lattice.dim)[:, None] >> np.arange(lattice.n_sites)) & 1)

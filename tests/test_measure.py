@@ -6,7 +6,7 @@ import pytest
 
 from macrostab.analyzer import covariance_matrix, max_additive_fluctuation
 from macrostab.catalog import build_state, correspondence_catalog
-from macrostab.errors import ArgumentError
+from macrostab.errors import ValidationError
 from macrostab.ground import ground_state
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
@@ -54,7 +54,7 @@ class TestMeasureLocal:
     def test_degenerate_observable_rejected(self):
         lat = LatticeSpec(2)
         for a_obs, b_obs in ((LocalOperator(0, np.eye(2)), sigma(1, "z")), (sigma(1, "z"), LocalOperator(0, np.eye(2)))):
-            with pytest.raises(ArgumentError):
+            with pytest.raises(ValidationError, match="observable is degenerate"):
                 conditional_distribution(make_ghz(lat), a_obs, b_obs)
 
 
@@ -99,7 +99,7 @@ class TestConditionalDistribution:
 
     def test_same_site_rejected(self):
         lat = LatticeSpec(3)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match="needs two distinct sites"):
             conditional_distribution(make_ghz(lat), sigma(1, "z"), sigma(1, "x"))
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from macrostab import evolve
-from macrostab.errors import ArgumentError
+from macrostab.errors import ValidationError
 from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
-from macrostab.lattice import LatticeSpec
+from macrostab.lattice import GEOMETRIES, SITE_CAP, LatticeSpec
 from macrostab.noise import NoiseModel
 from macrostab.rates import RATE_WINDOW_FRACTION, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
@@ -61,6 +61,14 @@ class TestNoiseModel:
             assert np.linalg.eigvalsh(g)[0] >= -1e-10
             b = model.kernel_sqrt(lat)
             assert np.allclose(b @ b.T, g, atol=1e-10)
+        # kernel_matrix does not check PSD: exp(-|x-y|/xi) is the Ornstein-Uhlenbeck
+        # covariance, and the ring distance is of negative type (Schoenberg)
+        for n in range(1, SITE_CAP + 1):
+            for geometry in GEOMETRIES:
+                for xi in (5e-324, 1e-300, *np.logspace(-3, 3, 25), 1e300, 1e308):
+                    g = NoiseModel(0.1, "exponential", xi=xi).kernel_matrix(LatticeSpec(n, geometry))
+                    evals = np.linalg.eigvalsh(g)
+                    assert evals[0] >= -1e-12 * evals[-1], (n, geometry, xi)
 
     def test_periodic_distance_kernel(self):
         lat = LatticeSpec(4, "periodic-chain")
@@ -236,7 +244,7 @@ class TestEvolve:
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_channel_needs_z_noise(self, axis):
         # the closed form reads the sigma_z eigenvalue pattern 1 - 2 bit
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match="needs z-axis noise"):
             dephasing_channel_density(make_ghz(LatticeSpec(3)), NoiseModel(0.05, "independent", axis=axis), 1.0)
 
     def test_channel_formula_against_dense_generator(self):

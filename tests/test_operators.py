@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from macrostab.analyzer import covariance_matrix, magnetization
-from macrostab.errors import ArgumentError, StateError
+from macrostab.errors import ValidationError
 from macrostab.lattice import LatticeSpec
 from macrostab.measure import conditional_distribution
 from macrostab.operators import PAULI_MATRICES, LocalOperator, _apply_matrix_at_site, additive_variance
@@ -30,13 +30,13 @@ class TestPauli:
 
     def test_site_out_of_range(self):
         # the projection-postulate oracle checks each operator's site against the lattice
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match="site index 2 out of range"):
             conditional_distribution(
                 make_ghz(LatticeSpec(2)), LocalOperator(2, PAULI["x"]), LocalOperator(0, PAULI["z"])
             )
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match="not Hermitian"):
             LocalOperator(0, [[0, 1], [0, 0]])
 
 
@@ -74,7 +74,7 @@ class TestApplyLocal:
     def test_site_mismatch(self):
         # an operator beyond the lattice is rejected at the second site too
         lat = LatticeSpec(2)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match="site index 3 out of range"):
             conditional_distribution(make_ghz(lat), LocalOperator(0, PAULI["z"]), LocalOperator(3, PAULI["x"]))
 
     @pytest.mark.parametrize("n,site,axis", [(3, 0, "x"), (3, 1, "y"), (4, 3, "z")])
@@ -114,13 +114,13 @@ class TestExpectation:
     def test_unnormalized_rejected(self):
         # an unnormalized state never reaches magnetization: building it fails
         lat = LatticeSpec(2)
-        with pytest.raises(StateError):
+        with pytest.raises(ValidationError, match="state not normalized"):
             magnetization(StateVector(lat, [0.5, 0.5, 0.5, 0.5 + 0.3j]))
 
     def test_imaginary_part_guard(self):
         # a manufactured non-Hermitian path cannot arise through the public
         # API, so check the guard via the checked constructor instead
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match="not Hermitian"):
             LocalOperator(0, [[1.0, 1j], [1j, 1.0]])
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -346,6 +347,13 @@ _RANGE_VIOLATIONS = {
     "model": ({"experiments": ["symmetry-breaking"], "params": {"model": "xxz"}}, "scenario.params.model"),
     "B": ({"experiments": ["symmetry-breaking"], "params": {"B": 0.1}}, "scenario.params.B"),
     "symmetry-breaking-kappa": ({"experiments": ["symmetry-breaking"], "params": {"kappa": -1.0}}, "scenario.params.kappa"),
+    # kappa N^2 bounds every rate, so it must fit a float
+    "decohere-kappa-overflow": (
+        {"experiments": ["decohere"], "params": {"kappa": 1e308, "n_traj": 0}}, "scenario.params.kappa"
+    ),
+    "symmetry-breaking-kappa-overflow": (
+        {"experiments": ["symmetry-breaking"], "params": {"kappa": 1e308}}, "scenario.params.kappa"
+    ),
     "kernel": ({"experiments": ["decohere"], "params": {"kernel": "gaussian"}}, "scenario.params.kernel"),
     "axis": ({"experiments": ["decohere"], "params": {"axis": "q"}}, "scenario.params.axis"),
     "geometry": ({"params": {"geometry": "ring"}}, "scenario.params.geometry"),
@@ -362,6 +370,7 @@ _RANGE_VIOLATIONS = {
     "unknown-family": ({"state": {"family": "nosuch"}}, "scenario.state.family"),
     "nan-theta": ({"state": {"family": "product", "params": {"theta": math.nan}}}, "scenario.state.params.theta"),
     "dicke-without-k": ({"state": {"family": "dicke"}}, "scenario.state.params.k"),
+    "unknown-family-param": ({"state": {"family": "ghz", "params": {"J": 1.0}}}, "scenario.state.params"),
     "unknown-experiment": ({"experiments": ["teleport"]}, "scenario.experiments"),
     "repeated-experiment": ({"experiments": ["cluster", "cluster"]}, "scenario.experiments"),
 }
@@ -403,6 +412,43 @@ def test_horizon_too_short_for_the_rate_fit_exits_before_any_trajectory(argv, ke
     monkeypatch.setattr(runner, "evolve_noisy", _refuse)
     assert main(["decohere", "--sizes", "4:8:2", *argv]) == 2
     assert f"{key} " in capsys.readouterr().err
+
+
+# a family's checks that need N run where its state is built, and name the key
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["measure", "--state", "dicke", "--k", "9", "--sizes", "4:8:2"], "scenario.state.params.k"),
+        (["measure", "--state", "dicke", "--k", "-1", "--sizes", "4:8:2"], "scenario.state.params.k"),
+        (["cluster", "--state", "ghz", "--sizes", "1:3"], "scenario.sizes"),
+    ],
+    ids=["dicke-k-above-n", "dicke-k-negative", "ghz-one-site"],
+)
+def test_family_errors_name_their_key_before_any_report(argv, key, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "rep")]) == 2
+    assert f"{key} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# a state-file header is the one size the scenario does not check
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("macrostab-state v1 n_sites=0\n", 2, "state-file header n_sites=0 must be >= 1"),
+        ("macrostab-state v1 n_sites=19\n", 4, "state-file header n_sites=19 exceeds the site cap 18"),
+        ("macrostab-state v1 n_sites=1\n0 1e200 0.0\n1 1e200 0.0\n", 2, "state file amplitudes are too large"),
+        ("macrostab-state v1 n_sites=" + "9" * 5000 + "\n", 2, "state-file header holds an unreadable number"),
+    ],
+    ids=["zero-sites", "over-the-cap", "overflowing-norm", "5000-digit-size"],
+)
+def test_state_file_errors_name_the_file(text, code, message, tmp_path, capsys):
+    path = tmp_path / "bad.state"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["measure", "--state-file", str(path), "--sizes", "4", "--out", str(tmp_path / "rep")]) == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_integer_literal_beyond_the_digit_limit_exits_before_any_state(tmp_path, monkeypatch):

@@ -9,9 +9,10 @@ of ``src/macrostab`` must be read in that module.  The package namespace binds o
 ``__version__``, so tests and the benchmark import every other name from
 the module that defines it.
 
-Input errors are raised only where input arrives: the scenario gate, the
-command line, the state file, the state builders that need N, and the
-projection-postulate oracle.  The layers below trust what they are given.
+Input errors, every error class that exits 2 or 4, are raised only where
+input arrives: the scenario gate, the command line, the state file, the
+state builders that need N, the horizon guard, and the projection-postulate
+oracle.  The layers below trust what they are given.
 
 The scan matches names, not bindings: a definition whose name is also a
 local variable elsewhere in ``src/`` counts as used.  A method ``overlap``,
@@ -22,6 +23,8 @@ of that name.
 import ast
 import importlib.util
 from pathlib import Path
+
+from macrostab import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,19 +94,22 @@ def test_package_imports_name_a_submodule_or_the_version():
     assert strays == []
 
 
-_INPUT_ERRORS = {"ValidationError", "ArgumentError", "StateError", "FormatError", "ModelError", "CapabilityError"}
+_INPUT_ERRORS = {
+    cls.__name__
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.MacrostabError) and cls.exit_code in (2, 4)
+}
 
 # every function of src/macrostab that raises an input error
 _INPUT_GATES = {
-    "catalog.checked_value", "catalog.check_state_params", "catalog.build_state",
+    "catalog.checked_value", "catalog.check_state_params",
     "cli.parse_sizes",
     "scenario._require", "scenario.Scenario.__post_init__", "scenario.load_scenario",
     "runner._state_entries", "runner.run_decohere",
     "stateio.import_state", "stateio._read",
-    "lattice.LatticeSpec.__post_init__", "lattice.LatticeSpec.validate_site",
+    "lattice.LatticeSpec.validate_site",
     "states.StateVector.__init__", "states.make_ghz", "states.make_dicke",
     "operators.LocalOperator.__init__", "measure.conditional_distribution",
-    "noise.NoiseModel.kernel_matrix",
 }
 
 

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from macrostab.errors import FormatError
+from macrostab.errors import ValidationError
 from macrostab.lattice import LatticeSpec
 from macrostab.stateio import export_state, import_state
 from macrostab.states import StateVector, make_ghz
@@ -40,7 +40,7 @@ def test_roundtrip_via_files(tmp_path):
 
 def test_wrong_amplitude_count():
     text = "macrostab-state v1 n_sites=2\n0 1.0 0.0\n1 0.0 0.0\n2 0.0 0.0\n"
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="expected 4 amplitudes for n_sites=2, found 3"):
         import_state(io.StringIO(text))
 
 
@@ -58,14 +58,14 @@ def test_zero_vector_rejected():
         "macrostab-state v1 n_sites=2\n"
         "0 0.0 0.0\n1 0.0 0.0\n2 0.0 0.0\n3 0.0 0.0\n"
     )
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="near-.zero vector"):
         import_state(io.StringIO(text))
 
 
 def test_malformed_header():
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="malformed state-file header"):
         import_state(io.StringIO("macrostab-state v2 n_sites=2\n"))
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="malformed state-file header"):
         import_state(io.StringIO("hello\n"))
 
 
@@ -74,11 +74,11 @@ def test_out_of_order_indices():
         "macrostab-state v1 n_sites=2\n"
         "0 1.0 0.0\n2 0.0 0.0\n1 0.0 0.0\n3 0.0 0.0\n"
     )
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="amplitude index 2 out of order"):
         import_state(io.StringIO(text))
 
 
 def test_malformed_amplitude_line():
     text = "macrostab-state v1 n_sites=1\n0 1.0 0.0\n1 zero 0.0\n"
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="malformed amplitude line"):
         import_state(io.StringIO(text))

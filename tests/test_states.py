@@ -1,10 +1,12 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from macrostab.errors import ArgumentError, CapabilityError, StateError
+from macrostab.errors import CapabilityError, ValidationError
 from macrostab.lattice import LatticeSpec
+from macrostab.stateio import import_state
 from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 from conftest import basis_state, product_amps_oracle
 
@@ -23,21 +25,22 @@ class TestLattice:
         # two-site ring keeps a single bond
         assert LatticeSpec(2, "periodic-chain").bonds() == [(0, 1)]
 
+    # the scenario checks every other size; a state-file header is read below it
     def test_cap(self):
         assert LatticeSpec(18).dim == 1 << 18
-        with pytest.raises(CapabilityError):
-            LatticeSpec(19)
+        with pytest.raises(CapabilityError, match="state-file header n_sites=19 exceeds the site cap 18"):
+            import_state(io.StringIO("macrostab-state v1 n_sites=19\n"))
 
     def test_bad_args(self):
-        with pytest.raises(ArgumentError):
-            LatticeSpec(0)
+        with pytest.raises(ValidationError, match="state-file header n_sites=0 must be >= 1"):
+            import_state(io.StringIO("macrostab-state v1 n_sites=0\n"))
 
 
 class TestStateVector:
     def test_normalization_enforced(self):
         lat = LatticeSpec(2)
         for amps in ([1.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5 + 0.3j]):
-            with pytest.raises(StateError):
+            with pytest.raises(ValidationError, match="state not normalized"):
                 StateVector(lat, amps)
 
     def test_immutable(self):
@@ -48,7 +51,7 @@ class TestStateVector:
             psi.lattice = None
 
     def test_wrong_size(self):
-        with pytest.raises(StateError):
+        with pytest.raises(ValidationError, match="amplitude count"):
             StateVector(LatticeSpec(2), [1.0, 0.0])
 
     def test_overlap(self):
@@ -98,7 +101,7 @@ class TestGhz:
         assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1.0) < 1e-12
 
     def test_too_small(self):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match="scenario.sizes must be >= 2 for a GHZ state, got 1"):
             make_ghz(LatticeSpec(1))
 
 
@@ -122,9 +125,9 @@ class TestDicke:
         assert set(nonzero) == expected
 
     def test_out_of_range(self):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match=r"scenario.state.params.k must lie in \[0, N\] at N = 3, got 4"):
             make_dicke(LatticeSpec(3), 4)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ValidationError, match=r"scenario.state.params.k .* got -1"):
             make_dicke(LatticeSpec(3), -1)
 
 
