@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .operators import PAULI_AXES, additive_variance
+from .operators import additive_variance
+from .scenario import PAULI_AXES
 
 AFS = "AFS"
 NFS = "NFS"

@@ -19,11 +19,10 @@ it exactly as for ``run``.  Exit codes: 0 success, 2 validation error,
 import argparse
 import sys
 
-from .catalog import FAMILY_PARAMS
 from .errors import MacrostabError, ValidationError
 from .report import dump_structured
 from .runner import run_scenario, write_report_files
-from .scenario import _STATEFUL_EXPERIMENTS, CHOICES, FORMATS, PARAM_TYPES, load_scenario, validate_scenario
+from .scenario import _STATEFUL_EXPERIMENTS, CHOICES, FAMILY_PARAMS, FORMATS, PARAM_TYPES, load_scenario, validate_scenario
 
 # each subcommand's help and the scenario params its own flags set, besides seed and geometry
 _COMMANDS = {

@@ -7,7 +7,8 @@ commutes with every other and a trajectory is a closed form in the product
 eigenbasis of sigma_axis: basis state i carries the phase
 sum_x Wcum_x lam(i_x), Wcum the running sum of the increments and lam the
 eigenvalues of sigma_axis.  It is exact at any step, so every
-step is recorded.  The phase is a sum over sites, so with i = h 2^k + l the
+step is recorded; a decohere run takes ``scenario.TRAJECTORY_STEPS`` of
+them.  The phase is a sum over sites, so with i = h 2^k + l the
 fidelity's weighted sum splits exactly into low-site (l) and high-site (h)
 phase tables joined by the weights P = p.reshape(2^(N-k), 2^k): one small
 product and a row-wise dot.  The support of p fixes k, the split with the
@@ -26,10 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import PAULI_MATRICES, _apply_matrix_at_site
-
-MIN_TRAJECTORIES = 100
-# steps of every decohere trajectory: the 5% rate window holds 20 of them
-TRAJECTORY_STEPS = 400
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,10 @@ import numpy as np
 from .analyzer import magnetization
 from .errors import NumericalError
 from .hamiltonian import _hash_vector, build_hamiltonian
+from .scenario import METHOD_DOUBLET
 from .states import StateVector, _cdot
 
 RESIDUAL_TOL = 1e-9
-
-METHOD_DOUBLET = "doublet-superposition"
-METHOD_SB_FIELD = "sb-field-limit"
-METHODS = (METHOD_DOUBLET, METHOD_SB_FIELD)
 
 _MAX_STEPS = 400
 _BASIS = 32  # Krylov vectors held at once

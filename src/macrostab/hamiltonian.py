@@ -25,10 +25,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .lattice import LatticeSpec
-
-TRANSVERSE_ISING = "transverse-ising"
-XXZ = "xxz"
-MODELS = (TRANSVERSE_ISING, XXZ)
+from .scenario import TRANSVERSE_ISING, XXZ
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

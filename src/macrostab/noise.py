@@ -18,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KERNEL_COLLECTIVE = "collective"
-KERNEL_INDEPENDENT = "independent"
-KERNEL_EXPONENTIAL = "exponential"
-KERNELS = (KERNEL_COLLECTIVE, KERNEL_INDEPENDENT, KERNEL_EXPONENTIAL)
+from .scenario import KERNEL_COLLECTIVE, KERNEL_INDEPENDENT
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,11 @@ A = sum_x sum_a c[3x+a] sigma_a(x) is its real (3N,) coefficient vector c
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .scenario import PAULI_AXES
 from .states import _cdot, _norm2
 
 HERMITICITY_TOL = 1e-12
 IMAG_TOL = 1e-8
-
-PAULI_AXES = ("x", "y", "z")
 
 PAULI_MATRICES = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),

@@ -23,7 +23,7 @@ from .analyzer import classify_scaling, magnetization, max_additive_fluctuation
 from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
-from .evolve import TRAJECTORY_STEPS, TrajectoryEnsemble, evolve_noisy
+from .evolve import TrajectoryEnsemble, evolve_noisy
 from .ground import ground_state, pure_phase_vacuum
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
@@ -31,7 +31,7 @@ from .measure import measurement_cascade, stability_test
 from .noise import NoiseModel
 from .rates import MIN_WINDOW_DECAY, RATE_WINDOW_FRACTION, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
-from .scenario import _STATEFUL_EXPERIMENTS
+from .scenario import _STATEFUL_EXPERIMENTS, KERNEL_COLLECTIVE, KERNEL_EXPONENTIAL, TRAJECTORY_STEPS, TRANSVERSE_ISING
 from .stateio import export_state, import_state
 
 
@@ -138,7 +138,8 @@ def run_measure(scenario, entries):
 def run_decohere(scenario, entries):
     p = scenario.params
     [(label, states)] = entries
-    noise = p.noise_model()
+    xi = p.xi if p.kernel == KERNEL_EXPONENTIAL else None
+    noise = NoiseModel(kappa=p.kappa, kernel=p.kernel, axis=p.axis, xi=xi)
     per_size = []
     analytic_points = []
     traj_points = []
@@ -204,11 +205,11 @@ def run_decohere(scenario, entries):
 
 def run_symmetry_breaking(scenario, entries):
     p = scenario.params
-    noise = NoiseModel(kappa=p.kappa, kernel="collective", axis="z")
+    noise = NoiseModel(kappa=p.kappa, kernel=KERNEL_COLLECTIVE, axis="z")
     per_size = []
     for n in scenario.sizes:
         lattice = LatticeSpec(n, p.geometry)
-        spec = HamiltonianSpec("transverse-ising", lattice, J=p.J, h=p.h)
+        spec = HamiltonianSpec(TRANSVERSE_ISING, lattice, J=p.J, h=p.h)
         ham = build_hamiltonian(spec)
         res = ground_state(ham)
         sym = res.states[0]

@@ -10,7 +10,10 @@ null leaves a field unset.  Every value check lives in the
 command line and a ``Scenario`` built in code are checked alike, and a
 float field stores an int as a float, so all three echo the same bytes.
 This is the one gate for scenario values: the modules below check none
-of them again.
+of them again.  It also defines every name a value is checked against
+(models, kernels, methods, axes, the trajectory counts), which the
+modules below import from here, and it imports only ``errors`` and
+``lattice`` from the package, so checking a scenario loads no numpy.
 
     {
       "name": "ghz-fragility",
@@ -26,17 +29,31 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
-from .catalog import check_state_params, checked_value
 from .errors import CapabilityError, ValidationError
-from .evolve import MIN_TRAJECTORIES, TRAJECTORY_STEPS
-from .ground import METHODS
-from .hamiltonian import MODELS, TRANSVERSE_ISING, XXZ
 from .lattice import GEOMETRIES, OPEN_CHAIN, SITE_CAP, LatticeSpec
-from .noise import KERNEL_EXPONENTIAL, KERNELS, NoiseModel
-from .operators import PAULI_AXES
 
 EXPERIMENTS = ("classify", "cluster", "decohere", "measure", "ground", "symmetry-breaking")
 FORMATS = ("structured", "csv", "both")
+
+TRANSVERSE_ISING = "transverse-ising"
+XXZ = "xxz"
+MODELS = (TRANSVERSE_ISING, XXZ)
+
+KERNEL_COLLECTIVE = "collective"
+KERNEL_INDEPENDENT = "independent"
+KERNEL_EXPONENTIAL = "exponential"
+KERNELS = (KERNEL_COLLECTIVE, KERNEL_INDEPENDENT, KERNEL_EXPONENTIAL)
+
+# how symmetry-breaking and the pure-phase family make the pure-phase vacuum
+METHOD_DOUBLET = "doublet-superposition"
+METHOD_SB_FIELD = "sb-field-limit"
+METHODS = (METHOD_DOUBLET, METHOD_SB_FIELD)
+
+PAULI_AXES = ("x", "y", "z")
+
+MIN_TRAJECTORIES = 100
+# steps of every decohere trajectory: the 5% rate window holds 20 of them
+TRAJECTORY_STEPS = 400
 
 _SCALING_EXPERIMENTS = ("classify", "decohere")
 _STATEFUL_EXPERIMENTS = ("classify", "cluster", "decohere", "measure")
@@ -47,10 +64,65 @@ MODEL_FIELD = {TRANSVERSE_ISING: 0.1, XXZ: 0.0}
 # the allowed values of each string param, read by the command line too
 CHOICES = {"kernel": KERNELS, "axis": PAULI_AXES, "model": MODELS, "method": METHODS, "geometry": GEOMETRIES}
 
+# the values a field of each type takes besides its own type's (never a bool)
+_ACCEPTS = {float: (int, float), tuple: (list, tuple)}
+
+# The params each state family accepts: float (any number), int, or a tuple
+# of allowed values.  Each key is also a command-line flag of that type.
+# "catalog" names the whole correspondence catalog, which takes none.
+FAMILY_PARAMS = {
+    "ghz": {},
+    "product-up": {},
+    "product-plus": {},
+    "product": {"theta": float, "phi": float},
+    "w": {},
+    "dicke": {"k": int},
+    "dicke-half": {},
+    "tfim-ground": {"J": float, "h": float, "B": float},
+    "tfim-paramagnetic": {"J": float},
+    "pure-phase": {"J": float, "h": float, "method": METHODS},
+    "catalog": {},
+}
+
 
 def _require(cond, message):
     if not cond:
         raise ValidationError(message)
+
+
+def checked_value(kind, val, where):
+    """``val`` as a value of ``kind``, a type or a tuple of allowed values;
+    ``where`` names it in messages.  A type takes no bool.  A float also
+    takes an int, which it stores as a float, and must be finite and fit a
+    float; a tuple also takes a list, stored as a tuple."""
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise ValidationError(f"{where} must be one of {list(kind)}, got {val!r}")
+        return val
+    if not isinstance(val, _ACCEPTS.get(kind, kind)) or isinstance(val, bool):
+        raise ValidationError(f"{where} must be {kind.__name__}, got {val!r}")
+    try:
+        val = val if type(val) is kind else kind(val)
+    except OverflowError:
+        raise ValidationError(f"{where} is too large for a float") from None
+    if kind is float and not math.isfinite(val):
+        raise ValidationError(f"{where} must be finite, got {val!r}")
+    return val
+
+
+def check_state_params(family, params):
+    """The params of the scenario's state ``family``, each checked and
+    converted to its type, named by their scenario-file keys in messages.
+    Rejects an unknown family or param and a Dicke state without k."""
+    checked_value(tuple(FAMILY_PARAMS), family, "scenario.state.family")
+    kinds = FAMILY_PARAMS[family]
+    unknown = [key for key in params if key not in kinds]
+    if unknown:
+        raise ValidationError(f"unknown key(s) {unknown} in scenario.state.params of the {family!r} family")
+    checked = {key: checked_value(kinds[key], val, f"scenario.state.params.{key}") for key, val in params.items()}
+    if family == "dicke" and "k" not in params:
+        raise ValidationError("scenario.state.params.k is required for the dicke family")
+    return checked
 
 
 def _check_fields(obj, where):
@@ -70,7 +142,7 @@ class ScenarioParams:
     varepsilon: float = 0.05
     min_distance: int = None
     kappa: float = 0.01
-    kernel: str = "collective"
+    kernel: str = KERNEL_COLLECTIVE
     axis: str = "z"
     xi: float = 2.0
     n_traj: int = 200
@@ -81,7 +153,7 @@ class ScenarioParams:
     h: float = None  # unset: the model's own transverse field, MODEL_FIELD
     delta: float = 1.0
     B: float = 0.0
-    method: str = "doublet-superposition"
+    method: str = METHOD_DOUBLET
     nfs_factor: float = 3.0
     geometry: str = OPEN_CHAIN
 
@@ -92,11 +164,6 @@ class ScenarioParams:
         _require(0 <= self.seed < 2**64, "scenario.params.seed must fit in 64 bits")
         if self.h is None:
             object.__setattr__(self, "h", MODEL_FIELD[self.model])
-
-    def noise_model(self):
-        """The correlated noise a decohere run couples to."""
-        xi = self.xi if self.kernel == "exponential" else None
-        return NoiseModel(kappa=self.kappa, kernel=self.kernel, axis=self.axis, xi=xi)
 
 
 # the type of each param, which scenario files and command-line flags must match

@@ -7,7 +7,6 @@ followed by 2^N lines ``<index> <re> <im>`` in increasing index order,
 
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 
@@ -18,35 +17,26 @@ from .states import StateVector, _norm2
 _HEADER_RE = re.compile(r"^macrostab-state v1 n_sites=(\d+)$")
 
 
-def export_state(psi, destination):
-    """Write a state to a path or text file object."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="ascii") as fh:
-            _write(psi, fh)
-    else:
-        _write(psi, destination)
-
-
-def _write(psi, fh):
-    fh.write(f"macrostab-state v1 n_sites={psi.n_sites}\n")
+def export_state(psi, path):
+    """Write a state to the file at ``path``."""
     amps = psi.amplitudes
-    for i in range(psi.dim):
-        fh.write(f"{i} {amps[i].real:.17e} {amps[i].imag:.17e}\n")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"macrostab-state v1 n_sites={psi.n_sites}\n")
+        for i in range(psi.dim):
+            fh.write(f"{i} {amps[i].real:.17e} {amps[i].imag:.17e}\n")
 
 
-def import_state(source, geometry=OPEN_CHAIN):
-    """Read a state file, validate its layout, and renormalize.
+def import_state(path, geometry=OPEN_CHAIN):
+    """Read the state file at ``path``, validate its layout, and renormalize.
 
     Renormalization is skipped when the stored norm is already 1 within
     1e-12 so that export/import round-trips are bit-exact.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="ascii") as fh:
-                return _read(fh, geometry)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read state file: {exc}") from exc
-    return _read(source, geometry)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return _read(fh, geometry)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read state file: {exc}") from exc
 
 
 def _read(fh, geometry):

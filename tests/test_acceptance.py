@@ -18,14 +18,14 @@ from macrostab.analyzer import classify_scaling, magnetization, max_additive_flu
 from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.cluster import cluster_verdict, correlation_field, omega
 from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
-from macrostab.ground import METHOD_DOUBLET, ground_state, pure_phase_vacuum
+from macrostab.ground import ground_state, pure_phase_vacuum
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
 from macrostab.measure import measurement_cascade, stability_test
 from macrostab.noise import NoiseModel
 from macrostab.operators import additive_variance
 from macrostab.rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
-from macrostab.scenario import ScenarioParams
+from macrostab.scenario import METHOD_DOUBLET, ScenarioParams
 from macrostab.states import make_dicke, make_ghz, make_uniform_product
 from conftest import (
     axis_coefficients,

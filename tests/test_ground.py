@@ -8,15 +8,10 @@ import pytest
 
 from macrostab import ground, runner
 from macrostab.analyzer import magnetization, max_additive_fluctuation
-from macrostab.ground import (
-    METHOD_DOUBLET,
-    METHOD_SB_FIELD,
-    ground_state,
-    pure_phase_vacuum,
-)
+from macrostab.ground import ground_state, pure_phase_vacuum
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
-from macrostab.scenario import Scenario
+from macrostab.scenario import METHOD_DOUBLET, METHOD_SB_FIELD, Scenario
 from macrostab.states import StateVector
 from conftest import basis_state, dense_additive, dense_tfim, dense_xxz, subprocess_env
 

@@ -9,6 +9,7 @@ from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
 from macrostab.lattice import GEOMETRIES, SITE_CAP, LatticeSpec
 from macrostab.noise import NoiseModel
 from macrostab.rates import RATE_WINDOW_FRACTION, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from macrostab.scenario import TRAJECTORY_STEPS
 from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 from conftest import (
     PAULI,
@@ -284,7 +285,7 @@ def _scenario_run(name, n, seed):
     psi = make_state(LatticeSpec(n))
     gamma = analytic_dephasing_rate(psi, noise)
     horizon = 0.5 / gamma
-    ens = TrajectoryEnsemble(100, horizon / evolve.TRAJECTORY_STEPS, horizon, seed)
+    ens = TrajectoryEnsemble(100, horizon / TRAJECTORY_STEPS, horizon, seed)
     return gamma, evolve_noisy(psi, noise, ens)
 
 

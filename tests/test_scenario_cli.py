@@ -20,11 +20,10 @@ import macrostab.measure
 import macrostab.operators
 import macrostab.rates
 from macrostab import runner
-from macrostab.catalog import FAMILY_PARAMS
 from macrostab.cli import _scenario_from_args, build_parser, main, parse_sizes
 from macrostab.errors import CapabilityError, ValidationError
 from macrostab.lattice import LatticeSpec
-from macrostab.scenario import Scenario, ScenarioParams, StateSource, load_scenario, validate_scenario
+from macrostab.scenario import FAMILY_PARAMS, Scenario, ScenarioParams, StateSource, load_scenario, validate_scenario
 from macrostab.stateio import export_state
 from macrostab.states import make_ghz
 from conftest import subprocess_env
@@ -278,6 +277,8 @@ def test_params_built_in_code_are_type_checked_before_any_state(experiment, para
         ["measure", "--state", "ghz", "--geometry", "periodic-chain", "--sizes", "4:8:2", "--min-distance", "3"],
         # every float param must be finite, also one the run would not read
         ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--xi", "inf"],
+        # kappa N^2 bounds every rate, so it must fit a float, with trajectories too
+        ["decohere", "--state", "ghz", "--sizes", "4:8:2", "--kappa", "1e308"],
     ],
 )
 def test_invalid_cli_input_exits_before_any_state(argv, monkeypatch):
@@ -398,15 +399,16 @@ def test_range_checks_name_the_file_key(case, tmp_path, monkeypatch, capsys):
 
 
 # a horizon, set or computed from kappa, whose rate window squares to
-# below the smallest normal float: the fit would divide by zero
+# below the smallest normal float: the fit would divide by zero.  Such a
+# kappa passes the gate, which refuses only one whose rate bound kappa N^2
+# overflows (1e308 at N = 8, in test_invalid_cli_input_exits_before_any_state)
 @pytest.mark.parametrize(
     "argv, key",
     [
-        (["--state", "ghz", "--kappa", "1e308"], "scenario.params.kappa"),
         (["--state", "ghz", "--kappa", "1e300"], "scenario.params.kappa"),
         (["--state", "product-up", "--horizon", "1e-170"], "scenario.params.horizon"),
     ],
-    ids=["overflowing-kappa", "huge-kappa", "tiny-horizon-zero-rate"],
+    ids=["huge-kappa", "tiny-horizon-zero-rate"],
 )
 def test_horizon_too_short_for_the_rate_fit_exits_before_any_trajectory(argv, key, monkeypatch, capsys):
     monkeypatch.setattr(runner, "evolve_noisy", _refuse)
@@ -987,6 +989,43 @@ def test_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["[]", "[]"]
+
+
+# one scenario file per experiment, each setting the params its checks read
+_GATE_SCENARIOS = {
+    "classify": {"state": {"family": "dicke", "params": {"k": 2}}, "sizes": [4, 6, 8]},
+    "cluster": {"state": {"family": "catalog"}, "sizes": [4, 6, 8], "params": {"epsilon": 0.2}},
+    "decohere": {
+        "state": {"family": "pure-phase", "params": {"method": "sb-field-limit"}},
+        "sizes": [4, 6, 8],
+        "params": {"kernel": "exponential", "xi": 1.5, "axis": "x", "horizon": 2.0},
+    },
+    "measure": {"state": {"family": "ghz"}, "sizes": [4], "params": {"min_distance": 2, "geometry": "periodic-chain"}},
+    "ground": {"sizes": [4, 6], "params": {"model": "xxz", "delta": 0.5}},
+    "symmetry-breaking": {"sizes": [6, 8], "params": {"method": "sb-field-limit", "nfs_factor": 2.0}},
+}
+
+
+def test_checking_a_scenario_loads_no_numerics(tmp_path):
+    # the gate defines every value it checks against, so loading a scenario
+    # imports only the gate and the two modules it needs, and never numpy
+    paths = []
+    for experiment, body in _GATE_SCENARIOS.items():
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps({"name": experiment, "experiments": [experiment], **body}))
+        paths.append(str(path))
+    probe = (
+        "import sys\n"
+        "from macrostab.scenario import load_scenario\n"
+        f"for path in {paths!r}: load_scenario(path)\n"
+        "print('numpy' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'macrostab'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "False", "['macrostab', 'macrostab.errors', 'macrostab.lattice', 'macrostab.scenario']",
+    ]
 
 
 def test_only_trajectories_load_numpy_random():

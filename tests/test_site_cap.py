@@ -16,10 +16,11 @@ from macrostab.analyzer import covariance_matrix, max_additive_fluctuation
 from macrostab.catalog import build_state
 from macrostab.cluster import omega
 from macrostab.ground import RESIDUAL_TOL, ground_state
-from macrostab.hamiltonian import TRANSVERSE_ISING, HamiltonianSpec, build_hamiltonian
+from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import SITE_CAP, LatticeSpec
 from macrostab.noise import NoiseModel
 from macrostab.rates import analytic_dephasing_rate
+from macrostab.scenario import TRANSVERSE_ISING
 from conftest import dense_tfim
 
 N = SITE_CAP

@@ -102,9 +102,9 @@ _INPUT_ERRORS = {
 
 # every function of src/macrostab that raises an input error
 _INPUT_GATES = {
-    "catalog.checked_value", "catalog.check_state_params",
     "cli.parse_sizes",
-    "scenario._require", "scenario.Scenario.__post_init__", "scenario.load_scenario",
+    "scenario._require", "scenario.checked_value", "scenario.check_state_params",
+    "scenario.Scenario.__post_init__", "scenario.load_scenario",
     "runner._state_entries", "runner.run_decohere",
     "stateio.import_state", "stateio._read",
     "lattice.LatticeSpec.validate_site",

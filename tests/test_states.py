@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -26,14 +25,18 @@ class TestLattice:
         assert LatticeSpec(2, "periodic-chain").bonds() == [(0, 1)]
 
     # the scenario checks every other size; a state-file header is read below it
-    def test_cap(self):
+    def test_cap(self, tmp_path):
         assert LatticeSpec(18).dim == 1 << 18
+        path = tmp_path / "n19.state"
+        path.write_text("macrostab-state v1 n_sites=19\n")
         with pytest.raises(CapabilityError, match="state-file header n_sites=19 exceeds the site cap 18"):
-            import_state(io.StringIO("macrostab-state v1 n_sites=19\n"))
+            import_state(path)
 
-    def test_bad_args(self):
+    def test_bad_args(self, tmp_path):
+        path = tmp_path / "n0.state"
+        path.write_text("macrostab-state v1 n_sites=0\n")
         with pytest.raises(ValidationError, match="state-file header n_sites=0 must be >= 1"):
-            import_state(io.StringIO("macrostab-state v1 n_sites=0\n"))
+            import_state(path)
 
 
 class TestStateVector:
