@@ -6,19 +6,21 @@ W ~ N(0, kappa g dt).  The system Hamiltonian is frozen, so every coupling
 commutes with every other and a trajectory is a closed form in the product
 eigenbasis of sigma_axis: basis state i carries the phase
 sum_x Wcum_x lam(i_x), Wcum the running sum of the increments and lam the
-eigenvalues of sigma_axis.  It is exact at any step, so every
-step is recorded; a decohere run takes ``scenario.TRAJECTORY_STEPS`` of
-them.  The phase is a sum over sites, so with i = h 2^k + l the
-fidelity's weighted sum splits exactly into low-site (l) and high-site (h)
-phase tables joined by the weights P = p.reshape(2^(N-k), 2^k): one small
-product and a row-wise dot.  The support of p fixes k, the split with the
-fewest nonzero rows plus columns of P: GHZ gets k = 0, a full-support state
-k = N/2, whose step costs 2^k + 2^(N-k) cos/sin instead of 2^N.
+eigenvalues of sigma_axis.  It is exact at any step, so every step is
+recorded.  A decohere run steps by horizon / ``scenario.TRAJECTORY_STEPS``
+and stops where the rate fit's window, the horizon's first 5%, ends.  The
+phase is a sum over sites, so with i = h 2^k + l the fidelity's weighted
+sum splits exactly into low-site (l) and high-site (h) phase tables joined
+by the weights P = p.reshape(2^(N-k), 2^k): one small product and a
+row-wise dot.  The support of p fixes k, the split with the fewest nonzero
+rows plus columns of P: GHZ gets k = 0, a full-support state k = N/2,
+whose step costs 2^k + 2^(N-k) cos/sin instead of 2^N.
 
 Noise increments come from a counter-based Philox stream keyed by
 (master seed, trajectory index), so a trajectory's result depends only on
-that pair; the cross-trajectory mean runs over an index-ordered array,
-making reports bit-stable.
+that pair; the stream fills the increments step by step, so a shorter run
+is exactly the first steps of a longer one.  The cross-trajectory mean
+runs over an index-ordered array, making reports bit-stable.
 """
 
 import math
@@ -35,12 +37,8 @@ class TrajectoryEnsemble:
 
     n_traj: int
     dt: float
-    horizon: float
+    n_steps: int
     seed: int
-
-    @property
-    def n_steps(self):
-        return max(1, int(round(self.horizon / self.dt)))
 
 
 @dataclass(frozen=True)

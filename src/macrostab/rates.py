@@ -8,12 +8,13 @@ The analytic rate is the exact initial fidelity-decay slope
 with C_xy the connected correlation of sigma_axis(x) and sigma_axis(y):
 the (axis, axis) block of the two-point Pauli table.  It reduces to kappa
 times the fluctuation of sum_x sigma_axis(x) for the collective kernel.
-The trajectory-side estimate fits -ln F(t) over the early-time window
-with inverse-variance weights; its standard error is the delete-one
-jackknife over trajectories, in closed form because the slope is linear
-in -ln F once the weights are fixed.  Size scaling is a
-log-log least-squares fit Gamma ~ K * N^(1+delta); the state counts as
-fragile when the fitted exponent reaches 1.5.
+The trajectory-side estimate fits -ln F(t) over the early-time window,
+the horizon's first ``RATE_WINDOW_FRACTION``, with inverse-variance
+weights; its standard error is the delete-one jackknife over
+trajectories, in closed form because the slope is linear in -ln F once
+the weights are fixed.  Size scaling is a log-log least-squares fit
+Gamma ~ K * N^(1+delta); the state counts as fragile when the fitted
+exponent reaches 1.5.
 """
 
 import math
@@ -69,12 +70,12 @@ class RateFit:
     window: float
 
 
-def trajectory_rate(result):
+def trajectory_rate(result, window):
     """Decay rate from an ensemble run with a jackknife standard error.
 
     The rate is a weighted least-squares slope through -ln F over the
-    early-time window, with inverse-variance weights w held fixed.  It is
-    then one linear functional gamma = c . (-ln F) with
+    recorded times in (0, window], with inverse-variance weights w held
+    fixed.  It is then one linear functional gamma = c . (-ln F) with
     c_t = w_t (S_w t - S_t) / (S_w S_tt - S_t^2), so its delete-one
     jackknife over trajectories has a closed form: trajectory k's influence
     is a_k = c . (F_k / F) and the standard error is sd(a) / sqrt(n).
@@ -83,7 +84,6 @@ def trajectory_rate(result):
     its trajectory's whole window instead.
     """
     times = result.times
-    window = RATE_WINDOW_FRACTION * float(times[-1])
     sel = (times > 0) & (times <= window)
     t, f_mean = times[sel], result.f_mean[sel]
     sigma = result.f_stderr[sel] / f_mean

@@ -144,20 +144,21 @@ def run_decohere(scenario, entries):
     analytic_points = []
     traj_points = []
     gammas = {n: analytic_dephasing_rate(states[n], noise) for n in scenario.sizes}
-    # a set horizon (> 0), by default 0.5 / gamma_analytic
-    horizons = {n: p.horizon or (0.5 / g if g > 1e-12 else 1.0) for n, g in gammas.items()}
+    # a set horizon (> 0), by default 0.5 / gamma_analytic, fixes the step; the
+    # trajectories stop where the rate window, the horizon's first 5%, ends
+    dts = {n: (p.horizon or (0.5 / g if g > 1e-12 else 1.0)) / TRAJECTORY_STEPS for n, g in gammas.items()}
+    windows = {n: RATE_WINDOW_FRACTION * (dt * TRAJECTORY_STEPS) for n, dt in dts.items()}
     if p.n_traj > 0:  # every horizon, set or computed, is checked before any trajectory
         key, value = ("horizon", p.horizon) if p.horizon is not None else ("kappa", p.kappa)
-        for n, gamma_a in gammas.items():
-            window = RATE_WINDOW_FRACTION * horizons[n]
+        for n, window in windows.items():
             # the rate fit squares the window's times; below this they underflow
             if not window * window >= sys.float_info.min:
                 raise ValidationError(
                     f"scenario.params.{key} = {value!r} gives at N = {n} a rate window of {window:.3g}, "
                     "too short to fit a rate in floating point"
                 )
-            decay = gamma_a * RATE_WINDOW_FRACTION * horizons[n]
-            if p.horizon is not None and gamma_a > 0.0 and decay < MIN_WINDOW_DECAY:
+            decay = gammas[n] * window
+            if p.horizon is not None and gammas[n] > 0.0 and decay < MIN_WINDOW_DECAY:
                 raise ValidationError(
                     f"scenario.params.horizon = {p.horizon!r} is too short: at N = {n} the rate window "
                     f"decays by gamma_analytic x window = {decay:.3g} < {MIN_WINDOW_DECAY}"
@@ -166,9 +167,9 @@ def run_decohere(scenario, entries):
         psi = states[n]
         row = {"n": n, "gamma_analytic": gamma_a}
         if p.n_traj > 0:
-            ens = TrajectoryEnsemble(p.n_traj, horizons[n] / TRAJECTORY_STEPS, horizons[n], p.seed)
+            ens = TrajectoryEnsemble(p.n_traj, dts[n], round(RATE_WINDOW_FRACTION * TRAJECTORY_STEPS), p.seed)
             res = evolve_noisy(psi, noise, ens)
-            fit = trajectory_rate(res)
+            fit = trajectory_rate(res, windows[n])
             row.update(
                 {
                     "gamma_trajectory": fit.gamma,

@@ -52,7 +52,7 @@ METHODS = (METHOD_DOUBLET, METHOD_SB_FIELD)
 PAULI_AXES = ("x", "y", "z")
 
 MIN_TRAJECTORIES = 100
-# steps of every decohere trajectory: the 5% rate window holds 20 of them
+# steps of dt in a decohere horizon; trajectories run the first 20, the 5% rate window
 TRAJECTORY_STEPS = 400
 
 _SCALING_EXPERIMENTS = ("classify", "decohere")

@@ -24,7 +24,7 @@ from macrostab.lattice import LatticeSpec
 from macrostab.measure import measurement_cascade, stability_test
 from macrostab.noise import NoiseModel
 from macrostab.operators import additive_variance
-from macrostab.rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from macrostab.rates import RATE_WINDOW_FRACTION, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from macrostab.scenario import METHOD_DOUBLET, ScenarioParams
 from macrostab.states import make_dicke, make_ghz, make_uniform_product
 from conftest import (
@@ -139,8 +139,9 @@ def test_criterion_4_dephasing_rate_mechanism():
     noise = NoiseModel(0.01, "collective", axis="z")
     gamma = analytic_dephasing_rate(ghz, noise)
     horizon = 0.5 / gamma
-    ens = TrajectoryEnsemble(n_traj=2000, dt=horizon / 400, horizon=horizon, seed=20260809)
-    fit = trajectory_rate(evolve_noisy(ghz, noise, ens))
+    ens = TrajectoryEnsemble(n_traj=2000, dt=horizon / 400, n_steps=400, seed=20260809)
+    res = evolve_noisy(ghz, noise, ens)
+    fit = trajectory_rate(res, RATE_WINDOW_FRACTION * float(res.times[-1]))
     tol = max(0.05 * gamma, 3 * fit.stderr)
     _check(failures, abs(fit.gamma - gamma) <= tol,
            f"trajectory rate {fit.gamma:.4f} +- {fit.stderr:.4f} vs analytic {gamma}")
@@ -180,7 +181,7 @@ def test_criterion_6_channel_consistency():
     psi = make_ghz(lat)
     noise = NoiseModel(0.01, "independent", axis="z")
     t_final = 10.0  # kappa * t = 0.1
-    ens = TrajectoryEnsemble(n_traj=4000, dt=0.1, horizon=t_final, seed=777)
+    ens = TrajectoryEnsemble(n_traj=4000, dt=0.1, n_steps=100, seed=777)
     res = evolve_noisy(psi, noise, ens)
     # the replay draws what evolve_noisy draws; its final states give the ensemble density
     f_rows, finals = replay_z(psi, noise, ens)

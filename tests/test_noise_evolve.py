@@ -138,7 +138,7 @@ class TestEvolve:
         lat = LatticeSpec(4)
         psi = make_ghz(lat)
         noise = NoiseModel(0.0, "collective", axis="z")
-        ens = TrajectoryEnsemble(n_traj=100, dt=0.05, horizon=1.0, seed=3)
+        ens = TrajectoryEnsemble(n_traj=100, dt=0.05, n_steps=20, seed=3)
         res = evolve_noisy(psi, noise, ens)
         assert np.allclose(res.f_mean, 1.0, atol=1e-9)
 
@@ -146,12 +146,12 @@ class TestEvolve:
         lat = LatticeSpec(4)
         psi = make_ghz(lat)
         noise = NoiseModel(0.01, "collective", axis="z")
-        ens = TrajectoryEnsemble(120, 0.02, 2.0, seed=42)
+        ens = TrajectoryEnsemble(120, 0.02, 100, seed=42)
         a = evolve_noisy(psi, noise, ens)
         b = evolve_noisy(psi, noise, ens)
         assert np.array_equal(a.f_mean, b.f_mean)
         assert np.array_equal(a.f_rows, b.f_rows)
-        c = evolve_noisy(psi, noise, TrajectoryEnsemble(120, 0.02, 2.0, seed=43))
+        c = evolve_noisy(psi, noise, TrajectoryEnsemble(120, 0.02, 100, seed=43))
         assert not np.array_equal(a.f_mean, c.f_mean)
 
     def test_trajectory_depends_only_on_seed_and_index(self):
@@ -160,8 +160,8 @@ class TestEvolve:
         lat = LatticeSpec(8)
         psi = make_dicke(lat, 4)
         noise = NoiseModel(0.01, "exponential", axis="x", xi=2.0)
-        many = evolve_noisy(psi, noise, TrajectoryEnsemble(120, 0.01, 6.0, 42))
-        few = evolve_noisy(psi, noise, TrajectoryEnsemble(100, 0.01, 6.0, 42))
+        many = evolve_noisy(psi, noise, TrajectoryEnsemble(120, 0.01, 600, 42))
+        few = evolve_noisy(psi, noise, TrajectoryEnsemble(100, 0.01, 600, 42))
         assert np.array_equal(many.f_rows[:100], few.f_rows)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
@@ -179,7 +179,7 @@ class TestEvolve:
             "random5": lambda: StateVector(LatticeSpec(5), random_state_amps(5, rng)),
         }[state]()
         noise = NoiseModel(0.3, kernel, axis=axis, xi=xi)
-        ens = TrajectoryEnsemble(100, 0.2, 1.0, seed=5)
+        ens = TrajectoryEnsemble(100, 0.2, 5, seed=5)
         res = evolve_noisy(psi, noise, ens)
         assert np.max(np.abs(res.f_rows - _dense_expm_oracle(psi, noise, ens))) <= 1e-12
 
@@ -197,9 +197,9 @@ class TestEvolve:
         noise = NoiseModel(0.01, "collective", axis="z")
         gamma = analytic_dephasing_rate(psi, noise)
         horizon = 0.5 / gamma
-        ens = TrajectoryEnsemble(2000, horizon / 400, horizon, seed=20260809)
+        ens = TrajectoryEnsemble(2000, horizon / 400, 400, seed=20260809)
         res = evolve_noisy(psi, noise, ens)
-        fit = trajectory_rate(res)
+        fit = trajectory_rate(res, _window(res))
         assert abs(fit.gamma - gamma) <= max(0.05 * gamma, 3 * fit.stderr)
 
     @pytest.mark.parametrize("name,make_state,noise", [
@@ -223,8 +223,9 @@ class TestEvolve:
         psi = make_state()
         gamma = analytic_dephasing_rate(psi, noise)
         horizon = 0.5 / gamma
-        ens = TrajectoryEnsemble(n_traj=400, dt=horizon / 300, horizon=horizon, seed=12)
-        fit = trajectory_rate(evolve_noisy(psi, noise, ens))
+        ens = TrajectoryEnsemble(n_traj=400, dt=horizon / 300, n_steps=300, seed=12)
+        res = evolve_noisy(psi, noise, ens)
+        fit = trajectory_rate(res, _window(res))
         assert abs(fit.gamma - gamma) <= max(0.1 * gamma, 4 * fit.stderr), name
 
     def test_channel_consistency_independent_z(self):
@@ -236,8 +237,8 @@ class TestEvolve:
         # the closed form is exact at any step: dt = 5.0 is two steps.  The
         # replay draws what evolve_noisy draws, so its fidelities must match
         # before its final states stand in for the trajectories'
-        for dt in (0.1, 5.0):
-            ens = TrajectoryEnsemble(4000, dt, t_final, seed=777)
+        for dt, n_steps in ((0.1, 100), (5.0, 2)):
+            ens = TrajectoryEnsemble(4000, dt, n_steps, seed=777)
             f_rows, finals = replay_z(psi, noise, ens)
             assert np.max(np.abs(f_rows - evolve_noisy(psi, noise, ens).f_rows)) <= 1e-12, dt
             assert trace_distance(ensemble_density(finals), exact) <= 0.02, dt
@@ -262,9 +263,14 @@ class TestEvolve:
                 assert rho[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+def _window(res):
+    """The rate window of a run recorded over its whole horizon: the first 5%."""
+    return RATE_WINDOW_FRACTION * float(res.times[-1])
+
+
 def _window_fit_inputs(res):
     """Window mask, times, f_mean and the inverse-variance weights of -ln f_mean."""
-    sel = (res.times > 0) & (res.times <= RATE_WINDOW_FRACTION * res.times[-1])
+    sel = (res.times > 0) & (res.times <= _window(res))
     f = res.f_mean[sel]
     return sel, res.times[sel], f, (f / res.f_stderr[sel]) ** 2
 
@@ -285,17 +291,31 @@ def _scenario_run(name, n, seed):
     psi = make_state(LatticeSpec(n))
     gamma = analytic_dephasing_rate(psi, noise)
     horizon = 0.5 / gamma
-    ens = TrajectoryEnsemble(100, horizon / TRAJECTORY_STEPS, horizon, seed)
+    ens = TrajectoryEnsemble(100, horizon / TRAJECTORY_STEPS, TRAJECTORY_STEPS, seed)
     return gamma, evolve_noisy(psi, noise, ens)
 
 
 class TestTrajectoryRate:
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
+    def test_window_run_is_the_first_steps_of_a_full_run(self, name, n):
+        # run_decohere stops at the rate window's 20 steps; each trajectory's
+        # stream fills its increments step by step, so they are a full run's first 20
+        make_state, noise = _DECOHERE_SCENARIOS[name]
+        psi = make_state(LatticeSpec(n))
+        dt = 0.5 / analytic_dephasing_rate(psi, noise) / TRAJECTORY_STEPS
+        window = evolve_noisy(psi, noise, TrajectoryEnsemble(100, dt, 20, 7))
+        full = evolve_noisy(psi, noise, TrajectoryEnsemble(100, dt, TRAJECTORY_STEPS, 7))
+        assert np.array_equal(window.f_rows, full.f_rows[:, :20])
+        assert np.array_equal(window.f_mean, full.f_mean[:21])
+        assert np.array_equal(window.f_stderr, full.f_stderr[:21])
+
     @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
     def test_slope_matches_weighted_polyfit(self, name):
         _, res = _scenario_run(name, 6, 7)
         _, t, f, w = _window_fit_inputs(res)
         slope = np.polyfit(t, -np.log(f), 1, w=np.sqrt(w))[0]
-        assert trajectory_rate(res).gamma == pytest.approx(slope, rel=1e-12)
+        assert trajectory_rate(res, _window(res)).gamma == pytest.approx(slope, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
     def test_stderr_matches_explicit_delete_one_jackknife(self, name):
@@ -309,7 +329,7 @@ class TestTrajectoryRate:
             np.polyfit(t, -np.log((total - cols[k]) / (n - 1)), 1, w=np.sqrt(w))[0] for k in range(n)
         ])
         jackknife = math.sqrt((n - 1) / n * np.sum((reps - reps.mean()) ** 2))
-        assert trajectory_rate(res).stderr == pytest.approx(jackknife, rel=0.01)
+        assert trajectory_rate(res, _window(res)).stderr == pytest.approx(jackknife, rel=0.01)
 
     @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
     @pytest.mark.parametrize("seed", [
@@ -324,7 +344,7 @@ class TestTrajectoryRate:
     def test_rate_within_five_errors_of_analytic(self, name, seed):
         for n in (4, 6, 8):
             gamma, res = _scenario_run(name, n, seed)
-            fit = trajectory_rate(res)
+            fit = trajectory_rate(res, _window(res))
             assert abs(fit.gamma - gamma) <= 5 * fit.stderr, (n, fit.gamma, fit.stderr, gamma)
 
 

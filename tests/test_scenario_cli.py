@@ -741,6 +741,17 @@ class TestCliEndToEnd:
         fit = report["results"]["decohere"]["fit_analytic"]
         assert abs(fit["one_plus_delta"] - 1.0) < 1e-9
 
+    def test_fidelity_series_covers_the_rate_window(self, tmp_path):
+        assert main(["decohere", "--state", "ghz", "--sizes", "4:6", "--out", str(tmp_path / "rep")]) == 0
+        rows = json.loads((tmp_path / "rep.json").read_text())["results"]["decohere"]["per_size"]
+        assert [row["n"] for row in rows] == [4, 5, 6]
+        for row in rows:
+            lines = (tmp_path / f"rep_fidelity_N{row['n']}.csv").read_text().splitlines()
+            assert lines[0] == "t,f_mean,f_stderr" and len(lines) == 1 + 21, row["n"]
+            # 20 dt and 5% of 400 dt round apart by up to an ulp; the last step is in the window
+            t_last = float(lines[-1].split(",")[0])
+            assert t_last <= row["rate_window"] and t_last == pytest.approx(row["rate_window"], rel=1e-15), row["n"]
+
     def test_tiny_horizon_exits_2_or_fits_a_rate_within_its_error(self, tmp_path):
         out = tmp_path / "rep"
         code = main([
