@@ -13,7 +13,11 @@ of the whitened cross-covariance block
 where the inverse square roots are taken on the eigenspace with variance
 at least ``VARIANCE_FLOOR``; deterministic directions carry no
 fluctuation, so they are projected out (Cauchy-Schwarz forces their
-numerators to zero as well).  All pairs are read from the one two-point
+numerators to zero as well).  Whitening a direction of variance lambda
+amplifies the table's rounding by about 1/lambda: a floor of 1e-10 would
+let rho of a barely fluctuating site reach 1 + 1e-6, while at 1e-6 its
+excess stays near 1e-10, and a direction of smaller variance counts as
+deterministic.  All pairs are read from the one two-point
 table of ``covariance_matrix`` in a single batched pass.
 
 Omega(eps, x) counts the sites y != x whose rho(x, y) exceeds eps, and
@@ -29,15 +33,11 @@ import numpy as np
 
 from .analyzer import covariance_matrix
 
-VARIANCE_FLOOR = 1e-10
+VARIANCE_FLOOR = 1e-6
 
 
 def _inverse_sqrt_projected(block):
-    """(eigenspace-projected) inverse square root of a 3x3 PSD block.
-
-    With no eigenvalue at or above the floor the projection is empty and
-    the result is the zero matrix.
-    """
+    """(eigenspace-projected) inverse square root of a 3x3 PSD block."""
     evals, evecs = np.linalg.eigh(block)
     keep = evals >= VARIANCE_FLOOR
     inv = evecs[:, keep] * (1.0 / np.sqrt(evals[keep]))
@@ -48,18 +48,15 @@ def correlation_field(psi):
     """All-pairs normalized correlations rho from one covariance pass: a
     read-only (N, N) symmetric array with entries in [0, 1] and rho(x,x) = 1.
 
-    Each site block is whitened once; a site whose block lies below the
-    floor gets a zero whitener, so its pairs read rho = 0.  The whitened
-    cross blocks of all pairs x < y go through one stacked product and one
-    batched SVD, and the lower triangle mirrors the upper one.
+    Each site block is whitened once.  A site block is C_xx = I - r r^T, r
+    the site's Bloch vector, with eigenvalues 1, 1 and 1 - |r|^2, so only
+    the r direction can fall below the floor.  The whitened cross blocks of
+    all pairs x < y go through one stacked product and one batched SVD, and
+    the lower triangle mirrors the upper one.
     """
     cov = covariance_matrix(psi)
     n = psi.n_sites
-    whiten = np.zeros((n, 3, 3))
-    for x in range(n):
-        block = cov.site_block(x, x)
-        if np.max(np.abs(block)) >= VARIANCE_FLOOR:
-            whiten[x] = _inverse_sqrt_projected(block)
+    whiten = np.stack([_inverse_sqrt_projected(cov.site_block(x, x)) for x in range(n)])
     xs, ys = np.triu_indices(n, k=1)
     cross = cov.entries.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)[xs, ys]
     rho = np.eye(n)

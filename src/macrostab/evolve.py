@@ -8,7 +8,8 @@ eigenbasis of sigma_axis: basis state i carries the phase
 sum_x Wcum_x lam(i_x), Wcum the running sum of the increments and lam the
 eigenvalues of sigma_axis.  It is exact at any step, so every step is
 recorded.  A decohere run steps by horizon / ``scenario.TRAJECTORY_STEPS``
-and stops where the rate fit's window, the horizon's first 5%, ends.  The
+and stops after ``scenario.WINDOW_STEPS``, the rate window, every step of
+which the rate fit reads.  The
 phase is a sum over sites, so with i = h 2^k + l the fidelity's weighted
 sum splits exactly into low-site (l) and high-site (h) phase tables joined
 by the weights P = p.reshape(2^(N-k), 2^k): one small product and a

@@ -8,13 +8,12 @@ The analytic rate is the exact initial fidelity-decay slope
 with C_xy the connected correlation of sigma_axis(x) and sigma_axis(y):
 the (axis, axis) block of the two-point Pauli table.  It reduces to kappa
 times the fluctuation of sum_x sigma_axis(x) for the collective kernel.
-The trajectory-side estimate fits -ln F(t) over the early-time window,
-the horizon's first ``RATE_WINDOW_FRACTION``, with inverse-variance
-weights; its standard error is the delete-one jackknife over
-trajectories, in closed form because the slope is linear in -ln F once
-the weights are fixed.  Size scaling is a log-log least-squares fit
-Gamma ~ K * N^(1+delta); the state counts as fragile when the fitted
-exponent reaches 1.5.
+The trajectory-side estimate fits -ln F(t) over every step the run
+records, the early-time window, with inverse-variance weights; its
+standard error is the delete-one jackknife over trajectories, in closed
+form because the slope is linear in -ln F once the weights are fixed.
+Size scaling is a log-log least-squares fit Gamma ~ K * N^(1+delta); the
+state counts as fragile when the fitted exponent reaches 1.5.
 """
 
 import math
@@ -25,7 +24,6 @@ import numpy as np
 from .analyzer import covariance_matrix, log_log_fit
 
 FRAGILE_EXPONENT = 1.5
-RATE_WINDOW_FRACTION = 0.05
 MIN_WINDOW_DECAY = 1e-8  # gamma x window below this leaves f_mean within rounding of 1
 
 
@@ -67,31 +65,29 @@ class RateFit:
 
     gamma: float
     stderr: float
-    window: float
 
 
-def trajectory_rate(result, window):
+def trajectory_rate(result):
     """Decay rate from an ensemble run with a jackknife standard error.
 
-    The rate is a weighted least-squares slope through -ln F over the
-    recorded times in (0, window], with inverse-variance weights w held
-    fixed.  It is then one linear functional gamma = c . (-ln F) with
-    c_t = w_t (S_w t - S_t) / (S_w S_tt - S_t^2), so its delete-one
-    jackknife over trajectories has a closed form: trajectory k's influence
-    is a_k = c . (F_k / F) and the standard error is sd(a) / sqrt(n).
-    Per-point fidelity errors would understate the uncertainty because they
-    are strongly correlated in time along each trajectory; each a_k sums
-    its trajectory's whole window instead.
+    The rate is a weighted least-squares slope of -ln F against the step
+    index k = 1..K of every recorded step after t = 0, divided by the step
+    dt, so no squared abscissa underflows however small dt is.  With the
+    inverse-variance weights w held fixed it is one linear functional
+    gamma = c . (-ln F), c_k = w_k (S_w k - S_k) / ((S_w S_kk - S_k^2) dt),
+    so its delete-one jackknife over trajectories has a closed form:
+    trajectory j's influence is a_j = c . (F_j / F) and the standard error
+    is sd(a) / sqrt(n).  Per-point fidelity errors would understate the
+    uncertainty because they are strongly correlated in time along each
+    trajectory; each a_j sums its trajectory's whole run instead.
     """
-    times = result.times
-    sel = (times > 0) & (times <= window)
-    t, f_mean = times[sel], result.f_mean[sel]
-    sigma = result.f_stderr[sel] / f_mean
+    k = np.arange(1.0, result.times.size)
+    f_mean = result.f_mean[1:]
+    sigma = result.f_stderr[1:] / f_mean
     w = np.where(sigma > 1e-15, 1.0 / np.maximum(sigma, 1e-15) ** 2, 1e30)
-    sw, st, stt = np.einsum("t,mt->m", w, [np.ones_like(t), t, t * t])
-    c = w * (sw * t - st) / (sw * stt - st * st)
-    gamma = np.einsum("t,t->", c, -np.log(np.clip(f_mean, 1e-300, None)))
-    # f_rows excludes the t = 0 column
-    influence = np.einsum("kt,t->k", result.f_rows[:, sel[1:]], c / f_mean)
+    sw, sk, skk = np.einsum("t,mt->m", w, [np.ones_like(k), k, k * k])
+    c = w * (sw * k - sk) / (sw * skk - sk * sk)
+    slope = np.einsum("t,t->", c, -np.log(np.clip(f_mean, 1e-300, None)))
+    influence = np.einsum("jt,t->j", result.f_rows, c / f_mean)
     stderr = influence.std(ddof=1) / math.sqrt(influence.size)
-    return RateFit(float(gamma), float(stderr), window)
+    return RateFit(float(slope / result.dt), float(stderr / result.dt))

@@ -5,15 +5,14 @@ before any state is resolved, and the layers below trust it; the gate
 also bounds kappa so that no rate, at most kappa N^2, overflows.  Only
 what needs a state is checked later: a state file's header, contents and
 size, a GHZ state's N >= 2 and a Dicke state's k <= N where they are
-built, and ``run_decohere``'s guard on every horizon, set or computed
-from the rates.  Each refusal is a ``ValidationError`` (exit 2), or a
+built, and ``run_decohere``'s decay guard on a set horizon, which needs
+the rates.  Each refusal is a ``ValidationError`` (exit 2), or a
 ``CapabilityError`` (exit 4) for a state file over the site cap.  Every
 runner returns plain-dict results whose verdicts are recomputable from
 the raw numbers included next to them, and leaves all randomness keyed
 by the scenario seed.
 """
 
-import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -29,9 +28,9 @@ from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
 from .measure import measurement_cascade, stability_test
 from .noise import NoiseModel
-from .rates import MIN_WINDOW_DECAY, RATE_WINDOW_FRACTION, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from .rates import MIN_WINDOW_DECAY, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
-from .scenario import _STATEFUL_EXPERIMENTS, KERNEL_COLLECTIVE, KERNEL_EXPONENTIAL, TRAJECTORY_STEPS, TRANSVERSE_ISING
+from .scenario import _STATEFUL_EXPERIMENTS, KERNEL_COLLECTIVE, KERNEL_EXPONENTIAL, TRAJECTORY_STEPS, TRANSVERSE_ISING, WINDOW_STEPS
 from .stateio import export_state, import_state
 
 
@@ -145,20 +144,12 @@ def run_decohere(scenario, entries):
     traj_points = []
     gammas = {n: analytic_dephasing_rate(states[n], noise) for n in scenario.sizes}
     # a set horizon (> 0), by default 0.5 / gamma_analytic, fixes the step; the
-    # trajectories stop where the rate window, the horizon's first 5%, ends
+    # trajectories run the rate window, the horizon's first WINDOW_STEPS steps
     dts = {n: (p.horizon or (0.5 / g if g > 1e-12 else 1.0)) / TRAJECTORY_STEPS for n, g in gammas.items()}
-    windows = {n: RATE_WINDOW_FRACTION * (dt * TRAJECTORY_STEPS) for n, dt in dts.items()}
-    if p.n_traj > 0:  # every horizon, set or computed, is checked before any trajectory
-        key, value = ("horizon", p.horizon) if p.horizon is not None else ("kappa", p.kappa)
-        for n, window in windows.items():
-            # the rate fit squares the window's times; below this they underflow
-            if not window * window >= sys.float_info.min:
-                raise ValidationError(
-                    f"scenario.params.{key} = {value!r} gives at N = {n} a rate window of {window:.3g}, "
-                    "too short to fit a rate in floating point"
-                )
-            decay = gammas[n] * window
-            if p.horizon is not None and gammas[n] > 0.0 and decay < MIN_WINDOW_DECAY:
+    if p.n_traj > 0 and p.horizon is not None:  # checked before any trajectory
+        for n, gamma_a in gammas.items():
+            decay = gamma_a * (WINDOW_STEPS * dts[n])
+            if gamma_a > 0.0 and decay < MIN_WINDOW_DECAY:
                 raise ValidationError(
                     f"scenario.params.horizon = {p.horizon!r} is too short: at N = {n} the rate window "
                     f"decays by gamma_analytic x window = {decay:.3g} < {MIN_WINDOW_DECAY}"
@@ -167,14 +158,13 @@ def run_decohere(scenario, entries):
         psi = states[n]
         row = {"n": n, "gamma_analytic": gamma_a}
         if p.n_traj > 0:
-            ens = TrajectoryEnsemble(p.n_traj, dts[n], round(RATE_WINDOW_FRACTION * TRAJECTORY_STEPS), p.seed)
-            res = evolve_noisy(psi, noise, ens)
-            fit = trajectory_rate(res, windows[n])
+            res = evolve_noisy(psi, noise, TrajectoryEnsemble(p.n_traj, dts[n], WINDOW_STEPS, p.seed))
+            fit = trajectory_rate(res)
             row.update(
                 {
                     "gamma_trajectory": fit.gamma,
                     "gamma_trajectory_stderr": fit.stderr,
-                    "rate_window": fit.window,
+                    "rate_window": float(res.times[-1]),
                     "n_traj": res.n_traj,
                     "dt": res.dt,
                     "fidelity": {

@@ -52,8 +52,10 @@ METHODS = (METHOD_DOUBLET, METHOD_SB_FIELD)
 PAULI_AXES = ("x", "y", "z")
 
 MIN_TRAJECTORIES = 100
-# steps of dt in a decohere horizon; trajectories run the first 20, the 5% rate window
+# steps of dt in a decohere horizon; trajectories run only the first WINDOW_STEPS,
+# the rate window, and the rate fit reads every step they record
 TRAJECTORY_STEPS = 400
+WINDOW_STEPS = 20
 
 _SCALING_EXPERIMENTS = ("classify", "decohere")
 _STATEFUL_EXPERIMENTS = ("classify", "cluster", "decohere", "measure")

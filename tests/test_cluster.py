@@ -112,6 +112,26 @@ class TestNormalizedCorrelation:
             for x, y in itertools.combinations(range(4), 2):
                 assert rho[x, y] <= 1 + 1e-9
 
+    def test_site_blocks_are_identity_minus_bloch_outer(self, rng):
+        # so every site block keeps the eigenvalues 1, 1 and only its Bloch
+        # direction, of variance 1 - |r|^2, can fall below the floor
+        for n in (2, 3, 4):
+            cov = covariance_matrix(StateVector(LatticeSpec(n), random_state_amps(n, rng)))
+            for x in range(n):
+                r = cov.means[3 * x : 3 * x + 3]
+                assert np.allclose(cov.site_block(x, x), np.eye(3) - np.outer(r, r), rtol=0, atol=1e-12)
+
+    def test_barely_fluctuating_direction_keeps_rho_within_range(self):
+        # both site blocks have eigenvalues 9.5e-9, 1, 1; whitening by
+        # 1/sqrt(9.5e-9) amplified rounding to rho(0, 1) = 1 + 9e-9 when the
+        # floor sat below that eigenvalue
+        amps = np.array([0.44721359483355771, 5.4591503275580776e-05, 0.8944271896671154j, 0])
+        psi = StateVector(LatticeSpec(2), amps)
+        cov = covariance_matrix(psi)
+        for x in range(2):
+            assert np.linalg.eigvalsh(cov.site_block(x, x)) == pytest.approx([9.5e-9, 1.0, 1.0], rel=0.01, abs=1e-12)
+        assert 0.0 <= correlation_field(psi)[0, 1] <= 1.0
+
 
 class TestOmega:
     def test_ghz(self):

@@ -8,8 +8,8 @@ from macrostab.errors import ValidationError
 from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
 from macrostab.lattice import GEOMETRIES, SITE_CAP, LatticeSpec
 from macrostab.noise import NoiseModel
-from macrostab.rates import RATE_WINDOW_FRACTION, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
-from macrostab.scenario import TRAJECTORY_STEPS
+from macrostab.rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from macrostab.scenario import TRAJECTORY_STEPS, WINDOW_STEPS
 from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 from conftest import (
     PAULI,
@@ -197,9 +197,9 @@ class TestEvolve:
         noise = NoiseModel(0.01, "collective", axis="z")
         gamma = analytic_dephasing_rate(psi, noise)
         horizon = 0.5 / gamma
-        ens = TrajectoryEnsemble(2000, horizon / 400, 400, seed=20260809)
+        ens = TrajectoryEnsemble(2000, horizon / 400, 20, seed=20260809)
         res = evolve_noisy(psi, noise, ens)
-        fit = trajectory_rate(res, _window(res))
+        fit = trajectory_rate(res)
         assert abs(fit.gamma - gamma) <= max(0.05 * gamma, 3 * fit.stderr)
 
     @pytest.mark.parametrize("name,make_state,noise", [
@@ -223,9 +223,9 @@ class TestEvolve:
         psi = make_state()
         gamma = analytic_dephasing_rate(psi, noise)
         horizon = 0.5 / gamma
-        ens = TrajectoryEnsemble(n_traj=400, dt=horizon / 300, n_steps=300, seed=12)
+        ens = TrajectoryEnsemble(n_traj=400, dt=horizon / 300, n_steps=15, seed=12)
         res = evolve_noisy(psi, noise, ens)
-        fit = trajectory_rate(res, _window(res))
+        fit = trajectory_rate(res)
         assert abs(fit.gamma - gamma) <= max(0.1 * gamma, 4 * fit.stderr), name
 
     def test_channel_consistency_independent_z(self):
@@ -263,16 +263,10 @@ class TestEvolve:
                 assert rho[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-def _window(res):
-    """The rate window of a run recorded over its whole horizon: the first 5%."""
-    return RATE_WINDOW_FRACTION * float(res.times[-1])
-
-
-def _window_fit_inputs(res):
-    """Window mask, times, f_mean and the inverse-variance weights of -ln f_mean."""
-    sel = (res.times > 0) & (res.times <= _window(res))
-    f = res.f_mean[sel]
-    return sel, res.times[sel], f, (f / res.f_stderr[sel]) ** 2
+def _fit_inputs(res):
+    """Recorded times after t = 0, their f_mean and the inverse-variance weights of -ln f_mean."""
+    f = res.f_mean[1:]
+    return res.times[1:], f, (f / res.f_stderr[1:]) ** 2
 
 
 # the benchmark's two decohere scenarios: kappa = 0.01, 100 trajectories and
@@ -291,7 +285,7 @@ def _scenario_run(name, n, seed):
     psi = make_state(LatticeSpec(n))
     gamma = analytic_dephasing_rate(psi, noise)
     horizon = 0.5 / gamma
-    ens = TrajectoryEnsemble(100, horizon / TRAJECTORY_STEPS, TRAJECTORY_STEPS, seed)
+    ens = TrajectoryEnsemble(100, horizon / TRAJECTORY_STEPS, WINDOW_STEPS, seed)
     return gamma, evolve_noisy(psi, noise, ens)
 
 
@@ -304,7 +298,7 @@ class TestTrajectoryRate:
         make_state, noise = _DECOHERE_SCENARIOS[name]
         psi = make_state(LatticeSpec(n))
         dt = 0.5 / analytic_dephasing_rate(psi, noise) / TRAJECTORY_STEPS
-        window = evolve_noisy(psi, noise, TrajectoryEnsemble(100, dt, 20, 7))
+        window = evolve_noisy(psi, noise, TrajectoryEnsemble(100, dt, WINDOW_STEPS, 7))
         full = evolve_noisy(psi, noise, TrajectoryEnsemble(100, dt, TRAJECTORY_STEPS, 7))
         assert np.array_equal(window.f_rows, full.f_rows[:, :20])
         assert np.array_equal(window.f_mean, full.f_mean[:21])
@@ -313,23 +307,23 @@ class TestTrajectoryRate:
     @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
     def test_slope_matches_weighted_polyfit(self, name):
         _, res = _scenario_run(name, 6, 7)
-        _, t, f, w = _window_fit_inputs(res)
+        t, f, w = _fit_inputs(res)
         slope = np.polyfit(t, -np.log(f), 1, w=np.sqrt(w))[0]
-        assert trajectory_rate(res, _window(res)).gamma == pytest.approx(slope, rel=1e-12)
+        assert trajectory_rate(res).gamma == pytest.approx(slope, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
     def test_stderr_matches_explicit_delete_one_jackknife(self, name):
         # refit the slope with each trajectory left out in turn, weights fixed
         _, res = _scenario_run(name, 6, 7)
-        sel, t, _, w = _window_fit_inputs(res)
-        cols = res.f_rows[:, sel[1:]]
+        t, _, w = _fit_inputs(res)
+        cols = res.f_rows
         n = cols.shape[0]
         total = cols.sum(axis=0)
         reps = np.array([
             np.polyfit(t, -np.log((total - cols[k]) / (n - 1)), 1, w=np.sqrt(w))[0] for k in range(n)
         ])
         jackknife = math.sqrt((n - 1) / n * np.sum((reps - reps.mean()) ** 2))
-        assert trajectory_rate(res, _window(res)).stderr == pytest.approx(jackknife, rel=0.01)
+        assert trajectory_rate(res).stderr == pytest.approx(jackknife, rel=0.01)
 
     @pytest.mark.parametrize("name", sorted(_DECOHERE_SCENARIOS))
     @pytest.mark.parametrize("seed", [
@@ -344,7 +338,7 @@ class TestTrajectoryRate:
     def test_rate_within_five_errors_of_analytic(self, name, seed):
         for n in (4, 6, 8):
             gamma, res = _scenario_run(name, n, seed)
-            fit = trajectory_rate(res, _window(res))
+            fit = trajectory_rate(res)
             assert abs(fit.gamma - gamma) <= 5 * fit.stderr, (n, fit.gamma, fit.stderr, gamma)
 
 

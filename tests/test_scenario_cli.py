@@ -398,22 +398,26 @@ def test_range_checks_name_the_file_key(case, tmp_path, monkeypatch, capsys):
     assert f"{key} " in capsys.readouterr().err
 
 
-# a horizon, set or computed from kappa, whose rate window squares to
-# below the smallest normal float: the fit would divide by zero.  Such a
-# kappa passes the gate, which refuses only one whose rate bound kappa N^2
-# overflows (1e308 at N = 8, in test_invalid_cli_input_exits_before_any_state)
-@pytest.mark.parametrize(
-    "argv, key",
-    [
-        (["--state", "ghz", "--kappa", "1e300"], "scenario.params.kappa"),
-        (["--state", "product-up", "--horizon", "1e-170"], "scenario.params.horizon"),
-    ],
-    ids=["huge-kappa", "tiny-horizon-zero-rate"],
-)
-def test_horizon_too_short_for_the_rate_fit_exits_before_any_trajectory(argv, key, monkeypatch, capsys):
-    monkeypatch.setattr(runner, "evolve_noisy", _refuse)
-    assert main(["decohere", "--sizes", "4:8:2", *argv]) == 2
-    assert f"{key} " in capsys.readouterr().err
+# the fit counts time in steps, so no horizon squares to an underflow: a
+# kappa whose automatic horizon is ~1e-302 scales the rate and nothing else
+def test_huge_kappa_scales_the_trajectory_rate(tmp_path):
+    gammas = {}
+    for name, kappa in (("small", "0.01"), ("huge", "1e300")):
+        assert main(["decohere", "--state", "ghz", "--sizes", "4:8:2", "--kappa", kappa, "--out", str(tmp_path / name)]) == 0
+        rows = json.loads((tmp_path / f"{name}.json").read_text())["results"]["decohere"]["per_size"]
+        gammas[name] = [row["gamma_trajectory"] / float(kappa) for row in rows]
+    assert len(gammas["small"]) == 3
+    for small, huge in zip(gammas["small"], gammas["huge"]):
+        assert huge == pytest.approx(small, rel=1e-12)
+
+
+# a state with no decay under the noise reads gamma = 0 at any horizon; the
+# decay guard refuses only a positive rate that the window cannot resolve
+def test_tiny_horizon_zero_rate_fits_zero(tmp_path):
+    out = tmp_path / "rep"
+    assert main(["decohere", "--state", "product-up", "--sizes", "4:8:2", "--horizon", "1e-170", "--out", str(out)]) == 0
+    rows = json.loads((tmp_path / "rep.json").read_text())["results"]["decohere"]["per_size"]
+    assert [row["gamma_trajectory"] for row in rows] == [0.0, 0.0, 0.0]
 
 
 # a family's checks that need N run where its state is built, and name the key
@@ -748,9 +752,21 @@ class TestCliEndToEnd:
         for row in rows:
             lines = (tmp_path / f"rep_fidelity_N{row['n']}.csv").read_text().splitlines()
             assert lines[0] == "t,f_mean,f_stderr" and len(lines) == 1 + 21, row["n"]
-            # 20 dt and 5% of 400 dt round apart by up to an ulp; the last step is in the window
-            t_last = float(lines[-1].split(",")[0])
-            assert t_last <= row["rate_window"] and t_last == pytest.approx(row["rate_window"], rel=1e-15), row["n"]
+            assert float(lines[-1].split(",")[0]) == row["rate_window"], row["n"]
+
+    def test_rate_fit_reads_every_recorded_step(self, tmp_path):
+        # at this horizon 20 dt rounds an ulp above 5% of 400 dt, where a fit
+        # selecting times <= 0.05 x horizon would drop the last step
+        out = tmp_path / "rep"
+        assert main(["decohere", "--state", "ghz", "--sizes", "4:8:2", "--horizon", "0.37", "--out", str(out)]) == 0
+        rows = json.loads((tmp_path / "rep.json").read_text())["results"]["decohere"]["per_size"]
+        assert [row["n"] for row in rows] == [4, 6, 8]
+        for row in rows:
+            series = row["fidelity"]
+            t, f, err = (np.array(series[key][1:]) for key in ("times", "f_mean", "f_stderr"))
+            assert t.size == 20 and t[-1] > 0.05 * 0.37, row["n"]
+            slope = np.polyfit(t, -np.log(f), 1, w=f / err)[0]
+            assert row["gamma_trajectory"] == pytest.approx(slope, rel=1e-12), row["n"]
 
     def test_tiny_horizon_exits_2_or_fits_a_rate_within_its_error(self, tmp_path):
         out = tmp_path / "rep"

@@ -4,10 +4,14 @@ At the cap the two-point table is built from 2^(18 - 12) = 64 blocks of
 amplitudes, more than at any other size the tests reach.  Each of four
 catalog states' table entries, largest additive fluctuation, normalized
 correlations, Omega(0.1) and collective z-noise rate are compared with their
-closed forms.  The open TFIM chain's two flip-sector ground energies are
-compared with its free-fermion solution (Lieb, Schultz and Mattis, Ann.
-Phys. 16, 407 (1961); Pfeuty, Ann. Phys. 57, 79 (1970)).
+closed forms.  The open TFIM chain's two flip-sector ground energies, and
+the one- and two-point functions of the catalog's two TFIM ground states,
+are compared with its free-fermion solution (Lieb, Schultz and Mattis, Ann.
+Phys. 16, 407 (1961); Pfeuty, Ann. Phys. 57, 79 (1970); Barouch and
+McCoy, Phys. Rev. A 3, 786 (1971), for the determinant form).
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from macrostab.lattice import SITE_CAP, LatticeSpec
 from macrostab.noise import NoiseModel
 from macrostab.rates import analytic_dephasing_rate
 from macrostab.scenario import TRANSVERSE_ISING
-from conftest import dense_tfim
+from conftest import PAULI, dense_bond_op, dense_site_op, dense_tfim
 
 N = SITE_CAP
 KAPPA = 0.01
@@ -62,8 +66,26 @@ def tfim_sector_energies(n, J, h):
     H = -J sum sz sz - h sum sx.  Its fermion energies are twice the singular
     values s_k of the bidiagonal matrix with h on the diagonal and J above it:
     the even sector's lowest energy is -sum s_k, the odd one's 2 min s_k above."""
-    s = np.linalg.svd(h * np.eye(n) + J * np.eye(n, k=1), compute_uv=False)
+    s = np.linalg.svd(_bidiagonal(n, J, h), compute_uv=False)
     return -s.sum(), -s.sum() + 2 * s.min()
+
+
+def _bidiagonal(n, J, h):
+    return h * np.eye(n) + J * np.eye(n, k=1)
+
+
+def tfim_even_correlators(n, J, h):
+    """<sx_j>, <sz_i sz_j> and <sx_i sx_j> in the flip-even ground state of the
+    open chain.  With U S V^T the SVD of the bidiagonal matrix and G = U V^T:
+    <sx_j> = G_jj, <sz_i sz_j> = det G[i:j, i+1:j+1] for i < j, and
+    <sx_i sx_j> = G_ii G_jj - G_ij G_ji (Wick)."""
+    u, _, vt = np.linalg.svd(_bidiagonal(n, J, h))
+    g = u @ vt
+    zz, xx = np.eye(n), np.eye(n)
+    for i, j in itertools.combinations(range(n), 2):
+        zz[i, j] = zz[j, i] = np.linalg.det(g[i:j, i + 1 : j + 1])
+        xx[i, j] = xx[j, i] = g[i, i] * g[j, j] - g[i, j] * g[j, i]
+    return np.diag(g).copy(), zz, xx
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8])
@@ -75,6 +97,37 @@ def test_tfim_closed_form_matches_the_dense_sectors(n, h):
     flipped = H[:half, ::-1][:, :half]
     even, odd = (np.linalg.eigvalsh(H[:half, :half] + sign * flipped)[0] for sign in (1, -1))
     assert np.allclose((even, odd), tfim_sector_energies(n, 1.0, h), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
+@pytest.mark.parametrize("h", [0.1, 0.5, 2.0])
+def test_tfim_correlators_match_the_dense_even_ground_state(n, h):
+    # the dense oracle pins the signs and orientation of the closed forms
+    H = dense_tfim(n, 1.0, h).real
+    half = 2 ** (n - 1)
+    v = np.linalg.eigh(H[:half, :half] + H[:half, ::-1][:, :half])[1][:, 0]
+    psi = np.concatenate((v, v[::-1])) / np.sqrt(2)
+    mx, zz, xx = tfim_even_correlators(n, 1.0, h)
+    sx, sz = PAULI["x"].real, PAULI["z"].real
+    assert np.allclose([psi @ dense_site_op(n, j, sx) @ psi for j in range(n)], mx, rtol=0, atol=1e-12)
+    for i, j in itertools.combinations(range(n), 2):
+        assert psi @ dense_bond_op(n, i, j, sz, sz) @ psi == pytest.approx(zz[i, j], abs=1e-12)
+        assert psi @ dense_bond_op(n, i, j, sx, sx) @ psi == pytest.approx(xx[i, j], abs=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.1, 2.0])
+def test_tfim_ground_state_correlators_at_the_cap(h):
+    # the catalog's tfim-ferro and tfim-para states: a solve with the right
+    # energy could still return the wrong state, such as the wrong member of
+    # h = 0.1's near-degenerate doublet
+    table = covariance_matrix(build_state("tfim-ground", N, params={"J": 1.0, "h": h}))
+    mx, zz, xx = tfim_even_correlators(N, 1.0, h)
+    means = {axis: table.means["xyz".index(axis) :: 3] for axis in "xz"}
+    assert np.allclose(means["x"], mx, rtol=0, atol=1e-10)
+    for axis, want in (("z", zz), ("x", xx)):
+        got = table.axis_block(axis, axis) + np.outer(means[axis], means[axis])
+        off = ~np.eye(N, dtype=bool)
+        assert np.allclose(got[off], want[off], rtol=0, atol=1e-10), axis
 
 
 def test_tfim_ground_state_at_the_cap():
