@@ -182,8 +182,6 @@ class ScalingVerdict:
 
 
 def _classify_exponent(exponent):
-    if math.isnan(exponent):
-        return NFS
     if exponent >= AFS_EXPONENT_THRESHOLD:
         return AFS
     if exponent <= NFS_EXPONENT_THRESHOLD:
@@ -205,12 +203,10 @@ def log_log_fit(points):
 def classify_scaling(points):
     """Least-squares log-log fit of (N, max_variance) pairs.
 
-    A zero variance anywhere in the sequence short-circuits to an NFS
-    verdict with a NaN exponent (the state has a deterministic additive
-    observable, which no power law describes).
+    Every variance is at least N: each 3 x 3 site block of the table is
+    I - r r^T with eigenvalues 1, 1 and 1 - |r|^2, so lambda_max >= 1 and
+    the log of every point is defined.
     """
     pts = [(int(n), float(v)) for n, v in points]
-    if any(v <= 0.0 for _, v in pts):
-        return ScalingVerdict(float("nan"), float("nan"), 0.0, NFS, tuple(pts))
     slope, intercept, residual = log_log_fit(pts)
     return ScalingVerdict(slope, intercept, residual, _classify_exponent(slope), tuple(pts))

@@ -50,7 +50,7 @@ def build_state(family, n_sites, geometry=OPEN_CHAIN, params=None, solved=None):
     if family == "pure-phase":
         spec, method = _tfim_spec(lattice, params, 0.1), params.get("method", METHOD_DOUBLET)
         pair = _solved(spec, solved) if method == METHOD_DOUBLET else None
-        return pure_phase_vacuum(spec, method, pair=pair).state
+        return pure_phase_vacuum(spec, method, pair=pair)
 
 
 def correspondence_catalog():

@@ -20,7 +20,7 @@ from .analyzer import magnetization
 from .errors import NumericalError
 from .hamiltonian import _hash_vector, build_hamiltonian
 from .scenario import METHOD_DOUBLET
-from .states import StateVector, _cdot
+from .states import StateVector
 
 RESIDUAL_TOL = 1e-9
 
@@ -131,37 +131,19 @@ class GroundStateResult:
     residuals: tuple
 
 
-@dataclass(frozen=True)
-class PurePhaseVacuum:
-    """Symmetry-broken finite-size vacuum candidate."""
-
-    state: StateVector
-    energy: float               # expectation of the B = 0 Hamiltonian
-    magnetization: float        # <sum_x sigma_z(x)>
-    method: str
-    paramagnetic_warning: bool
-
-
 def pure_phase_vacuum(spec, method, pair):
-    """Build a maximally polarized low-energy state for a ferromagnetic spec.
+    """The maximally polarized low-energy state of a ferromagnetic spec.
 
     doublet-superposition: (|E0> + |E1>)/sqrt(2) with the sign that
-    maximizes the order parameter, from ``pair``, the ``ground_state``
-    result (``GroundStateResult``) of ``spec``.  sb-field-limit: ground state
-    after adding a longitudinal field B = 0.05 J; its energy is still reported
-    under the unbiased Hamiltonian.  It ignores ``pair``.
+    maximizes the order parameter (+ on a tie), from ``pair``, the
+    ``ground_state`` result (``GroundStateResult``) of ``spec``.
+    sb-field-limit: the ground state after adding a longitudinal field
+    B = 0.05 J; it ignores ``pair``.  Its energy under the B = 0
+    Hamiltonian and its magnetization are the caller's to measure.
     """
-    warning = not (abs(spec.h) < abs(spec.J))
     if method == METHOD_DOUBLET:
         v0, v1 = (state.amplitudes for state in pair.states)
         r = 1.0 / math.sqrt(2.0)
         cands = [StateVector(spec.lattice, r * (v0 + sign * v1), _take=True) for sign in (1.0, -1.0)]
-        best_m, best_state = max(((magnetization(c), c) for c in cands), key=lambda mc: mc[0])
-        energy = 0.5 * (pair.energies[0] + pair.energies[1])
-        return PurePhaseVacuum(best_state, energy, best_m, method, warning)
-    ham = build_hamiltonian(spec)
-    biased = build_hamiltonian(replace(spec, B=0.05 * spec.J))
-    state = ground_state(biased).states[0]
-    m_val = magnetization(state)
-    energy = float(np.real(_cdot(state.amplitudes, ham.matvec(state.amplitudes))))
-    return PurePhaseVacuum(state, energy, m_val, method, warning)
+        return max(cands, key=magnetization)
+    return ground_state(build_hamiltonian(replace(spec, B=0.05 * spec.J))).states[0]

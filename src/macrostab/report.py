@@ -35,30 +35,21 @@ def write_structured(report, path):
     return path
 
 
-def _write_rows(path, header, rows):
-    bad = [cell for row in rows for cell in row if isinstance(cell, float) and not math.isfinite(cell)]
-    if bad:
-        raise NumericalError(f"{Path(path).name} not written: non-finite number {bad[0]!r}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
 def write_experiment_csvs(report, base):
-    """One CSV per experiment, plus fidelity series and rho matrices."""
+    """One CSV per experiment, plus fidelity series and rho matrices.  Every
+    table's cells are checked before any file is written, so a non-finite
+    number leaves no CSV behind."""
     base = Path(base)
-    written = []
     results = report.get("results", {})
+    tables = []
 
     if "classify" in results:
         rows = [
             (r["n"], r["max_variance"], r["lambda_max"])
             for r in results["classify"]["per_size"]
         ]
-        written.append(_write_rows(base.parent / f"{base.name}_classify.csv",
-                                   ["n", "max_variance", "lambda_max"], rows))
+        tables.append((base.parent / f"{base.name}_classify.csv",
+                       ["n", "max_variance", "lambda_max"], rows))
 
     if "cluster" in results:
         per_state = results["cluster"]["per_state"]
@@ -66,25 +57,25 @@ def write_experiment_csvs(report, base):
         for entry in per_state:
             for r in entry["per_size"]:
                 rows.append((entry["label"], r["n"], r["epsilon"], r["omega"]))
-        written.append(_write_rows(base.parent / f"{base.name}_cluster.csv",
-                                   ["state", "n", "epsilon", "omega"], rows))
+        tables.append((base.parent / f"{base.name}_cluster.csv",
+                       ["state", "n", "epsilon", "omega"], rows))
         for entry in per_state:
             for r in entry["per_size"]:
                 path = base.parent / f"{base.name}_rho_{entry['label']}_N{r['n']}.csv"
-                written.append(_write_rows(path, [f"y{j}" for j in range(r["n"])], r["rho"]))
+                tables.append((path, [f"y{j}" for j in range(r["n"])], r["rho"]))
 
     if "decohere" in results:
         rows = [
             (r["n"], r["gamma_analytic"], r.get("gamma_trajectory"), r.get("gamma_trajectory_stderr"))
             for r in results["decohere"]["per_size"]
         ]
-        written.append(_write_rows(base.parent / f"{base.name}_decohere.csv",
-                                   ["n", "gamma_analytic", "gamma_trajectory", "gamma_trajectory_stderr"], rows))
+        tables.append((base.parent / f"{base.name}_decohere.csv",
+                       ["n", "gamma_analytic", "gamma_trajectory", "gamma_trajectory_stderr"], rows))
         for r in results["decohere"]["per_size"]:
             fid = r.get("fidelity")
             if fid:
                 path = base.parent / f"{base.name}_fidelity_N{r['n']}.csv"
-                written.append(_write_rows(
+                tables.append((
                     path, ["t", "f_mean", "f_stderr"],
                     list(zip(fid["times"], fid["f_mean"], fid["f_stderr"])),
                 ))
@@ -97,7 +88,7 @@ def write_experiment_csvs(report, base):
                     rows.append((entry["label"], r["n"], p["x"], p["y"],
                                  *p["direction_a"], *p["direction_b"], p["a"], p["b"],
                                  p["p_b_given_a"], p["p_b"], p["deviation"]))
-        written.append(_write_rows(
+        tables.append((
             base.parent / f"{base.name}_measure.csv",
             ["state", "n", "x", "y", "ax", "ay", "az", "bx", "by", "bz",
              "a", "b", "p_b_given_a", "p_b", "deviation"], rows))
@@ -109,7 +100,7 @@ def write_experiment_csvs(report, base):
              r["cascade_measurements"])
             for r in results["symmetry-breaking"]["per_size"]
         ]
-        written.append(_write_rows(
+        tables.append((
             base.parent / f"{base.name}_symmetry_breaking.csv",
             ["n", "e_symmetric", "e_pure_phase", "m_symmetric", "m_pure_phase",
              "fluct_symmetric", "fluct_pure_phase", "gamma_symmetric", "gamma_pure_phase",
@@ -121,7 +112,16 @@ def write_experiment_csvs(report, base):
              r["magnetization"], r["max_fluctuation"])
             for r in results["ground"]["per_size"]
         ]
-        written.append(_write_rows(base.parent / f"{base.name}_ground.csv",
-                                   ["n", "e0", "e1", "residual0", "magnetization", "max_fluctuation"], rows))
+        tables.append((base.parent / f"{base.name}_ground.csv",
+                       ["n", "e0", "e1", "residual0", "magnetization", "max_fluctuation"], rows))
 
-    return written
+    for path, _, rows in tables:
+        bad = [cell for row in rows for cell in row if isinstance(cell, float) and not math.isfinite(cell)]
+        if bad:
+            raise NumericalError(f"{path.name} not written: non-finite number {bad[0]!r}")
+    for path, header, rows in tables:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return [path for path, _, _ in tables]

@@ -32,6 +32,7 @@ from .rates import MIN_WINDOW_DECAY, analytic_dephasing_rate, fit_gamma_scaling,
 from .report import build_report, write_experiment_csvs, write_structured
 from .scenario import _STATEFUL_EXPERIMENTS, KERNEL_COLLECTIVE, KERNEL_EXPONENTIAL, TRAJECTORY_STEPS, TRANSVERSE_ISING, WINDOW_STEPS
 from .stateio import export_state, import_state
+from .states import _cdot
 
 
 def _state_entries(scenario):
@@ -179,17 +180,11 @@ def run_decohere(scenario, entries):
         analytic_points.append((n, gamma_a))
     results = {"state": label, "kernel": p.kernel, "axis": p.axis, "kappa": p.kappa, "per_size": per_size}
     verdicts = {}
-
-    def _fit_block(points):
-        fit = fit_gamma_scaling(points)
-        return {**asdict(fit), "fragile": fit.fragile}
-
-    if all(g > 0 for _, g in analytic_points):
-        results["fit_analytic"] = _fit_block(analytic_points)
-        verdicts["fragile/analytic"] = results["fit_analytic"]["fragile"]
-    if traj_points and all(g > 0 for _, g in traj_points):
-        results["fit_trajectory"] = _fit_block(traj_points)
-        verdicts["fragile/trajectory"] = results["fit_trajectory"]["fragile"]
+    for kind, points in (("analytic", analytic_points), ("trajectory", traj_points)):
+        if points and all(g > 0 for _, g in points):
+            fit = fit_gamma_scaling(points)
+            results[f"fit_{kind}"] = {**asdict(fit), "fragile": fit.fragile}
+            verdicts[f"fragile/{kind}"] = fit.fragile
     verdicts["fragile"] = verdicts.get("fragile/trajectory", verdicts.get("fragile/analytic"))
     return {"decohere": results}, verdicts
 
@@ -211,13 +206,13 @@ def run_symmetry_breaking(scenario, entries):
             {
                 "n": n,
                 "e_symmetric": res.energies[0],
-                "e_pure_phase": pp.energy,
+                "e_pure_phase": _cdot(pp.amplitudes, ham.matvec(pp.amplitudes)).real,
                 "m_symmetric": magnetization(sym),
-                "m_pure_phase": pp.magnetization,
+                "m_pure_phase": magnetization(pp),
                 "fluct_symmetric": fluct_sym.max_variance,
-                "fluct_pure_phase": max_additive_fluctuation(pp.state).max_variance,
+                "fluct_pure_phase": max_additive_fluctuation(pp).max_variance,
                 "gamma_symmetric": analytic_dephasing_rate(sym, noise),
-                "gamma_pure_phase": analytic_dephasing_rate(pp.state, noise),
+                "gamma_pure_phase": analytic_dephasing_rate(pp, noise),
                 "cascade_measurements": len(cascade.steps),
                 "cascade_reached_nfs": cascade.reached_nfs,
                 "cascade": [asdict(step) for step in cascade.steps],
@@ -235,7 +230,7 @@ def run_symmetry_breaking(scenario, entries):
         "h": p.h,
         "kappa": p.kappa,
         "method": p.method,
-        "paramagnetic_warning": pp.paramagnetic_warning,
+        "paramagnetic_warning": not abs(p.h) < abs(p.J),
         "per_size": per_size,
     }
     return {"symmetry-breaking": results}, verdicts

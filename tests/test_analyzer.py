@@ -274,12 +274,6 @@ class TestClassifyScaling:
         v = classify_scaling([(4, 4.0**1.5), (6, 6.0**1.5), (8, 8.0**1.5)])
         assert v.verdict == INTERMEDIATE
 
-    def test_zero_variance_sentinel(self):
-        v = classify_scaling([(4, 0.0), (6, 0.0), (8, 0.0)])
-        assert v.verdict == NFS
-        assert math.isnan(v.exponent)
-        assert v.residual == 0.0
-
 
 def test_afs_catalog_matches_verdicts():
     sizes = (4, 6, 8)

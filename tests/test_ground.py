@@ -11,8 +11,8 @@ from macrostab.analyzer import magnetization, max_additive_fluctuation
 from macrostab.ground import ground_state, pure_phase_vacuum
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
-from macrostab.scenario import METHOD_DOUBLET, METHOD_SB_FIELD, Scenario
-from macrostab.states import StateVector
+from macrostab.scenario import METHOD_DOUBLET, METHOD_SB_FIELD, Scenario, ScenarioParams
+from macrostab.states import StateVector, _cdot
 from conftest import basis_state, dense_additive, dense_tfim, dense_xxz, subprocess_env
 
 
@@ -165,13 +165,17 @@ def test_degenerate_biased_ring_gives_two_orthogonal_states():
     assert abs(np.vdot(res.states[0].amplitudes, res.states[1].amplitudes)) <= 1e-10
 
 
+def _energy(ham, psi):
+    """<psi|H|psi> by numpy's inner product."""
+    return np.vdot(psi.amplitudes, ham.matvec(psi.amplitudes)).real
+
+
 class TestPurePhaseVacuum:
     def test_doublet_polarized(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(8), J=1.0, h=0.1)
         pp = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(build_hamiltonian(spec)))
-        assert pp.magnetization >= 0.9 * 8
-        assert not pp.paramagnetic_warning
-        assert max_additive_fluctuation(pp.state).max_variance <= 2 * 8
+        assert magnetization(pp) >= 0.9 * 8
+        assert max_additive_fluctuation(pp).max_variance <= 2 * 8
 
     def test_doublet_candidates_magnetization_matches_dense(self):
         # both signs of (|E0> +- |E1>)/sqrt(2) against the dense order parameter;
@@ -188,35 +192,37 @@ class TestPurePhaseVacuum:
             assert ms[-1] == pytest.approx(np.vdot(cand.amplitudes, m_dense @ cand.amplitudes).real, abs=1e-12)
             assert cand._table is None
         pp = pure_phase_vacuum(spec, METHOD_DOUBLET, pair=pair)
-        assert pp.magnetization == pytest.approx(max(ms), abs=1e-12)
-        assert pp.state._table is None
+        assert pp._table is None
+        assert magnetization(pp) == pytest.approx(max(ms), abs=1e-12)
 
     def test_doublet_energy_is_midpoint(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(6), J=1.0, h=0.1)
-        res = ground_state(build_hamiltonian(spec))
-        pp = pure_phase_vacuum(spec, METHOD_DOUBLET, res)
-        assert pp.energy == pytest.approx(0.5 * (res.energies[0] + res.energies[1]), abs=1e-12)
-        assert pp.energy >= res.energies[0] - 1e-12
+        ham = build_hamiltonian(spec)
+        res = ground_state(ham)
+        energy = _energy(ham, pure_phase_vacuum(spec, METHOD_DOUBLET, res))
+        assert energy == pytest.approx(0.5 * (res.energies[0] + res.energies[1]), abs=1e-12)
+        assert energy >= res.energies[0] - 1e-12
 
     def test_classical_limit_is_all_up(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(5), J=1.0, h=1e-3)
         pp = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(build_hamiltonian(spec)))
         up = basis_state(LatticeSpec(5), 0)
-        assert abs(np.vdot(pp.state.amplitudes, up.amplitudes)) ** 2 > 0.999
+        assert abs(np.vdot(pp.amplitudes, up.amplitudes)) ** 2 > 0.999
 
     def test_sb_field_method(self):
         spec = HamiltonianSpec("transverse-ising", LatticeSpec(6), J=1.0, h=0.1)
         pp = pure_phase_vacuum(spec, METHOD_SB_FIELD, None)
-        assert pp.magnetization >= 0.9 * 6
-        res = ground_state(build_hamiltonian(spec))
+        assert magnetization(pp) >= 0.9 * 6
+        ham = build_hamiltonian(spec)
         # energy under the unbiased Hamiltonian is above the true ground energy
-        assert pp.energy >= res.energies[0] - 1e-10
-        assert max_additive_fluctuation(pp.state).max_variance <= 2 * 6
+        assert _energy(ham, pp) >= ground_state(ham).energies[0] - 1e-10
+        assert max_additive_fluctuation(pp).max_variance <= 2 * 6
 
     def test_paramagnetic_warning(self):
-        spec = HamiltonianSpec("transverse-ising", LatticeSpec(4), J=1.0, h=2.0)
-        pp = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(build_hamiltonian(spec)))
-        assert pp.paramagnetic_warning
+        for h, warning in ((2.0, True), (0.1, False)):
+            scenario = Scenario("sb", (4,), ("symmetry-breaking",), params=ScenarioParams(h=h))
+            results, _ = runner.run_symmetry_breaking(scenario, None)
+            assert results["symmetry-breaking"]["paramagnetic_warning"] is warning
 
     def test_symmetry_breaking_reuses_the_ground_pair(self, monkeypatch):
         # one lowest-two solve per size serves both the symmetric state and
@@ -241,7 +247,8 @@ class TestPurePhaseVacuum:
         rows = results["symmetry-breaking"]["per_size"]
         for row, pp in zip(rows, made):
             spec = HamiltonianSpec("transverse-ising", LatticeSpec(row["n"]), J=1.0, h=0.1)
-            alone = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(build_hamiltonian(spec)))
-            assert row["e_pure_phase"] == alone.energy
-            assert row["m_pure_phase"] == alone.magnetization
-            assert np.array_equal(pp.state.amplitudes, alone.state.amplitudes)
+            ham = build_hamiltonian(spec)
+            alone = pure_phase_vacuum(spec, METHOD_DOUBLET, ground_state(ham))
+            assert row["e_pure_phase"] == _cdot(alone.amplitudes, ham.matvec(alone.amplitudes)).real
+            assert row["m_pure_phase"] == magnetization(alone)
+            assert np.array_equal(pp.amplitudes, alone.amplitudes)

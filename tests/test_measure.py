@@ -32,7 +32,7 @@ def sigma(site, axis):
     return LocalOperator(site, PAULI_MATRICES[axis])
 
 
-class TestMeasureLocal:
+class TestConditionalMarginals:
     """The single-site outcome distributions of the projection-postulate oracle."""
 
     def test_eigenstate_unchanged(self):

@@ -40,7 +40,7 @@ class TestPauli:
             LocalOperator(0, [[0, 1], [0, 0]])
 
 
-class TestApplyLocal:
+class TestApplyMatrixAtSite:
     """The operator image O|psi>, site by site: a plain array, not a state."""
 
     def test_bit_flip(self):

@@ -87,6 +87,7 @@ def test_normalized_correlation_obeys_cauchy_schwarz(psi):
 @given(random_states(min_sites=2, max_sites=4))
 def test_axis_variances_never_beat_maximum(psi):
     rep = max_additive_fluctuation(psi)
+    assert rep.max_variance >= psi.n_sites * (1 - 1e-12)
     for axis in "xyz":
         var = additive_variance(axis_coefficients(psi.n_sites, axis), psi)
         assert var <= rep.max_variance + 1e-8

@@ -78,6 +78,12 @@ def test_csv_refuses_a_non_finite_number(bad, tmp_path):
     with pytest.raises(NumericalError):
         write_experiment_csvs(report, tmp_path / "rep")
     assert list(tmp_path.iterdir()) == []
+    # a valid table is not written either when a later one holds the bad cell
+    report = {"results": {"classify": {"per_size": [{"n": 4, "max_variance": 1.0, "lambda_max": 0.25}]},
+                          "decohere": {"per_size": [{"n": 4, "gamma_analytic": bad}]}}}
+    with pytest.raises(NumericalError):
+        write_experiment_csvs(report, tmp_path / "rep")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _rows(path):

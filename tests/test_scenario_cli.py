@@ -635,6 +635,22 @@ def test_catalog_solves_each_hamiltonian_once(monkeypatch):
             assert np.array_equal(entries[label][n].amplitudes, alone), (label, n)
 
 
+def test_sb_field_pure_phase_builds_one_hamiltonian_per_size(monkeypatch):
+    # the vacuum is the biased ground state; no unbiased Hamiltonian is built for it
+    built = []
+    original = macrostab.ground.build_hamiltonian
+
+    def counted(spec):
+        built.append(spec)
+        return original(spec)
+
+    for module in ("catalog", "ground"):
+        monkeypatch.setattr(getattr(macrostab, module), "build_hamiltonian", counted)
+    state = StateSource(family="pure-phase", params={"method": "sb-field-limit"})
+    runner._state_entries(Scenario("pp", (4, 5, 6), ("cluster",), state))
+    assert [(spec.lattice.n_sites, spec.B) for spec in built] == [(4, 0.05), (5, 0.05), (6, 0.05)]
+
+
 def _count_tables(monkeypatch):
     """Record every two-point table built and every state one is asked for."""
     analyzer = macrostab.analyzer
