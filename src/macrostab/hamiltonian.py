@@ -16,7 +16,7 @@ a mask that flips the top bit folds onto the partner state.
 
 The solver's start vectors and the Hermiticity probes of ``build_hamiltonian``
 are counter hashes (``_hash_vector``), not random draws: only the trajectory
-noise of ``evolve`` comes from a Philox stream.
+noise of ``rates`` comes from a Philox stream.
 """
 
 from dataclasses import dataclass

@@ -13,6 +13,7 @@ the raw numbers included next to them, and leaves all randomness keyed
 by the scenario seed.
 """
 
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -22,15 +23,13 @@ from .analyzer import classify_scaling, magnetization, max_additive_fluctuation
 from .catalog import build_state, correspondence_catalog
 from .cluster import cluster_verdict, omega
 from .errors import ValidationError
-from .evolve import TrajectoryEnsemble, evolve_noisy
 from .ground import ground_state, pure_phase_vacuum
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 from .lattice import LatticeSpec
 from .measure import measurement_cascade, stability_test
-from .noise import NoiseModel
-from .rates import MIN_WINDOW_DECAY, analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from .rates import MIN_WINDOW_DECAY, NoiseModel, TrajectoryEnsemble, analytic_dephasing_rate, evolve_noisy, fit_gamma_scaling, trajectory_rate
 from .report import build_report, write_experiment_csvs, write_structured
-from .scenario import _STATEFUL_EXPERIMENTS, KERNEL_COLLECTIVE, KERNEL_EXPONENTIAL, TRAJECTORY_STEPS, TRANSVERSE_ISING, WINDOW_STEPS
+from .scenario import _STATEFUL_EXPERIMENTS, KERNEL_COLLECTIVE, TRAJECTORY_STEPS, TRANSVERSE_ISING, WINDOW_STEPS
 from .stateio import export_state, import_state
 from .states import _cdot
 
@@ -138,15 +137,14 @@ def run_measure(scenario, entries):
 def run_decohere(scenario, entries):
     p = scenario.params
     [(label, states)] = entries
-    xi = p.xi if p.kernel == KERNEL_EXPONENTIAL else None
-    noise = NoiseModel(kappa=p.kappa, kernel=p.kernel, axis=p.axis, xi=xi)
+    noise = NoiseModel(kappa=p.kappa, kernel=p.kernel, axis=p.axis, xi=p.xi)
     per_size = []
     analytic_points = []
     traj_points = []
     gammas = {n: analytic_dephasing_rate(states[n], noise) for n in scenario.sizes}
-    # a set horizon (> 0), by default 0.5 / gamma_analytic, fixes the step; the
-    # trajectories run the rate window, the horizon's first WINDOW_STEPS steps
-    dts = {n: (p.horizon or (0.5 / g if g > 1e-12 else 1.0)) / TRAJECTORY_STEPS for n, g in gammas.items()}
+    # a set horizon (> 0), by default 0.5 / gamma_analytic (1.0 where that is not
+    # finite), fixes the step; the trajectories run its first WINDOW_STEPS steps
+    dts = {n: (p.horizon or (0.5 / g if g > 0.5 / sys.float_info.max else 1.0)) / TRAJECTORY_STEPS for n, g in gammas.items()}
     if p.n_traj > 0 and p.horizon is not None:  # checked before any trajectory
         for n, gamma_a in gammas.items():
             decay = gamma_a * (WINDOW_STEPS * dts[n])

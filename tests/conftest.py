@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macrostab import evolve
+from macrostab import rates
 from macrostab.errors import ValidationError
 from macrostab.states import StateVector
 
@@ -118,7 +118,7 @@ def replay_z(psi, noise, ens):
     """Per-trajectory fidelities (n_traj, n_steps) and final states (n_traj, 2^N)
     under z-axis noise, replayed from the trajectory layer's Philox draws.
 
-    Trajectory k draws its increments from ``evolve._traj_rng(seed, k)`` and
+    Trajectory k draws its increments from ``rates._traj_rng(seed, k)`` and
     scales them by the kernel root; basis state i then carries the phase
     phi_i(t) = sum_x W_x(t) (1 - 2 b_x(i)), W the running sum of the scaled
     increments, so its final state is psi0 * exp(-i phi(T)).
@@ -133,7 +133,7 @@ def replay_z(psi, noise, ens):
     f_rows = np.empty((ens.n_traj, ens.n_steps))
     finals = np.empty((ens.n_traj, lattice.dim), dtype=complex)
     for traj in range(ens.n_traj):
-        w = evolve._traj_rng(ens.seed, traj).standard_normal((ens.n_steps, lattice.n_sites)) @ b_scaled.T
+        w = rates._traj_rng(ens.seed, traj).standard_normal((ens.n_steps, lattice.n_sites)) @ b_scaled.T
         e = np.exp(-1j * (np.cumsum(w, axis=0) @ site_vals.T))
         f_rows[traj] = np.abs(e @ p) ** 2
         finals[traj] = amps * e[-1]

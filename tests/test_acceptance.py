@@ -17,14 +17,12 @@ import pytest
 from macrostab.analyzer import classify_scaling, magnetization, max_additive_fluctuation
 from macrostab.catalog import build_state, correspondence_catalog
 from macrostab.cluster import cluster_verdict, correlation_field, omega
-from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
 from macrostab.ground import ground_state, pure_phase_vacuum
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import LatticeSpec
 from macrostab.measure import measurement_cascade, stability_test
-from macrostab.noise import NoiseModel
 from macrostab.operators import additive_variance
-from macrostab.rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from macrostab.rates import NoiseModel, TrajectoryEnsemble, analytic_dephasing_rate, evolve_noisy, fit_gamma_scaling, trajectory_rate
 from macrostab.scenario import METHOD_DOUBLET, ScenarioParams
 from macrostab.states import make_dicke, make_ghz, make_uniform_product
 from conftest import (

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from macrostab import evolve
+from macrostab import rates
 from macrostab.errors import ValidationError
-from macrostab.evolve import TrajectoryEnsemble, evolve_noisy
 from macrostab.lattice import GEOMETRIES, SITE_CAP, LatticeSpec
-from macrostab.noise import NoiseModel
-from macrostab.rates import analytic_dephasing_rate, fit_gamma_scaling, trajectory_rate
+from macrostab.rates import NoiseModel, TrajectoryEnsemble, analytic_dephasing_rate, evolve_noisy, fit_gamma_scaling, trajectory_rate
 from macrostab.scenario import TRAJECTORY_STEPS, WINDOW_STEPS
 from macrostab.states import StateVector, make_dicke, make_ghz, make_uniform_product
 from conftest import (
@@ -33,7 +31,7 @@ def _dense_expm_oracle(psi, noise, ens):
     amps0 = psi.amplitudes.astype(complex)
     f_rows = np.empty((ens.n_traj, ens.n_steps))
     for traj in range(ens.n_traj):
-        w = evolve._traj_rng(ens.seed, traj).standard_normal((ens.n_steps, n)) @ b_scaled.T
+        w = rates._traj_rng(ens.seed, traj).standard_normal((ens.n_steps, n)) @ b_scaled.T
         state = amps0.copy()
         for s in range(ens.n_steps):
             gen = sum(w[s, x] * dense_ops[x] for x in range(n))
@@ -188,8 +186,8 @@ class TestEvolve:
         # the split comes from the support: GHZ is two states, one per high row
         ghz = np.zeros(1 << n, dtype=bool)
         ghz[[0, -1]] = True
-        assert evolve._split_sites(ghz) == 0
-        assert evolve._split_sites(np.ones(1 << n, dtype=bool)) == n // 2
+        assert rates._split_sites(ghz) == 0
+        assert rates._split_sites(np.ones(1 << n, dtype=bool)) == n // 2
 
     def test_ghz_rate_matches_analytic(self):
         lat = LatticeSpec(6)

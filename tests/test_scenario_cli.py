@@ -399,16 +399,18 @@ def test_range_checks_name_the_file_key(case, tmp_path, monkeypatch, capsys):
 
 
 # the fit counts time in steps, so no horizon squares to an underflow: a
-# kappa whose automatic horizon is ~1e-302 scales the rate and nothing else
+# kappa whose automatic horizon is ~1e-302 scales the rate and nothing else,
+# and so does one whose automatic horizon is ~1e198
 def test_huge_kappa_scales_the_trajectory_rate(tmp_path):
     gammas = {}
-    for name, kappa in (("small", "0.01"), ("huge", "1e300")):
+    for name, kappa in (("small", "0.01"), ("huge", "1e300"), ("tiny", "1e-200")):
         assert main(["decohere", "--state", "ghz", "--sizes", "4:8:2", "--kappa", kappa, "--out", str(tmp_path / name)]) == 0
         rows = json.loads((tmp_path / f"{name}.json").read_text())["results"]["decohere"]["per_size"]
         gammas[name] = [row["gamma_trajectory"] / float(kappa) for row in rows]
     assert len(gammas["small"]) == 3
-    for small, huge in zip(gammas["small"], gammas["huge"]):
+    for small, huge, tiny in zip(gammas["small"], gammas["huge"], gammas["tiny"]):
         assert huge == pytest.approx(small, rel=1e-12)
+        assert tiny == pytest.approx(small, rel=1e-12)
 
 
 # a state with no decay under the noise reads gamma = 0 at any horizon; the
@@ -418,6 +420,10 @@ def test_tiny_horizon_zero_rate_fits_zero(tmp_path):
     assert main(["decohere", "--state", "product-up", "--sizes", "4:8:2", "--horizon", "1e-170", "--out", str(out)]) == 0
     rows = json.loads((tmp_path / "rep.json").read_text())["results"]["decohere"]["per_size"]
     assert [row["gamma_trajectory"] for row in rows] == [0.0, 0.0, 0.0]
+    # at gamma_analytic = 0 the automatic horizon falls back to 1
+    assert main(["decohere", "--state", "product-up", "--sizes", "4:8:2", "--out", str(tmp_path / "auto")]) == 0
+    rows = json.loads((tmp_path / "auto.json").read_text())["results"]["decohere"]["per_size"]
+    assert [(row["gamma_trajectory"], row["dt"]) for row in rows] == [(0.0, 1 / 400)] * 3
 
 
 # a family's checks that need N run where its state is built, and name the key
@@ -1094,10 +1100,10 @@ def test_only_trajectories_load_numpy_random():
     assert res.stdout.splitlines() == ["False", "True"]
 
 
-def test_numpy_random_appears_only_in_evolve():
+def test_numpy_random_appears_only_in_rates():
     src = Path(macrostab.__file__).resolve().parent
     users = sorted(p.name for p in src.glob("*.py") if re.search(r"\b(np|numpy)\.random\b", p.read_text(encoding="utf-8")))
-    assert users == ["evolve.py"]
+    assert users == ["rates.py"]
 
 
 def test_projection_postulate_oracle_stays_out_of_every_run_path():

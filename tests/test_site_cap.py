@@ -22,8 +22,7 @@ from macrostab.cluster import omega
 from macrostab.ground import RESIDUAL_TOL, ground_state
 from macrostab.hamiltonian import HamiltonianSpec, build_hamiltonian
 from macrostab.lattice import SITE_CAP, LatticeSpec
-from macrostab.noise import NoiseModel
-from macrostab.rates import analytic_dephasing_rate
+from macrostab.rates import NoiseModel, analytic_dephasing_rate
 from macrostab.scenario import TRANSVERSE_ISING
 from conftest import PAULI, dense_bond_op, dense_site_op, dense_tfim
 
